@@ -47,6 +47,8 @@ __all__ = [
     "generate_single_atom_equations",
     "generate_pair_equations",
     "classify_PQ",
+    "P_LABELS",
+    "Q_LABELS",
     "grade_order",
     "flip_label",
     "flip_pair",
@@ -371,19 +373,26 @@ def generate_pair_equations(params: AtomParams, ladder_variant: str = "integral"
     return _generate_pair_cached(params.generation_key(), ladder_variant)
 
 
-def classify_PQ(system: PairSystem):
-    """Split the pair basis into P (diagonal k term present) and Q labels."""
-    p_labels = tuple(
-        lab for lab, kd in zip(system.pair_labels, system.kdiag) if kd != 0
-    )
-    q_labels = tuple(
-        lab for lab, kd in zip(system.pair_labels, system.kdiag) if kd == 0
-    )
+def _split_pq(pair_labels, kdiag):
+    p_labels = tuple(lab for lab, kd in zip(pair_labels, kdiag) if kd != 0)
+    q_labels = tuple(lab for lab, kd in zip(pair_labels, kdiag) if kd == 0)
     if len(p_labels) != 10 or len(q_labels) != 26:
         raise GeneratorError(
             f"P/Q classification broke: |P|={len(p_labels)}, |Q|={len(q_labels)}"
         )
     return p_labels, q_labels
+
+
+def classify_PQ(system: PairSystem):
+    """Split the pair basis into P (diagonal k term present) and Q labels."""
+    return _split_pq(system.pair_labels, system.kdiag)
+
+
+# The diagonal interaction term is structural (no parameter enters it), so
+# the P/Q partition is the same for every generated pair system.
+P_LABELS, Q_LABELS = _split_pq(
+    PAIR_LABELS, _pair_interaction_structure("integral")[0]
+)
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,9 @@ _SHARED = [
     click.option("--delta3", type=float, default=None, help="Two-photon detuning."),
     click.option("--out", type=click.Path(), default=None,
                  help="Output CSV path (default stdout)."),
-    click.option("--threads", type=int, default=None, help="Worker threads."),
+    click.option("--threads", type=int, default=None,
+                 help="Accepted for compatibility and ignored (>= 1): scans "
+                      "run serially, a thread pool measured no speed-up."),
     click.option("--tol", type=float, default=None, help="Solver tolerance."),
 ]
 
@@ -134,7 +136,9 @@ def scan(config_path, omega_p2, **overrides):
 @click.argument("name", type=click.Choice(sorted(FIGURES)))
 @click.option("--out", type=click.Path(), default=None,
               help="Output CSV path (default stdout).")
-@click.option("--threads", type=int, default=1)
+@click.option("--threads", type=click.IntRange(min=1), default=1,
+              help="Accepted for compatibility and ignored (>= 1): figures "
+                   "run serially, a thread pool measured no speed-up.")
 @click.option("--tol", type=float, default=1e-10)
 def figure(name, out, threads, tol):
     """Emit the CSV data behind one of the standard figures."""

@@ -20,14 +20,20 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .blochgen import (
+    P_LABELS,
     PAIR_INDEX,
     PAIR_LABELS,
+    Q_LABELS,
     V_LABELS,
     canonical_pair,
-    classify_PQ,
     generate_pair_equations,
+    generate_single_atom_equations,
 )
-from .noninteracting import SingleAtomState, solve_single_system
+from .noninteracting import (
+    SingleAtomState,
+    _singular_single_atom,
+    solve_single_system,
+)
 from .params import AtomParams, InteractionParams, SingularParameterError
 from .perturbative import BranchAmbiguityError, _principal_sqrt
 from .quadrature import vdw_k_integral
@@ -52,6 +58,13 @@ _COND_C_MAX = 1e12
 _COND_U_MAX = 1e10
 _EIG_RESID = 1e-10
 
+_P_IDX = np.array([PAIR_INDEX[lab] for lab in P_LABELS])
+_Q_IDX = np.array([PAIR_INDEX[lab] for lab in Q_LABELS])
+# positions of the feedback correlators ss_{a3,33} = V_a3 in the P block
+_FEEDBACK_COLS = tuple(
+    P_LABELS.index(canonical_pair(lab, (3, 3))) for lab in V_LABELS
+)
+
 
 class ConvergenceError(RuntimeError):
     """The nonlinear solve for the collisional integrals did not converge."""
@@ -63,21 +76,21 @@ class PQSystem:
 
     P rows are rescaled so they read k P_m = a P + b Q + R_m; Q rows read
     0 = c Q + d P + Rn. The source builder returns (R, Rn) for given V.
-    ``feedback_cols`` maps (V13, V31, V23, V32) onto P positions.
+    ``feedback_cols`` maps (V13, V31, V23, V32) onto P positions. The
+    partition is structural, so the labels and positions are constants.
     """
 
+    p_labels = P_LABELS
+    q_labels = Q_LABELS
+    feedback_cols = _FEEDBACK_COLS
+
     params: AtomParams
-    p_labels: tuple
-    q_labels: tuple
     a: np.ndarray  # 10 x 10
     b: np.ndarray  # 10 x 26
     c: np.ndarray  # 26 x 26
     d: np.ndarray  # 26 x 10
-    feedback_cols: tuple
     p_rowscale: np.ndarray
     _pair_system: object
-    _p_idx: np.ndarray
-    _q_idx: np.ndarray
 
     def single_state(self, v4) -> SingleAtomState:
         return solve_single_system(self.params, v4=v4)
@@ -89,7 +102,7 @@ class PQSystem:
         ps = self._pair_system
         full = ps.single_source_matrix(self.params.omega_p) @ sigma
         full = full + ps.ladder_source(v4, sigma)
-        return self.p_rowscale * full[self._p_idx], full[self._q_idx]
+        return self.p_rowscale * full[_P_IDX], full[_Q_IDX]
 
 
 # At gamma33 = 0 the Q block is exactly singular: the {33,33} correlator
@@ -111,29 +124,19 @@ def regularize(params: AtomParams) -> AtomParams:
 def assemble_PQ(params: AtomParams) -> PQSystem:
     """Partition the generated 36-row system into the P/Q block form."""
     ps = generate_pair_equations(params)
-    p_labels, q_labels = classify_PQ(ps)
-    p_idx = np.array([PAIR_INDEX[lab] for lab in p_labels])
-    q_idx = np.array([PAIR_INDEX[lab] for lab in q_labels])
+    p_idx, q_idx = _P_IDX, _Q_IDX
     amat = ps.matrix(params.omega_p)
     # P row m reads 0 = (A ss)_m + kdiag_m k ss_m + src_m; divide by
     # -kdiag_m to isolate k ss_m on the left.
     rowscale = -1.0 / ps.kdiag[p_idx]
-    fb_cols = tuple(
-        p_labels.index(canonical_pair(lab, (3, 3))) for lab in V_LABELS
-    )
     return PQSystem(
         params=params,
-        p_labels=p_labels,
-        q_labels=q_labels,
         a=rowscale[:, None] * amat[np.ix_(p_idx, p_idx)],
         b=rowscale[:, None] * amat[np.ix_(p_idx, q_idx)],
         c=amat[np.ix_(q_idx, q_idx)],
         d=amat[np.ix_(q_idx, p_idx)],
-        feedback_cols=fb_cols,
         p_rowscale=rowscale,
         _pair_system=ps,
-        _p_idx=p_idx,
-        _q_idx=q_idx,
     )
 
 
@@ -173,16 +176,43 @@ class SpectralSystem:
     cond_u: float
 
     def feedback_map(self, interaction: InteractionParams):
-        """Return G with G(v4) the spectral prediction for the feedback V."""
+        """Return G with G(v4) the spectral prediction for the feedback V.
+
+        G(v4) = lu @ (f * (u @ rtilde(v4))). Everything fixed by the probe
+        amplitude is built here once; G then repeats exactly the arithmetic
+        of ``ReducedSystem.rtilde`` on the same operands, so its result is
+        bit-identical to that plain composition.
+        """
         f = np.array(
             [F_lambda(lam, interaction) for lam in self.eigenvalues]
         )
-        sel = np.array(self.reduced.pq.feedback_cols)
         u = self.u
-        lu = np.linalg.inv(u)[sel, :]
+        lu = np.linalg.inv(u)[_FEEDBACK_COLS, :]
+        alpha = self.reduced.alpha
+        pq = self.reduced.pq
+        params, wp = pq.params, pq.params.omega_p
+        sys8 = generate_single_atom_equations(params)
+        mat8, src8, v_coupling = sys8.matrix(wp), sys8.source(wp), sys8.v_coupling
+        ps = pq._pair_system
+        single_source = ps.single_source_matrix(wp)
+        ladder = ps.ladder
+        rowscale = pq.p_rowscale
 
         def g(v4):
-            return lu @ (f * (u @ self.reduced.rtilde(v4)))
+            v = np.asarray(v4, dtype=complex)
+            try:
+                sigma = np.linalg.solve(mat8, -(src8 + v_coupling @ v))
+            except np.linalg.LinAlgError as exc:
+                raise _singular_single_atom(params, exc) from exc
+            # Python complex scalars, not array multiplies: numpy's array
+            # complex multiply may use FMA and differ in the last bit.
+            vl, sl = v.tolist(), sigma.tolist()
+            lad = [0j] * 36
+            for row, vi, si, coeff in ladder:
+                lad[row] += coeff * vl[vi] * sl[si]
+            full = single_source @ sigma + np.array(lad)
+            r = rowscale * full[_P_IDX] + alpha @ full[_Q_IDX]
+            return lu @ (f * (u @ r))
 
         return g
 
@@ -259,18 +289,19 @@ def _damped_iterate(g, v0, damping, max_iter, tol):
     """Damped fixed-point iteration; returns (v, iters, resid, converged)."""
     v = np.asarray(v0, dtype=complex)
     prev_resid = np.inf
-    for it in range(1, max_iter + 1):
-        with np.errstate(over="ignore", invalid="ignore"):
+    keep = 1.0 - damping
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, max_iter + 1):
             gv = g(v)
-        if not np.all(np.isfinite(gv)):
-            return v, it, np.inf, False
-        resid = np.max(np.abs(gv - v)) / max(np.max(np.abs(gv)), 1e-300)
-        if resid < tol:
-            return gv, it, resid, True
-        if resid > 10.0 * prev_resid:
-            return v, it, resid, False  # diverging, caller escalates
-        prev_resid = min(prev_resid, resid)
-        v = (1.0 - damping) * v + damping * gv
+            if not np.isfinite(gv).all():
+                return v, it, np.inf, False
+            resid = np.abs(gv - v).max() / max(np.abs(gv).max(), 1e-300)
+            if resid < tol:
+                return gv, it, resid, True
+            if resid > 10.0 * prev_resid:
+                return v, it, resid, False  # diverging, caller escalates
+            prev_resid = min(prev_resid, resid)
+            v = keep * v + damping * gv
     return v, max_iter, prev_resid, False
 
 

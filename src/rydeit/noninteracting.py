@@ -110,11 +110,15 @@ def solve_single_system(params: AtomParams, v4=None) -> SingleAtomState:
     try:
         sol = np.linalg.solve(mat, -rhs)
     except np.linalg.LinAlgError as exc:
-        raise SingularParameterError(
-            f"singular single-atom system at omega_c={params.omega_c}, "
-            f"delta2={params.delta2}, delta3={params.delta3}: {exc}"
-        ) from exc
+        raise _singular_single_atom(params, exc) from exc
     return SingleAtomState(values=sol)
+
+
+def _singular_single_atom(params: AtomParams, exc) -> SingularParameterError:
+    return SingularParameterError(
+        f"singular single-atom system at omega_c={params.omega_c}, "
+        f"delta2={params.delta2}, delta3={params.delta3}: {exc}"
+    )
 
 
 def steady_state_three_level(params: AtomParams) -> SingleAtomState:

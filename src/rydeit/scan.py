@@ -1,9 +1,11 @@
 """Parameter sweeps and deterministic CSV emission.
 
 A scan is a grid over probe intensity (and optionally two-photon detuning)
-at fixed atomic parameters. Grid points are independent, so they are mapped
-over a thread pool; output ordering is fixed by (state, delta3, |omega_p|^2)
-so the emitted CSV is byte-identical across runs and thread counts.
+at fixed atomic parameters. Grid points are independent and solved one after
+another in a fixed (state, delta3, |omega_p|^2) order, so the emitted CSV is
+byte-identical across runs. The ``threads`` setting is accepted for
+compatibility and ignored: the solve holds the interpreter lock, and a thread
+pool measured no speed-up over serial (it was slower on two cores).
 
 The figure presets reproduce the three standard result sweeps:
 fig2 (normalized dispersive response vs intensity, four states),
@@ -14,19 +16,19 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from typing import Iterable
 
 import numpy as np
 
-from .collisional import solve_interacting
+from .collisional import ConvergenceError, solve_interacting
 from .noninteracting import (
     perturbative_coefficients,
     steady_state_three_level,
     steady_state_two_level,
 )
 from .observables import (
+    DegenerateNormalizationError,
     nb_tilde_weak_probe,
     nb_weak_probe,
     observable_set,
@@ -35,10 +37,16 @@ from .params import (
     C6_PRESETS,
     AtomParams,
     InteractionParams,
+    SingularParameterError,
     StatePreset,
     relaxation_constants,
 )
-from .perturbative import chi3_interacting, collisional_integral_V13_order3
+from .perturbative import (
+    BranchAmbiguityError,
+    chi3_interacting,
+    collisional_integral_V13_order3,
+)
+from .quadrature import QuadratureError
 
 __all__ = [
     "ConfigError",
@@ -53,6 +61,17 @@ __all__ = [
 
 _NAN = float("nan")
 
+# Failures of a well-posed grid point, reported as flagged rows; anything
+# else is a programming error and propagates.
+_POINT_ERRORS = (
+    ConvergenceError,
+    SingularParameterError,
+    QuadratureError,
+    BranchAmbiguityError,
+    DegenerateNormalizationError,
+    np.linalg.LinAlgError,
+)
+
 
 class ConfigError(ValueError):
     """Invalid or inconsistent scan configuration."""
@@ -66,6 +85,9 @@ class ScanConfig:
     that fixes c6 and omega_c unless those are given explicitly. The probe
     grid is linear in |omega_p|^2. A delta3 grid is optional (used for
     spectra); when absent the single ``delta3`` value is used.
+
+    ``threads`` (>= 1) is accepted for compatibility and ignored: scans run
+    serially because a thread pool measured no speed-up.
     """
 
     state: int | None = None
@@ -126,8 +148,8 @@ class ScanConfig:
         """Config as embedded in CSV metadata.
 
         Execution-only keys (threads, out) are dropped so the emitted file
-        is byte-identical across thread counts while still reproducing the
-        run when re-parsed.
+        does not depend on them while still reproducing the run when
+        re-parsed.
         """
         d = asdict(self)
         d.pop("threads")
@@ -304,7 +326,7 @@ def compute_row(spec: RowSpec) -> ScanResultRow:
             nb_re=obs.nb.real, nb_im=obs.nb.imag, nb_tilde=obs.nb_tilde,
             iterations=integrals.iterations, residual=integrals.residual,
         )
-    except Exception as exc:  # noqa: BLE001 - flagged, run continues
+    except _POINT_ERRORS as exc:
         msg = f"{type(exc).__name__}: {exc}".replace("\n", " ")[:200]
         return ScanResultRow(**_row_inputs(spec, params), flag=msg)
 
@@ -331,19 +353,11 @@ def _specs_for(config: ScanConfig) -> list[RowSpec]:
     return specs
 
 
-def _solve_specs(specs: list[RowSpec], threads: int) -> list[ScanResultRow]:
-    order = sorted(range(len(specs)),
-                   key=lambda i: (specs[i].state, specs[i].delta3, specs[i].omega_p2))
-    ordered = [specs[i] for i in order]
-    if threads == 1:
-        return [compute_row(s) for s in ordered]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(compute_row, ordered))
-
-
 def run_scan(config: ScanConfig) -> list[ScanResultRow]:
     """Solve the configured grid, ordered by (state, delta3, |omega_p|^2)."""
-    return _solve_specs(_specs_for(config), config.threads)
+    specs = sorted(_specs_for(config),
+                   key=lambda s: (s.state, s.delta3, s.omega_p2))
+    return [compute_row(s) for s in specs]
 
 
 def _fmt(x) -> str:
@@ -388,11 +402,11 @@ def _s_slope_third_order(params: AtomParams, interaction: InteractionParams) -> 
     return float(chi3.s12_3_collisional.real / (pc.s12_1 + 1j / rc.Gamma12).real)
 
 
-def _figure2(threads: int, tol: float):
+def _figure2(tol: float):
     configs = [
         ScanConfig(state=n, delta3=1.0 / 3.0,
                    omega_p2_start=0.0, omega_p2_stop=0.5, omega_p2_count=26,
-                   tol=tol, threads=threads)
+                   tol=tol)
         for n in (46, 50, 56, 61)
     ]
     rows: list[ScanResultRow] = []
@@ -408,11 +422,11 @@ def _figure2(threads: int, tol: float):
     return rows, meta, {"s_third_order": slopes}
 
 
-def _figure3(threads: int, tol: float):
+def _figure3(tol: float):
     cfg = ScanConfig(state=61,
                      omega_p2_start=0.5, omega_p2_stop=0.5, omega_p2_count=1,
                      delta3_start=-2.0, delta3_stop=2.0, delta3_count=81,
-                     tol=tol, threads=threads)
+                     tol=tol)
     rows = run_scan(cfg)
     trunc_re, trunc_im = [], []
     for r in rows:
@@ -426,13 +440,13 @@ def _figure3(threads: int, tol: float):
     return rows, meta, {"chi_trunc_re": trunc_re, "chi_trunc_im": trunc_im}
 
 
-def _figure4(threads: int, tol: float):
+def _figure4(tol: float):
     rows: list[ScanResultRow] = []
     configs = []
     for d3 in (1.0 / 3.0, 1.0, 2.0):
         cfg = ScanConfig(state=50, delta3=d3,
                          omega_p2_start=0.001, omega_p2_stop=0.5,
-                         omega_p2_count=25, tol=tol, threads=threads)
+                         omega_p2_count=25, tol=tol)
         configs.append(cfg)
         rows.extend(run_scan(cfg))
     meta = {"figure": "fig4", "configs": [c.metadata_dict() for c in configs]}
@@ -443,9 +457,14 @@ FIGURES = {"fig2": _figure2, "fig3": _figure3, "fig4": _figure4}
 
 
 def run_figure(name: str, stream, threads: int = 1, tol: float = 1e-10) -> bool:
-    """Write a figure-preset CSV; returns True if any row is flagged."""
+    """Write a figure-preset CSV; returns True if any row is flagged.
+
+    ``threads`` (>= 1) is accepted for compatibility and ignored.
+    """
     if name not in FIGURES:
         raise ConfigError(f"unknown figure {name!r}; known: {sorted(FIGURES)}")
-    rows, meta, extra = FIGURES[name](threads, tol)
+    if threads < 1:
+        raise ConfigError("threads must be >= 1")
+    rows, meta, extra = FIGURES[name](tol)
     write_csv(rows, meta, stream, extra=extra)
     return any(r.flag for r in rows)

@@ -5,6 +5,7 @@ import pytest
 from rydeit import (
     AtomParams,
     InteractionParams,
+    StatePreset,
     effective_T,
     solve_collisional_integrals,
     solve_interacting,
@@ -13,6 +14,7 @@ from rydeit.collisional import (
     F_lambda,
     F_lambda_quadrature,
     GAMMA33_REGULARIZATION,
+    ConvergenceError,
     assemble_PQ,
     regularize,
     schur_reduce,
@@ -73,6 +75,39 @@ class TestSpectralIntegrals:
             assert want == pytest.approx(res.value, rel=1e-6)
 
 
+class TestFeedbackMap:
+    @pytest.mark.parametrize("state", [46, 50, 61])
+    def test_bit_identical_to_plain_composition(self, state):
+        """The per-stage G must reproduce lu @ (f * (u @ rtilde(v))) exactly:
+        the solver's trajectory, and so every output digit, depends on it."""
+        preset = StatePreset(state)
+        inter = InteractionParams(c6=preset.c6)
+        p = regularize(AtomParams(omega_p=np.sqrt(0.3), omega_c=preset.omega_c))
+        spec = spectral_decompose(schur_reduce(assemble_PQ(p)))
+        f = np.array([F_lambda(lam, inter) for lam in spec.eigenvalues])
+        sel = np.array(spec.reduced.pq.feedback_cols)
+        lu = np.linalg.inv(spec.u)[sel, :]
+        g = spec.feedback_map(inter)
+        rng = np.random.default_rng(state)
+        vs = [np.zeros(4, dtype=complex)] + [
+            (rng.standard_normal(4) + 1j * rng.standard_normal(4))
+            * 10.0 ** rng.uniform(-6, -1)
+            for _ in range(8)
+        ]
+        for v in vs:
+            want = lu @ (f * (spec.u @ spec.reduced.rtilde(v)))
+            assert np.array_equal(g(v), want)
+
+    def test_work_counts_are_unchanged(self, preset50):
+        """Exact iteration and stage counts pin the solver trajectory."""
+        p = AtomParams(omega_p=np.sqrt(0.3), omega_c=preset50.omega_c,
+                       delta3=1.0 / 3.0)
+        v = solve_collisional_integrals(p, InteractionParams(c6=preset50.c6))
+        assert v.iterations == 97
+        assert v.continuation_steps == 4
+        assert v.used_newton is False
+
+
 class TestNonlinearSolve:
     def test_trivial_roots(self, params50, inter50):
         v = solve_collisional_integrals(params50.with_omega_p(0.0), inter50)
@@ -125,3 +160,13 @@ class TestNonlinearSolve:
             state, v = solve_interacting(p, InteractionParams(c6=36000.0))
             state.check_physical(tol=1e-6)
             assert v.residual < 1e-8
+
+    @pytest.mark.xfail(strict=True, raises=ConvergenceError,
+                       reason="known defect: continuation stalls at intensity "
+                              "fraction 0.9999 (perfbench/README.md, 'Known "
+                              "defect outside the workloads')")
+    def test_state46_isolated_negative_detuning_converges(self):
+        preset = StatePreset(46)
+        p = AtomParams(omega_p=np.sqrt(0.5), omega_c=preset.omega_c,
+                       delta3=-1.0676167235166836)
+        solve_collisional_integrals(p, InteractionParams(c6=preset.c6))

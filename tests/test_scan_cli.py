@@ -1,16 +1,20 @@
 """Scan configuration, CSV determinism and the command-line interface."""
 import io
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
 
+from rydeit import scan as scan_module
 from rydeit.cli import _parse_grid, main
+from rydeit.collisional import ConvergenceError
 from rydeit.scan import (
     ConfigError,
     FIGURES,
     ScanConfig,
     ScanResultRow,
+    run_figure,
     run_scan,
     write_csv,
 )
@@ -87,6 +91,34 @@ class TestCsvDeterminism:
         assert row.flag == ""
 
 
+class TestPointFailures:
+    @staticmethod
+    def _run_with_solver(monkeypatch, exc):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(scan_module, "solve_interacting", fail)
+        return run_scan(ScanConfig(state=50, omega_p2_start=0.1,
+                                   omega_p2_stop=0.1, omega_p2_count=1))
+
+    def test_solver_failure_gives_flagged_row(self, monkeypatch):
+        (row,) = self._run_with_solver(monkeypatch, ConvergenceError("stalled"))
+        assert row.flag == "ConvergenceError: stalled"
+        assert row.omega_p2 == 0.1 and math.isnan(row.chi_re)
+
+    def test_programming_error_propagates(self, monkeypatch):
+        with pytest.raises(TypeError, match="bug"):
+            self._run_with_solver(monkeypatch, TypeError("bug"))
+
+    def test_degenerate_normalization_gives_flagged_row(self):
+        # on two-photon and one-photon resonance the two- and three-level
+        # dispersive responses coincide, so S is undefined there
+        cfg = ScanConfig(state=50, delta2=0.0, delta3=0.0,
+                         omega_p2_start=0.1, omega_p2_stop=0.1, omega_p2_count=1)
+        (row,) = run_scan(cfg)
+        assert row.flag.startswith("DegenerateNormalizationError")
+
+
 class TestParseGrid:
     def test_forms(self):
         assert _parse_grid("0.5") == (0.5, 0.5, 1)
@@ -141,6 +173,12 @@ class TestCli:
     def test_unknown_figure_rejected(self):
         res = CliRunner().invoke(main, ["figure", "fig9"])
         assert res.exit_code == 2
+
+    def test_figure_rejects_zero_threads(self):
+        res = CliRunner().invoke(main, ["figure", "fig4", "--threads", "0"])
+        assert res.exit_code == 2
+        with pytest.raises(ConfigError, match="threads"):
+            run_figure("fig4", io.StringIO(), threads=0)
 
     def test_figures_registered(self):
         assert set(FIGURES) == {"fig2", "fig3", "fig4"}
