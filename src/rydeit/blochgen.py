@@ -158,6 +158,13 @@ def _drift(label, wp, wpc, p: AtomParams):
     return 1j * (h @ e - e @ h) + _relax_adjoint(e, p)
 
 
+def _drift_terms(label, wp, wpc, p: AtomParams):
+    """The nonzero ((c, d), coefficient) entries of ``_drift``, row-major."""
+    d = _drift(label, wp, wpc, p)
+    terms = (((c, dd), d[c - 1, dd - 1]) for (c, dd) in _ALL9)
+    return [(cd, coeff) for cd, coeff in terms if coeff != 0]
+
+
 # ---------------------------------------------------------------------------
 # single-atom system
 # ---------------------------------------------------------------------------
@@ -190,11 +197,7 @@ def _single_matrices(wp, wpc, p: AtomParams):
     c = np.zeros((8, 8), dtype=complex)
     s = np.zeros(8, dtype=complex)
     for r, lab in enumerate(SINGLE_LABELS):
-        d = _drift(lab, wp, wpc, p)
-        for (a, b) in _ALL9:
-            coeff = d[a - 1, b - 1]
-            if coeff == 0:
-                continue
+        for (a, b), coeff in _drift_terms(lab, wp, wpc, p):
             if (a, b) == (1, 1):
                 # sigma_11 = 1 - sigma_22 - sigma_33
                 s[r] += coeff
@@ -255,10 +258,7 @@ class PairSystem:
         0 = [A(wp) + k * diag(kdiag)] ss + Ssrc(wp) sigma + ladder(V, sigma)
 
     ``ladder`` rows are (row, v_index, single_index, coeff): the ladder
-    closure source coeff * V[v_index] * sigma[single_index]. When the
-    subtracted ladder variant is selected, ``variant_kterms`` holds the
-    additional k-weighted couplings (row, pair_index, single_index, coeff)
-    meaning coeff * k * ss[pair_index] * sigma[single_index].
+    closure source coeff * V[v_index] * sigma[single_index].
     """
 
     pair_labels: tuple
@@ -270,8 +270,6 @@ class PairSystem:
     srcm: np.ndarray
     kdiag: np.ndarray
     ladder: tuple
-    variant_kterms: tuple
-    ladder_variant: str
 
     def matrix(self, omega_p: complex) -> np.ndarray:
         return self.a0 + omega_p * self.ap + np.conj(omega_p) * self.am
@@ -289,13 +287,11 @@ class PairSystem:
 def _pair_matrices(wp, wpc, p: AtomParams):
     a = np.zeros((36, 36), dtype=complex)
     s = np.zeros((36, 8), dtype=complex)
+    # each pair row visits two single-atom drifts; there are only 8 distinct
+    terms = {lab: _drift_terms(lab, wp, wpc, p) for lab in SINGLE_LABELS}
     for r, (l1, l2) in enumerate(PAIR_LABELS):
         for lab, other in ((l1, l2), (l2, l1)):
-            d = _drift(lab, wp, wpc, p)
-            for (c, dd) in _ALL9:
-                coeff = d[c - 1, dd - 1]
-                if coeff == 0:
-                    continue
+            for (c, dd), coeff in terms[lab]:
                 if (c, dd) == (1, 1):
                     s[r, SINGLE_INDEX[other]] += coeff
                     a[r, PAIR_INDEX[canonical_pair((2, 2), other)]] -= coeff
@@ -305,10 +301,9 @@ def _pair_matrices(wp, wpc, p: AtomParams):
     return a, s
 
 
-def _pair_interaction_structure(variant: str):
+def _pair_interaction_structure():
     kdiag = np.zeros(36, dtype=complex)
     ladder = []
-    variant_kterms = []
     for r, ((a, b), (m, n)) in enumerate(PAIR_LABELS):
         kdiag[r] = 1j * (int(a == 3 and m == 3) - int(b == 3 and n == 3))
         for lab, other in (((a, b), (m, n)), ((m, n), (a, b))):
@@ -317,23 +312,13 @@ def _pair_interaction_structure(variant: str):
                 continue  # the two ladder terms cancel for sigma_33
             if la == 3:
                 ladder.append((r, V_INDEX[(3, lb)], SINGLE_INDEX[other], +1j))
-                if variant == "subtracted":
-                    variant_kterms.append(
-                        (r, PAIR_INDEX[canonical_pair((3, lb), (3, 3))],
-                         SINGLE_INDEX[other], -1j)
-                    )
             if lb == 3:
                 ladder.append((r, V_INDEX[(la, 3)], SINGLE_INDEX[other], -1j))
-                if variant == "subtracted":
-                    variant_kterms.append(
-                        (r, PAIR_INDEX[canonical_pair((la, 3), (3, 3))],
-                         SINGLE_INDEX[other], +1j)
-                    )
-    return kdiag, tuple(ladder), tuple(variant_kterms)
+    return kdiag, tuple(ladder)
 
 
 @lru_cache(maxsize=64)
-def _generate_pair_cached(key, variant):
+def _generate_pair_cached(key):
     p = AtomParams(
         omega_p=0.0,
         omega_c=key[0],
@@ -350,27 +335,19 @@ def _generate_pair_cached(key, variant):
     a01, s01 = _pair_matrices(0.0, 1.0, p)
     if np.any(s00 != 0):
         raise GeneratorError("pair source without a probe factor")
-    kdiag, ladder, vterms = _pair_interaction_structure(variant)
+    kdiag, ladder = _pair_interaction_structure()
     return PairSystem(
         pair_labels=PAIR_LABELS,
         a0=a00, ap=a10 - a00, am=a01 - a00,
         src0=s00, srcp=s10 - s00, srcm=s01 - s00,
-        kdiag=kdiag, ladder=ladder, variant_kterms=vterms,
-        ladder_variant=variant,
+        kdiag=kdiag, ladder=ladder,
     )
 
 
-def generate_pair_equations(params: AtomParams, ladder_variant: str = "integral") -> PairSystem:
-    """Generate the 36 two-body correlator equations.
-
-    ladder_variant:
-        "integral"   - ladder source V_{a3} * sigma_mn (default),
-        "subtracted" - (V_{a3} - k ss_{a3,33}) * sigma_mn, for sensitivity
-                       checks; not supported by the spectral solver.
-    """
-    if ladder_variant not in ("integral", "subtracted"):
-        raise ValueError(f"unknown ladder variant {ladder_variant!r}")
-    return _generate_pair_cached(params.generation_key(), ladder_variant)
+def generate_pair_equations(params: AtomParams) -> PairSystem:
+    """Generate the 36 two-body correlator equations (ladder source
+    V_{a3} * sigma_mn)."""
+    return _generate_pair_cached(params.generation_key())
 
 
 def _split_pq(pair_labels, kdiag):
@@ -390,9 +367,7 @@ def classify_PQ(system: PairSystem):
 
 # The diagonal interaction term is structural (no parameter enters it), so
 # the P/Q partition is the same for every generated pair system.
-P_LABELS, Q_LABELS = _split_pq(
-    PAIR_LABELS, _pair_interaction_structure("integral")[0]
-)
+P_LABELS, Q_LABELS = _split_pq(PAIR_LABELS, _pair_interaction_structure()[0])
 
 
 # ---------------------------------------------------------------------------

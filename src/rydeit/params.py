@@ -44,8 +44,15 @@ class SingularParameterError(ValueError):
 
 
 def default_gamma23(gamma12: float, gamma13: float, gamma33: float) -> float:
-    """Default Raman coherence decay: population decay plus the laser-linewidth
-    dephasing already carried by gamma13."""
+    """Default Raman coherence decay, gamma23 = gamma12 + gamma13 - gamma33/2.
+
+    This rule is realizable by a Lindblad dissipator only at gamma33 = 0:
+    with the radiative gamma22 = 2 gamma12, any gamma33 > 0 implies a
+    negative level-2 pure dephasing rate (-gamma33/4), which
+    ``oracle._jump_operators`` rejects. The Lindblad-consistent alternative
+    is gamma12 + gamma13 (with gamma33 <= 2 gamma13); which convention the
+    paper intends is not settled.
+    """
     return gamma12 + gamma13 - gamma33 / 2.0
 
 

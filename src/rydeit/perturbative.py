@@ -10,6 +10,7 @@ Omega_p^a (Omega_p*)^b is divided out.
 """
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -72,6 +73,107 @@ def _principal_sqrt(z: complex, what: str) -> complex:
 
 
 @dataclass(frozen=True)
+class _Ss1333Kernel:
+    """ss^(3)_{13,33}(k) in closed form from the k = 0 pair blocks.
+
+    In each order the interaction enters only through two P columns,
+    A + U (kD) U^T with U selecting them and D their ``kdiag`` values, so the
+    Woodbury identity gives the order-2 solution as
+
+        x2(k) = x2(0) - Z2 c(k),   c(k) = (I + kD2 W2)^-1 kD2 x2_P(0),
+
+    with Z2 = A2^-1 U2 and W2 = U2^T Z2, and push-through gives the two P
+    components of the order-3 solution as
+
+        x3_P(k) = (I + W3 kD3)^-1 (h0 - HZ c(k)),   W3 = U3^T A3^-1 U3,
+
+    where h0 = x3_P(0) and HZ = -U3^T A3^-1 F Z2 carries the order-2
+    correction through the order-3 source -F x2(k) into the P right-hand
+    side. Only P components are formed, so nothing cancels deep in the
+    blockade core. The first order-3 P column is ss_{13,33}. Every
+    coefficient is a Python complex: a node costs two 2x2 solves in scalar
+    arithmetic.
+    """
+
+    d2: tuple   # (d0, d1): kdiag of the two order-2 P columns
+    w2: tuple   # W2 row-major (w00, w01, w10, w11)
+    x2p: tuple  # x2_P(0)
+    h0: tuple   # x3_P(0)
+    hz: tuple   # HZ row-major
+    d3: tuple   # kdiag of the two order-3 P columns, ss_{13,33} first
+    w3: tuple   # W3 row-major
+
+    def __call__(self, k) -> complex:
+        k = float(k)  # a numpy float would make every product a numpy scalar op
+        d0, d1 = self.d2
+        w00, w01, w10, w11 = self.w2
+        e0 = k * d0
+        e1 = k * d1
+        m00 = 1.0 + e0 * w00
+        m01 = e0 * w01
+        m10 = e1 * w10
+        m11 = 1.0 + e1 * w11
+        det = _checked_det(m00 * m11 - m01 * m10, 2, k)
+        p0, p1 = self.x2p
+        r0 = e0 * p0
+        r1 = e1 * p1
+        c0 = (m11 * r0 - m01 * r1) / det
+        c1 = (m00 * r1 - m10 * r0) / det
+
+        h0, h1 = self.h0
+        z00, z01, z10, z11 = self.hz
+        y0 = h0 - (z00 * c0 + z01 * c1)
+        y1 = h1 - (z10 * c0 + z11 * c1)
+        g0, g1 = self.d3
+        w00, w01, w10, w11 = self.w3
+        f0 = k * g0
+        f1 = k * g1
+        n00 = 1.0 + w00 * f0
+        n01 = w01 * f1
+        n10 = w10 * f0
+        n11 = 1.0 + w11 * f1
+        det = _checked_det(n00 * n11 - n01 * n10, 3, k)
+        return (n11 * y0 - n01 * y1) / det
+
+
+def _checked_det(det: complex, order: int, k: float) -> complex:
+    if det == 0 or not cmath.isfinite(det):
+        raise SingularParameterError(
+            f"singular order-{order} pair system at k={k} (2x2 determinant {det})"
+        )
+    return det
+
+
+def _solve_at_k0(a: np.ndarray, rhs: np.ndarray, order: int) -> np.ndarray:
+    try:
+        return np.linalg.solve(a, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularParameterError(f"singular order-{order} pair system at k=0") from exc
+
+
+def _ss1333_kernel(a2, kdiag2, src2, a3, kdiag3, src3, from_o2) -> _Ss1333Kernel:
+    p2 = np.flatnonzero(kdiag2)
+    target = ORDER3_NETP1_LABELS.index(_SS1333)
+    p3 = [target] + [i for i in np.flatnonzero(kdiag3) if i != target]
+    assert len(p2) == 2 and len(p3) == 2 and kdiag3[target] != 0
+    # A2^-1 [-src2 | U2]
+    sol2 = _solve_at_k0(a2, np.column_stack([-src2, np.eye(len(src2))[:, p2]]), 2)
+    x2, z2 = sol2[:, 0], sol2[:, 1:]
+    # A3^-1 [-src3 - F x2(0) | -F Z2 | U3]
+    rhs3 = np.column_stack([-src3 - from_o2 @ x2, -from_o2 @ z2, np.eye(len(src3))[:, p3]])
+    sol3 = _solve_at_k0(a3, rhs3, 3)[p3]
+
+    def scalars(arr):
+        return tuple(complex(v) for v in np.ravel(arr))
+
+    return _Ss1333Kernel(
+        d2=scalars(kdiag2[p2]), w2=scalars(z2[p2]), x2p=scalars(x2[p2]),
+        h0=scalars(sol3[:, 0]), hz=scalars(sol3[:, 1:3]),
+        d3=scalars(kdiag3[p3]), w3=scalars(sol3[:, 3:]),
+    )
+
+
+@dataclass(frozen=True)
 class _CascadeTables:
     """Probe-graded blocks of the generated pair system for one parameter set."""
 
@@ -85,6 +187,7 @@ class _CascadeTables:
     o3_src_single: np.ndarray   # source from sigma^(2)
     o3_from_o2: np.ndarray      # coupling matrix applied to the order-2 solution
     coeffs: PerturbativeCoefficients
+    ss1333: _Ss1333Kernel
 
 
 @lru_cache(maxsize=64)
@@ -138,17 +241,22 @@ def _cascade_tables(genkey) -> _CascadeTables:
         elif net2 == 2:
             from_o2[:, j] = ps.am[o3, c]
 
+    o2_a = ps.a0[np.ix_(o2, o2)]
+    o3_a = ps.a0[np.ix_(o3, o3)]
     return _CascadeTables(
         o2_rows=o2,
-        o2_a=ps.a0[np.ix_(o2, o2)],
+        o2_a=o2_a,
         o2_kdiag=ps.kdiag[o2],
         o2_src=src2,
         o3_rows=o3,
-        o3_a=ps.a0[np.ix_(o3, o3)],
+        o3_a=o3_a,
         o3_kdiag=ps.kdiag[o3],
         o3_src_single=src3,
         o3_from_o2=from_o2,
         coeffs=pc,
+        ss1333=_ss1333_kernel(
+            o2_a, ps.kdiag[o2], src2, o3_a, ps.kdiag[o3], src3, from_o2
+        ),
     )
 
 
@@ -182,7 +290,9 @@ def pair_correlators_order3(params: AtomParams, k: float) -> dict:
 
 
 def ss1333_order3(params: AtomParams, k: float) -> complex:
-    return complex(pair_correlators_order3(params, k)[_SS1333])
+    """Reduced ss^(3)_{13,33} at interaction k, from the closed-form kernel
+    (``pair_correlators_order3`` is the full-solve reference)."""
+    return _cascade_tables(params.generation_key()).ss1333(k)
 
 
 def ss1333_ladder_approximation(params: AtomParams, k: float) -> complex:
@@ -200,7 +310,7 @@ def collisional_integral_V13_order3(
         return 0.0, RadialQuadratureResult(0.0, 0.0, 0, True)
     k_scale = abs(effective_T(params))
     res = vdw_k_integral(
-        lambda k: ss1333_order3(params, k),
+        _cascade_tables(params.generation_key()).ss1333,
         interaction.c6, interaction.eta, k_scale, rel_tol=rel_tol,
     )
     return res.value, res

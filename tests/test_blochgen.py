@@ -131,19 +131,6 @@ class TestPairStructure:
         ps = generate_pair_equations(AtomParams())
         assert ps.kdiag[PAIR_INDEX[canonical_pair((3, 3), (3, 3))]] == 0.0
 
-    def test_ladder_variant_validation(self):
-        with pytest.raises(ValueError, match="ladder variant"):
-            generate_pair_equations(AtomParams(), ladder_variant="bogus")
-
-    def test_variants_agree_at_zero_feedback(self):
-        # with V = 0 and the subtracted k-terms dropped from the source the
-        # two variants share matrix and kdiag structure
-        a = generate_pair_equations(AtomParams(), ladder_variant="integral")
-        b = generate_pair_equations(AtomParams(), ladder_variant="subtracted")
-        np.testing.assert_allclose(a.matrix(WP), b.matrix(WP))
-        np.testing.assert_allclose(a.kdiag, b.kdiag)
-        assert b.variant_kterms and not a.variant_kterms
-
 
 class TestConjugationClosure:
     @settings(max_examples=15, deadline=None)

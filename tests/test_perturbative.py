@@ -5,6 +5,8 @@ import pytest
 from rydeit import (
     AtomParams,
     InteractionParams,
+    SingularParameterError,
+    StatePreset,
     blockade_radius,
     effective_T,
     perturbative_coefficients,
@@ -26,6 +28,7 @@ from rydeit.perturbative import (
     ss1333_ladder_approximation,
     ss1333_order3,
 )
+from rydeit.perturbative import _cascade_tables, _ss1333_kernel, _Ss1333Kernel
 
 
 class TestCascadeStructure:
@@ -62,6 +65,57 @@ class TestCascadeStructure:
         diag = o2[canonical_pair((1, 3), (1, 3))]
         anti = o2[canonical_pair((3, 1), (3, 1))]
         assert anti == pytest.approx(np.conj(diag), rel=1e-12)
+
+
+class TestClosedFormKernel:
+    """The two-2x2-solve kernel against the full order-2/3 pair solves."""
+
+    @pytest.mark.parametrize("n", [46, 50, 56, 61])
+    @pytest.mark.parametrize("delta3", [-1.7, -1.0 / 3.0, 1.0 / 3.0, 1.9])
+    def test_matches_full_cascade(self, n, delta3):
+        p = AtomParams(omega_c=StatePreset(n).omega_c, delta3=delta3)
+        t_scale = abs(effective_T(p))
+        decades = t_scale * np.logspace(-4, 9, 14)
+        lab = canonical_pair((1, 3), (3, 3))
+        for k in np.concatenate([[0.0], decades, -decades]):
+            want = pair_correlators_order3(p, k)[lab]
+            got = ss1333_order3(p, k)
+            assert abs(got - want) <= 1e-13 * abs(want), k
+
+    @staticmethod
+    def _kernel(**singular):
+        fields = dict(
+            d2=(-1j, 1j), w2=(0.5, 0.1, 0.2, 0.5), x2p=(1.0, 2.0),
+            h0=(1.0, 1.0), hz=(0.3, 0.0, 0.0, 0.3),
+            d3=(-1j, -1j), w3=(0.5, 0.0, 0.0, 0.5),
+        )
+        fields.update(singular)
+        return _Ss1333Kernel(**fields)
+
+    @pytest.mark.parametrize("order,singular", [
+        # 1 + k d w = 0 on both diagonal entries at k = 1
+        (2, dict(d2=(1j, 1j), w2=(1j, 0.0, 0.0, 1j))),
+        (3, dict(d3=(1j, 1j), w3=(1j, 0.0, 0.0, 1j))),
+    ])
+    def test_zero_determinant_is_a_typed_failure(self, order, singular):
+        kernel = self._kernel(**singular)
+        with pytest.raises(SingularParameterError, match=f"order-{order}.*k=1.0"):
+            kernel(1.0)
+        assert np.isfinite(kernel(0.5))
+
+    @pytest.mark.parametrize("k", [np.inf, np.nan])
+    def test_non_finite_determinant_is_a_typed_failure(self, k):
+        with pytest.raises(SingularParameterError, match="order-2"):
+            self._kernel()(k)
+
+    def test_singular_k0_block_fails_at_table_build(self, params50):
+        t = _cascade_tables(params50.generation_key())
+        kd2, kd3 = t.o2_kdiag, t.o3_kdiag
+        z = np.zeros
+        with pytest.raises(SingularParameterError, match="order-2 .* k=0"):
+            _ss1333_kernel(z((10, 10)), kd2, z(10), np.eye(8), kd3, z(8), z((8, 10)))
+        with pytest.raises(SingularParameterError, match="order-3 .* k=0"):
+            _ss1333_kernel(np.eye(10), kd2, z(10), z((8, 8)), kd3, z(8), z((8, 10)))
 
 
 class TestRationalStructure:
@@ -127,6 +181,18 @@ class TestCollisionalIntegral:
         assert res.converged
         # pinned value at the n = 50 defaults (regression guard)
         assert v == pytest.approx(0.62624 - 0.02398j, rel=2e-4)
+
+    @pytest.mark.parametrize("n,want", [
+        (50, 0.6262402430222866 - 0.023980372353188943j),
+        (61, 2.1694297658356243 - 0.12505339715970545j),
+    ])
+    def test_work_counts_are_unchanged(self, n, want):
+        """The node count pins the adaptive quadrature path at delta3 = 1/3."""
+        preset = StatePreset(n)
+        p = AtomParams(omega_c=preset.omega_c, delta3=1.0 / 3.0)
+        v, res = collisional_integral_V13_order3(p, InteractionParams(c6=preset.c6))
+        assert res.nodes == 672
+        assert abs(v - want) <= 1e-13 * abs(want)
 
     def test_zero_c6(self, params50):
         v, res = collisional_integral_V13_order3(params50, InteractionParams(c6=1e-300))
