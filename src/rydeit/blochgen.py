@@ -24,11 +24,22 @@ and is stored as a matrix triple (c0, cp, cm) with
 
 The same generated system therefore serves the order-by-order perturbative
 cascade and the full nonlinear collisional-integral solver.
+
+Only c0 and a0 depend on the parameters, in closed form: with
+g(a, b) = -Gamma_ab = -gamma_ab + i(Delta_b - Delta_a) of a row label,
+
+    c0 = omega_c K8 + diag(g),    a0 = omega_c K36 + diag(g[l1] + g[l2]),
+
+where K8 and K36 are the generic commutator loop (``_single_matrices``,
+``_pair_matrices``) at omega_c = 1 with every rate and detuning 0. K and
+all other parts are derived from that loop once, at import, and are
+read-only; the loop stays as the test reference, to which the closed form
+is byte-identical.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -165,6 +176,37 @@ def _drift_terms(label, wp, wpc, p: AtomParams):
     return [(cd, coeff) for cd, coeff in terms if coeff != 0]
 
 
+def _bare(omega_c: float) -> SimpleNamespace:
+    """Stand-in parameters: omega_c, every rate and detuning 0."""
+    return SimpleNamespace(omega_c=omega_c, delta2=0.0, delta3=0.0, gamma22=0.0,
+                           gamma33=0.0, gamma=lambda a, b: 0.0)
+
+
+def _readonly(*arrays):
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
+def _constant_parts(matrices, what: str):
+    """K (omega_c = 1, zero probe), the zero constant source and the
+    Omega_p, Omega_p* parts (omega_c = 0) of the loop ``matrices``."""
+    k, s0 = matrices(0.0, 0.0, _bare(1.0))
+    if np.any(s0 != 0):
+        raise GeneratorError(f"{what} without a probe factor")
+    cp, sp = matrices(1.0, 0.0, _bare(0.0))
+    cm, sm = matrices(0.0, 1.0, _bare(0.0))
+    return _readonly(k, cp, cm, s0, sp, sm)
+
+
+def _minus_gamma(p: AtomParams) -> np.ndarray:
+    """g(a, b) = -Gamma_ab of each single label. A zero rate gives +0.0, as the
+    loop's accumulation does, so omega_c = -0.0 stays byte-identical too."""
+    delta = (0.0, p.delta2, p.delta3)
+    return np.array([complex(0.0 - p.gamma(a, b), delta[b - 1] - delta[a - 1])
+                     for a, b in SINGLE_LABELS])
+
+
 # ---------------------------------------------------------------------------
 # single-atom system
 # ---------------------------------------------------------------------------
@@ -208,22 +250,7 @@ def _single_matrices(wp, wpc, p: AtomParams):
     return c, s
 
 
-@lru_cache(maxsize=64)
-def _generate_single_cached(key):
-    p = AtomParams(
-        omega_p=0.0,
-        omega_c=key[0],
-        delta2=key[1],
-        delta3=key[2],
-        gamma13=key[4],
-        gamma23=key[5],
-        gamma33=key[7],
-        gamma12=key[3],
-        gamma22=key[6],
-    )
-    c00, s00 = _single_matrices(0.0, 0.0, p)
-    c10, s10 = _single_matrices(1.0, 0.0, p)
-    c01, s01 = _single_matrices(0.0, 1.0, p)
+def _single_v_coupling():
     v = np.zeros((8, 4), dtype=complex)
     for r, (a, b) in enumerate(SINGLE_LABELS):
         if a == 3 and b == 3:
@@ -232,19 +259,24 @@ def _generate_single_cached(key):
             v[r, V_INDEX[(3, b)]] += 1j
         if b == 3:
             v[r, V_INDEX[(a, 3)]] += -1j
-    if np.any(s00 != 0):
-        raise GeneratorError("constant source without a probe factor")
-    return SingleAtomSystem(
-        labels=SINGLE_LABELS,
-        c0=c00, cp=c10 - c00, cm=c01 - c00,
-        s0=s00, sp=s10 - s00, sm=s01 - s00,
-        v_coupling=v,
-    )
+    return v
+
+
+_K8, _CP, _CM, _S0, _SP, _SM = _constant_parts(_single_matrices, "constant source")
+(_V_COUPLING,) = _readonly(_single_v_coupling())
 
 
 def generate_single_atom_equations(params: AtomParams) -> SingleAtomSystem:
-    """Generate the 8 steady-state Bloch equations (sigma_11 eliminated)."""
-    return _generate_single_cached(params.generation_key())
+    """Generate the 8 steady-state Bloch equations (sigma_11 eliminated).
+
+    Only c0 = omega_c K8 + diag(-Gamma) depends on the parameters; all other
+    parts are shared read-only constants (see the module docstring)."""
+    return SingleAtomSystem(
+        labels=SINGLE_LABELS,
+        c0=params.omega_c * _K8 + np.diag(_minus_gamma(params)),
+        cp=_CP, cm=_CM, s0=_S0, sp=_SP, sm=_SM,
+        v_coupling=_V_COUPLING,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -317,37 +349,27 @@ def _pair_interaction_structure():
     return kdiag, tuple(ladder)
 
 
-@lru_cache(maxsize=64)
-def _generate_pair_cached(key):
-    p = AtomParams(
-        omega_p=0.0,
-        omega_c=key[0],
-        delta2=key[1],
-        delta3=key[2],
-        gamma13=key[4],
-        gamma23=key[5],
-        gamma33=key[7],
-        gamma12=key[3],
-        gamma22=key[6],
-    )
-    a00, s00 = _pair_matrices(0.0, 0.0, p)
-    a10, s10 = _pair_matrices(1.0, 0.0, p)
-    a01, s01 = _pair_matrices(0.0, 1.0, p)
-    if np.any(s00 != 0):
-        raise GeneratorError("pair source without a probe factor")
-    kdiag, ladder = _pair_interaction_structure()
-    return PairSystem(
-        pair_labels=PAIR_LABELS,
-        a0=a00, ap=a10 - a00, am=a01 - a00,
-        src0=s00, srcp=s10 - s00, srcm=s01 - s00,
-        kdiag=kdiag, ladder=ladder,
-    )
+_K36, _AP, _AM, _SRC0, _SRCP, _SRCM = _constant_parts(_pair_matrices, "pair source")
+_KDIAG, _LADDER = _pair_interaction_structure()
+_readonly(_KDIAG)
+# single-label indices of the two factors of each pair label
+_L1 = np.array([SINGLE_INDEX[l1] for l1, _ in PAIR_LABELS])
+_L2 = np.array([SINGLE_INDEX[l2] for _, l2 in PAIR_LABELS])
 
 
 def generate_pair_equations(params: AtomParams) -> PairSystem:
     """Generate the 36 two-body correlator equations (ladder source
-    V_{a3} * sigma_mn)."""
-    return _generate_pair_cached(params.generation_key())
+    V_{a3} * sigma_mn). Only a0 = omega_c K36 + diag(-Gamma_l1 - Gamma_l2)
+    depends on the parameters; all other parts, ``kdiag`` and ``ladder``
+    among them, are shared read-only constants."""
+    g = _minus_gamma(params)
+    return PairSystem(
+        pair_labels=PAIR_LABELS,
+        a0=params.omega_c * _K36 + np.diag(g[_L1] + g[_L2]),
+        ap=_AP, am=_AM,
+        src0=_SRC0, srcp=_SRCP, srcm=_SRCM,
+        kdiag=_KDIAG, ladder=_LADDER,
+    )
 
 
 def _split_pq(pair_labels, kdiag):
@@ -367,7 +389,7 @@ def classify_PQ(system: PairSystem):
 
 # The diagonal interaction term is structural (no parameter enters it), so
 # the P/Q partition is the same for every generated pair system.
-P_LABELS, Q_LABELS = _split_pq(PAIR_LABELS, _pair_interaction_structure()[0])
+P_LABELS, Q_LABELS = _split_pq(PAIR_LABELS, _KDIAG)
 
 
 # ---------------------------------------------------------------------------

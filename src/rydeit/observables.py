@@ -171,7 +171,6 @@ def nb_tilde_weak_probe(params: AtomParams, v13_3: complex) -> float:
     Excludes the (sub-percent) Raman-integral channel and fifth-order
     corrections.
     """
-    c = _population_transfer_coefficient(params)
     rc = relaxation_constants(params)
     pc = perturbative_coefficients(params)
     # Re[c n_b] with n_b eliminated in favor of V13^(3)

@@ -105,19 +105,6 @@ class AtomParams:
             (1, 1): 0.0,
         }[key]
 
-    def generation_key(self) -> tuple:
-        """Probe-independent parameters; keys caches of generated systems."""
-        return (
-            self.omega_c,
-            self.delta2,
-            self.delta3,
-            self.gamma12,
-            self.gamma13,
-            self.gamma23,
-            self.gamma22,
-            self.gamma33,
-        )
-
 
 @dataclass(frozen=True)
 class RelaxationConstants:

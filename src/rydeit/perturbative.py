@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from .blochgen import (
     generate_pair_equations,
     grade_order,
 )
-from .noninteracting import PerturbativeCoefficients, perturbative_coefficients
+from .noninteracting import perturbative_coefficients
 from .params import (
     AtomParams,
     InteractionParams,
@@ -186,17 +185,10 @@ class _CascadeTables:
     o3_kdiag: np.ndarray
     o3_src_single: np.ndarray   # source from sigma^(2)
     o3_from_o2: np.ndarray      # coupling matrix applied to the order-2 solution
-    coeffs: PerturbativeCoefficients
     ss1333: _Ss1333Kernel
 
 
-@lru_cache(maxsize=64)
-def _cascade_tables(genkey) -> _CascadeTables:
-    params = AtomParams(
-        omega_p=0.0, omega_c=genkey[0], delta2=genkey[1], delta3=genkey[2],
-        gamma12=genkey[3], gamma13=genkey[4], gamma23=genkey[5],
-        gamma22=genkey[6], gamma33=genkey[7],
-    )
+def _cascade_tables(params: AtomParams) -> _CascadeTables:
     ps = generate_pair_equations(params)
     pc = perturbative_coefficients(params)
     x1 = {
@@ -253,22 +245,23 @@ def _cascade_tables(genkey) -> _CascadeTables:
         o3_kdiag=ps.kdiag[o3],
         o3_src_single=src3,
         o3_from_o2=from_o2,
-        coeffs=pc,
         ss1333=_ss1333_kernel(
             o2_a, ps.kdiag[o2], src2, o3_a, ps.kdiag[o3], src3, from_o2
         ),
     )
 
 
-def pair_correlators_order2(params: AtomParams, k: float) -> dict:
-    """Reduced second-order two-body correlators at interaction strength k."""
-    t = _cascade_tables(params.generation_key())
+def _order2(t: _CascadeTables, k: float) -> np.ndarray:
     mat = t.o2_a + k * np.diag(t.o2_kdiag)
     try:
-        x = np.linalg.solve(mat, -t.o2_src)
+        return np.linalg.solve(mat, -t.o2_src)
     except np.linalg.LinAlgError as exc:
         raise SingularParameterError(f"singular order-2 pair system at k={k}") from exc
-    return dict(zip(ORDER2_LABELS, x))
+
+
+def pair_correlators_order2(params: AtomParams, k: float) -> dict:
+    """Reduced second-order two-body correlators at interaction strength k."""
+    return dict(zip(ORDER2_LABELS, _order2(_cascade_tables(params), k)))
 
 
 def pair_correlators_order3(params: AtomParams, k: float) -> dict:
@@ -277,10 +270,8 @@ def pair_correlators_order3(params: AtomParams, k: float) -> dict:
     Returns the eight coefficients ss^(3)_{1b,mn} for 1b in {12, 13} and
     mn in {22, 33, 23, 32}.
     """
-    t = _cascade_tables(params.generation_key())
-    x2 = pair_correlators_order2(params, k)
-    x2v = np.array([x2[lab] for lab in ORDER2_LABELS])
-    src = t.o3_src_single + t.o3_from_o2 @ x2v
+    t = _cascade_tables(params)
+    src = t.o3_src_single + t.o3_from_o2 @ _order2(t, k)
     mat = t.o3_a + k * np.diag(t.o3_kdiag)
     try:
         x = np.linalg.solve(mat, -src)
@@ -292,7 +283,7 @@ def pair_correlators_order3(params: AtomParams, k: float) -> dict:
 def ss1333_order3(params: AtomParams, k: float) -> complex:
     """Reduced ss^(3)_{13,33} at interaction k, from the closed-form kernel
     (``pair_correlators_order3`` is the full-solve reference)."""
-    return _cascade_tables(params.generation_key()).ss1333(k)
+    return _cascade_tables(params).ss1333(k)
 
 
 def ss1333_ladder_approximation(params: AtomParams, k: float) -> complex:
@@ -310,7 +301,7 @@ def collisional_integral_V13_order3(
         return 0.0, RadialQuadratureResult(0.0, 0.0, 0, True)
     k_scale = abs(effective_T(params))
     res = vdw_k_integral(
-        _cascade_tables(params.generation_key()).ss1333,
+        _cascade_tables(params).ss1333,
         interaction.c6, interaction.eta, k_scale, rel_tol=rel_tol,
     )
     return res.value, res

@@ -3,12 +3,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rydeit import AtomParams, relaxation_constants, steady_state_three_level
+from rydeit import AtomParams, StatePreset, relaxation_constants, steady_state_three_level
 from rydeit.blochgen import (
     PAIR_INDEX,
     PAIR_LABELS,
     SINGLE_INDEX,
     SINGLE_LABELS,
+    PairSystem,
+    SingleAtomSystem,
+    _pair_interaction_structure,
+    _pair_matrices,
+    _single_matrices,
     canonical_pair,
     classify_PQ,
     dump_equations,
@@ -80,6 +85,110 @@ class TestSingleAtomGolden:
         assert nz == {(1, 3), (2, 3)}
         assert row[SINGLE_INDEX[(1, 3)]] == pytest.approx(-rc.Gamma13)
         assert vrow[0] == pytest.approx(-1j)
+
+
+def _generic_single(p):
+    """The single-atom system as the generic commutator loop gives it: the
+    constant part and the Omega_p, Omega_p* parts by evaluation at
+    (0, 0), (1, 0), (0, 1) and subtraction."""
+    c00, s00 = _single_matrices(0.0, 0.0, p)
+    c10, s10 = _single_matrices(1.0, 0.0, p)
+    c01, s01 = _single_matrices(0.0, 1.0, p)
+    return SingleAtomSystem(
+        labels=SINGLE_LABELS, c0=c00, cp=c10 - c00, cm=c01 - c00,
+        s0=s00, sp=s10 - s00, sm=s01 - s00,
+        v_coupling=None,  # not derived by the loop; not compared
+    )
+
+
+def _generic_pair(p):
+    a00, s00 = _pair_matrices(0.0, 0.0, p)
+    a10, s10 = _pair_matrices(1.0, 0.0, p)
+    a01, s01 = _pair_matrices(0.0, 1.0, p)
+    kdiag, ladder = _pair_interaction_structure()
+    return PairSystem(
+        pair_labels=PAIR_LABELS, a0=a00, ap=a10 - a00, am=a01 - a00,
+        src0=s00, srcp=s10 - s00, srcm=s01 - s00, kdiag=kdiag, ladder=ladder,
+    )
+
+
+def _random_params(n=200, seed=1018):
+    """Seeded parameter sets covering gamma33 in {0, 1e-6, > 0}, explicit and
+    default gamma23, omega_c = 0, delta2 = delta3 = 0 and signed zeros."""
+    rng = np.random.default_rng(seed)
+    out = [AtomParams(omega_c=0.0, delta2=0.0, delta3=0.0),
+           AtomParams(omega_c=-0.0, delta2=-0.0, delta3=-0.0)]
+    for i in range(n - 2):
+        out.append(AtomParams(
+            omega_c=0.0 if i % 10 == 0 else float(rng.uniform(0.0, 6.0)),
+            delta2=0.0 if i % 10 == 1 else float(rng.uniform(-60.0, 60.0)),
+            delta3=0.0 if i % 10 in (1, 2) else float(rng.uniform(-3.0, 3.0)),
+            gamma13=float(rng.uniform(0.0, 1.0)),
+            gamma33=(0.0, 1e-6, float(rng.uniform(0.0, 1.0)))[i % 3],
+            gamma23=None if i % 4 else float(rng.uniform(0.0, 2.0)),
+            gamma22=None if i % 5 else float(rng.uniform(0.0, 3.0)),
+        ))
+    return out
+
+
+_PRESET_GRID = [
+    AtomParams(omega_c=StatePreset(n).omega_c, delta3=float(d3))
+    for n in (46, 50, 56, 61) for d3 in np.linspace(-2.0, 2.0, 81)
+]
+_WPS = (0.0, 0.37 + 0.11j, np.sqrt(0.3))
+
+
+class TestClosedForm:
+    """The closed-form generator is byte-identical to the generic loop."""
+
+    @staticmethod
+    def _assert_same_bytes(got, want, fields, evaluations):
+        for name in fields:
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        for name in evaluations:
+            for wp in _WPS:
+                a = getattr(got, name)(wp)
+                b = getattr(want, name)(wp)
+                assert a.tobytes() == b.tobytes(), (name, wp)
+
+    @pytest.mark.parametrize("params", [
+        pytest.param(_PRESET_GRID, id="presets-x-81-delta3"),
+        pytest.param(_random_params(), id="200-seeded-random"),
+    ])
+    def test_single_matches_generic_loop(self, params):
+        for p in params:
+            self._assert_same_bytes(
+                generate_single_atom_equations(p), _generic_single(p),
+                ("c0", "cp", "cm", "s0", "sp", "sm"), ("matrix", "source"),
+            )
+
+    @pytest.mark.parametrize("params", [
+        pytest.param(_PRESET_GRID, id="presets-x-81-delta3"),
+        pytest.param(_random_params(), id="200-seeded-random"),
+    ])
+    def test_pair_matches_generic_loop(self, params):
+        for p in params:
+            got = generate_pair_equations(p)
+            want = _generic_pair(p)
+            self._assert_same_bytes(
+                got, want,
+                ("a0", "ap", "am", "src0", "srcp", "srcm", "kdiag"),
+                ("matrix", "single_source_matrix"),
+            )
+            assert got.ladder == want.ladder
+
+    @pytest.mark.parametrize("which,field", [
+        ("single", "cp"), ("single", "cm"), ("single", "s0"), ("single", "sp"),
+        ("single", "sm"), ("single", "v_coupling"),
+        ("pair", "ap"), ("pair", "am"), ("pair", "src0"), ("pair", "srcp"),
+        ("pair", "srcm"), ("pair", "kdiag"),
+    ])
+    def test_shared_parts_are_read_only(self, which, field):
+        gen = generate_single_atom_equations if which == "single" else generate_pair_equations
+        arr = getattr(gen(AtomParams()), field)
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] += 1.0
+        assert getattr(gen(AtomParams(delta3=0.7)), field) is arr
 
 
 class TestGrading:

@@ -109,7 +109,7 @@ class TestClosedFormKernel:
             self._kernel()(k)
 
     def test_singular_k0_block_fails_at_table_build(self, params50):
-        t = _cascade_tables(params50.generation_key())
+        t = _cascade_tables(params50)
         kd2, kd3 = t.o2_kdiag, t.o3_kdiag
         z = np.zeros
         with pytest.raises(SingularParameterError, match="order-2 .* k=0"):
