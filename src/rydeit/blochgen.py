@@ -97,6 +97,8 @@ PAIR_INDEX = {lab: i for i, lab in enumerate(PAIR_LABELS)}
 assert len(PAIR_LABELS) == 36
 
 _ALL9 = tuple((a, b) for a in (1, 2, 3) for b in (1, 2, 3))
+# the AtomParams field holding the decay rate gamma_ab of each single label
+_RATE_FIELDS = tuple(f"gamma{min(a, b)}{max(a, b)}" for a, b in SINGLE_LABELS)
 
 
 class GeneratorError(RuntimeError):
@@ -182,12 +184,6 @@ def _bare(omega_c: float) -> SimpleNamespace:
                            gamma33=0.0, gamma=lambda a, b: 0.0)
 
 
-def _readonly(*arrays):
-    for arr in arrays:
-        arr.flags.writeable = False
-    return arrays
-
-
 def _constant_parts(matrices, what: str):
     """K (omega_c = 1, zero probe), the zero constant source and the
     Omega_p, Omega_p* parts (omega_c = 0) of the loop ``matrices``."""
@@ -196,15 +192,18 @@ def _constant_parts(matrices, what: str):
         raise GeneratorError(f"{what} without a probe factor")
     cp, sp = matrices(1.0, 0.0, _bare(0.0))
     cm, sm = matrices(0.0, 1.0, _bare(0.0))
-    return _readonly(k, cp, cm, s0, sp, sm)
+    parts = (k, cp, cm, s0, sp, sm)
+    for arr in parts:
+        arr.flags.writeable = False
+    return parts
 
 
 def _minus_gamma(p: AtomParams) -> np.ndarray:
     """g(a, b) = -Gamma_ab of each single label. A zero rate gives +0.0, as the
     loop's accumulation does, so omega_c = -0.0 stays byte-identical too."""
     delta = (0.0, p.delta2, p.delta3)
-    return np.array([complex(0.0 - p.gamma(a, b), delta[b - 1] - delta[a - 1])
-                     for a, b in SINGLE_LABELS])
+    return np.array([complex(0.0 - getattr(p, rate), delta[b - 1] - delta[a - 1])
+                     for rate, (a, b) in zip(_RATE_FIELDS, SINGLE_LABELS)])
 
 
 # ---------------------------------------------------------------------------
@@ -259,11 +258,12 @@ def _single_v_coupling():
             v[r, V_INDEX[(3, b)]] += 1j
         if b == 3:
             v[r, V_INDEX[(a, 3)]] += -1j
+    v.flags.writeable = False
     return v
 
 
 _K8, _CP, _CM, _S0, _SP, _SM = _constant_parts(_single_matrices, "constant source")
-(_V_COUPLING,) = _readonly(_single_v_coupling())
+_V_COUPLING = _single_v_coupling()
 
 
 def generate_single_atom_equations(params: AtomParams) -> SingleAtomSystem:
@@ -346,12 +346,12 @@ def _pair_interaction_structure():
                 ladder.append((r, V_INDEX[(3, lb)], SINGLE_INDEX[other], +1j))
             if lb == 3:
                 ladder.append((r, V_INDEX[(la, 3)], SINGLE_INDEX[other], -1j))
+    kdiag.flags.writeable = False
     return kdiag, tuple(ladder)
 
 
 _K36, _AP, _AM, _SRC0, _SRCP, _SRCM = _constant_parts(_pair_matrices, "pair source")
 _KDIAG, _LADDER = _pair_interaction_structure()
-_readonly(_KDIAG)
 # single-label indices of the two factors of each pair label
 _L1 = np.array([SINGLE_INDEX[l1] for l1, _ in PAIR_LABELS])
 _L2 = np.array([SINGLE_INDEX[l2] for _, l2 in PAIR_LABELS])
