@@ -82,9 +82,6 @@ _SHARED = [
     click.option("--delta3", type=float, default=None, help="Two-photon detuning."),
     click.option("--out", type=click.Path(), default=None,
                  help="Output CSV path (default stdout)."),
-    click.option("--threads", type=int, default=None,
-                 help="Accepted for compatibility and ignored (>= 1): scans "
-                      "run serially, a thread pool measured no speed-up."),
     click.option("--tol", type=float, default=None, help="Solver tolerance."),
 ]
 
@@ -136,17 +133,14 @@ def scan(config_path, omega_p2, **overrides):
 @click.argument("name", type=click.Choice(sorted(FIGURES)))
 @click.option("--out", type=click.Path(), default=None,
               help="Output CSV path (default stdout).")
-@click.option("--threads", type=click.IntRange(min=1), default=1,
-              help="Accepted for compatibility and ignored (>= 1): figures "
-                   "run serially, a thread pool measured no speed-up.")
 @click.option("--tol", type=float, default=1e-10)
-def figure(name, out, threads, tol):
+def figure(name, out, tol):
     """Emit the CSV data behind one of the standard figures."""
     if out:
         with open(out, "w") as f:
-            flagged = run_figure(name, f, threads=threads, tol=tol)
+            flagged = run_figure(name, f, tol=tol)
     else:
-        flagged = run_figure(name, sys.stdout, threads=threads, tol=tol)
+        flagged = run_figure(name, sys.stdout, tol=tol)
     sys.exit(1 if flagged else 0)
 
 

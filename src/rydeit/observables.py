@@ -5,7 +5,7 @@ the coherence, the real scaling parameter nb_tilde extracted from the
 Rydberg population, and the linear coefficients (xi1, xi2) relating the two.
 
 All functions here are pure reductions of already-solved averages; the
-weak-probe limit helpers take parameters and evaluate the perturbative
+weak-probe limit helpers take the parameters and their perturbative
 cascade instead.
 """
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noninteracting import perturbative_coefficients
+from .noninteracting import PerturbativeCoefficients, perturbative_coefficients
 from .params import AtomParams, InteractionParams, relaxation_constants
 
 __all__ = [
@@ -152,27 +152,30 @@ def xi_coefficients(params: AtomParams) -> tuple[float, float]:
     return float(c.real), float(-c.imag)
 
 
-def nb_weak_probe(params: AtomParams, v13_3: complex) -> complex:
+def nb_weak_probe(
+    params: AtomParams, pc: PerturbativeCoefficients, v13_3: complex
+) -> complex:
     """Exact weak-probe limit of the coherence-deficit n_b.
 
     Algebraically identical to inverting the weighted-average definition on
     the exact third-order collisional coherence: n_b = V13^(3) Gamma12 /
     (i omega_c s33_2). Differs from the resolvent closed form by the ladder
     truncation error of the latter (about 6% at omega_c = 3, delta2 = -25).
+    ``pc`` is ``perturbative_coefficients(params)``.
     """
     rc = relaxation_constants(params)
-    pc = perturbative_coefficients(params)
     return complex(v13_3 * rc.Gamma12 / (1j * params.omega_c * pc.s33_2))
 
 
-def nb_tilde_weak_probe(params: AtomParams, v13_3: complex) -> float:
+def nb_tilde_weak_probe(
+    params: AtomParams, pc: PerturbativeCoefficients, v13_3: complex
+) -> float:
     """Weak-probe limit of nb_tilde from the V13/V31 deficit channel.
 
     Excludes the (sub-percent) Raman-integral channel and fifth-order
-    corrections.
+    corrections. ``pc`` is ``perturbative_coefficients(params)``.
     """
     rc = relaxation_constants(params)
-    pc = perturbative_coefficients(params)
     # Re[c n_b] with n_b eliminated in favor of V13^(3)
     deficit = np.real(
         rc.Gamma12 * np.conj(rc.Gamma23) * 1j * v13_3

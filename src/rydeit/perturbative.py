@@ -23,7 +23,7 @@ from .blochgen import (
     generate_pair_equations,
     grade_order,
 )
-from .noninteracting import perturbative_coefficients
+from .noninteracting import PerturbativeCoefficients, perturbative_coefficients
 from .params import (
     AtomParams,
     InteractionParams,
@@ -188,9 +188,12 @@ class _CascadeTables:
     ss1333: _Ss1333Kernel
 
 
-def _cascade_tables(params: AtomParams) -> _CascadeTables:
+def _cascade_tables(
+    params: AtomParams, pc: PerturbativeCoefficients
+) -> _CascadeTables:
+    """Order-2/3 pair systems at ``params``; ``pc`` is the single-atom
+    cascade at the same parameters, which supplies the sources."""
     ps = generate_pair_equations(params)
-    pc = perturbative_coefficients(params)
     x1 = {
         (1, 2): pc.s12_1, (1, 3): pc.s13_1,
         (2, 1): pc.s21_1, (3, 1): pc.s31_1,
@@ -261,7 +264,8 @@ def _order2(t: _CascadeTables, k: float) -> np.ndarray:
 
 def pair_correlators_order2(params: AtomParams, k: float) -> dict:
     """Reduced second-order two-body correlators at interaction strength k."""
-    return dict(zip(ORDER2_LABELS, _order2(_cascade_tables(params), k)))
+    t = _cascade_tables(params, perturbative_coefficients(params))
+    return dict(zip(ORDER2_LABELS, _order2(t, k)))
 
 
 def pair_correlators_order3(params: AtomParams, k: float) -> dict:
@@ -270,7 +274,7 @@ def pair_correlators_order3(params: AtomParams, k: float) -> dict:
     Returns the eight coefficients ss^(3)_{1b,mn} for 1b in {12, 13} and
     mn in {22, 33, 23, 32}.
     """
-    t = _cascade_tables(params)
+    t = _cascade_tables(params, perturbative_coefficients(params))
     src = t.o3_src_single + t.o3_from_o2 @ _order2(t, k)
     mat = t.o3_a + k * np.diag(t.o3_kdiag)
     try:
@@ -283,7 +287,7 @@ def pair_correlators_order3(params: AtomParams, k: float) -> dict:
 def ss1333_order3(params: AtomParams, k: float) -> complex:
     """Reduced ss^(3)_{13,33} at interaction k, from the closed-form kernel
     (``pair_correlators_order3`` is the full-solve reference)."""
-    return _cascade_tables(params).ss1333(k)
+    return _cascade_tables(params, perturbative_coefficients(params)).ss1333(k)
 
 
 def ss1333_ladder_approximation(params: AtomParams, k: float) -> complex:
@@ -294,14 +298,21 @@ def ss1333_ladder_approximation(params: AtomParams, k: float) -> complex:
 
 
 def collisional_integral_V13_order3(
-    params: AtomParams, interaction: InteractionParams, rel_tol: float = 1e-8
+    params: AtomParams,
+    pc: PerturbativeCoefficients,
+    interaction: InteractionParams,
+    rel_tol: float = 1e-8,
 ) -> tuple[complex, RadialQuadratureResult]:
-    """Reduced V13^(3) = eta Int d^3R k ss^(3)_{13,33}(k(R)) by quadrature."""
+    """Reduced V13^(3) = eta Int d^3R k ss^(3)_{13,33}(k(R)) by quadrature.
+
+    ``pc`` is ``perturbative_coefficients(params)``, which callers usually
+    need as well, so it is evaluated once per parameter set.
+    """
     if interaction.c6 == 0.0:
         return 0.0, RadialQuadratureResult(0.0, 0.0, 0, True)
     k_scale = abs(effective_T(params))
     res = vdw_k_integral(
-        _cascade_tables(params).ss1333,
+        _cascade_tables(params, pc).ss1333,
         interaction.c6, interaction.eta, k_scale, rel_tol=rel_tol,
     )
     return res.value, res
@@ -325,8 +336,8 @@ def chi3_interacting(params: AtomParams, interaction: InteractionParams) -> Chi3
     V13^(3) source and through the direct weak-probe map
     -omega_c / (Gamma13 Gamma12 + omega_c^2) * V13^(3).
     """
-    v13_3, _ = collisional_integral_V13_order3(params, interaction)
     pc0 = perturbative_coefficients(params)
+    v13_3, _ = collisional_integral_V13_order3(params, pc0, interaction)
     pc = perturbative_coefficients(params, v13_3=v13_3)
     rc = relaxation_constants(params)
     denom = rc.Gamma13 * rc.Gamma12 + params.omega_c**2

@@ -2,10 +2,8 @@
 
 A scan is a grid over probe intensity (and optionally two-photon detuning)
 at fixed atomic parameters. Grid points are independent and solved one after
-another in a fixed (state, delta3, |omega_p|^2) order, so the emitted CSV is
-byte-identical across runs. The ``threads`` setting is accepted for
-compatibility and ignored: the solve holds the interpreter lock, and a thread
-pool measured no speed-up over serial (it was slower on two cores).
+another, sorted by (delta3, |omega_p|^2), so the emitted CSV is
+byte-identical across runs.
 
 The figure presets reproduce the three standard result sweeps:
 fig2 (normalized dispersive response vs intensity, four states),
@@ -14,8 +12,10 @@ fig4 (blockade scaling parameters vs intensity at three detunings).
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import warnings
 from dataclasses import asdict, dataclass, fields
 from typing import Iterable
 
@@ -85,9 +85,6 @@ class ScanConfig:
     that fixes c6 and omega_c unless those are given explicitly. The probe
     grid is linear in |omega_p|^2. A delta3 grid is optional (used for
     spectra); when absent the single ``delta3`` value is used.
-
-    ``threads`` (>= 1) is accepted for compatibility and ignored: scans run
-    serially because a thread pool measured no speed-up.
     """
 
     state: int | None = None
@@ -107,7 +104,6 @@ class ScanConfig:
     delta3_stop: float | None = None
     delta3_count: int = 0
     tol: float = 1e-10
-    threads: int = 1
     out: str | None = None
 
     def __post_init__(self):
@@ -125,13 +121,22 @@ class ScanConfig:
             raise ConfigError("delta3_count must be >= 0")
         if self.delta3_count > 0 and (self.delta3_start is None or self.delta3_stop is None):
             raise ConfigError("delta3 grid needs delta3_start and delta3_stop")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
         if self.tol <= 0:
             raise ConfigError("tol must be positive")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScanConfig":
+        """Config from flat keys; unknown keys are a ConfigError.
+
+        A ``threads`` key, which older configs set, is dropped with a
+        FutureWarning: scans run serially, so it never had an effect, and a
+        later version will reject it.
+        """
+        if "threads" in d:
+            warnings.warn("config key 'threads' is ignored and will be "
+                          "rejected in a future version", FutureWarning,
+                          stacklevel=2)
+            d = {k: v for k, v in d.items() if k != "threads"}
         known = {f.name for f in fields(cls)}
         unknown = set(d) - known
         if unknown:
@@ -147,12 +152,10 @@ class ScanConfig:
     def metadata_dict(self) -> dict:
         """Config as embedded in CSV metadata.
 
-        Execution-only keys (threads, out) are dropped so the emitted file
-        does not depend on them while still reproducing the run when
-        re-parsed.
+        The output path is dropped so the emitted file does not depend on
+        where it is written, while still reproducing the run when re-parsed.
         """
         d = asdict(self)
-        d.pop("threads")
         d.pop("out")
         return d
 
@@ -225,66 +228,18 @@ class ScanResultRow:
         return [f.name for f in fields(cls)]
 
 
-@dataclass(frozen=True)
-class RowSpec:
-    """Fully resolved inputs of one grid point."""
-
-    state: int  # 0 when no preset was used
-    c6: float
-    omega_c: float
-    delta2: float
-    delta3: float
-    gamma13: float
-    gamma23: float | None
-    gamma22: float | None
-    gamma33: float
-    eta: float
-    omega_p2: float
-    tol: float
-
-    def params(self) -> AtomParams:
-        return AtomParams(
-            omega_p=math.sqrt(self.omega_p2),
-            omega_c=self.omega_c,
-            delta2=self.delta2,
-            delta3=self.delta3,
-            gamma13=self.gamma13,
-            gamma23=self.gamma23,
-            gamma22=self.gamma22,
-            gamma33=self.gamma33,
-        )
-
-    def interaction(self) -> InteractionParams:
-        return InteractionParams(c6=self.c6, eta=self.eta)
-
-
-def _row_inputs(spec: RowSpec, params: AtomParams) -> dict:
-    return dict(
-        state=spec.state,
-        c6=spec.c6,
-        omega_c=spec.omega_c,
-        delta2=spec.delta2,
-        delta3=spec.delta3,
-        gamma13=spec.gamma13,
-        gamma23=params.gamma23,
-        gamma22=params.gamma22,
-        gamma33=spec.gamma33,
-        eta=spec.eta,
-        omega_p2=spec.omega_p2,
-    )
-
-
-def _weak_probe_row(spec: RowSpec, params: AtomParams) -> ScanResultRow:
+def _weak_probe_row(inputs: dict, params: AtomParams,
+                    interaction: InteractionParams) -> ScanResultRow:
     """Zero-probe row: interacting and non-interacting responses coincide;
     the blockade scalings are reported at their weak-probe limits."""
     pc = perturbative_coefficients(params)
     rc = relaxation_constants(params)
     chi2 = -1j / rc.Gamma12
-    v13_3, _ = collisional_integral_V13_order3(params, spec.interaction())
-    nb = nb_weak_probe(params, v13_3)
-    nbt = nb_tilde_weak_probe(params, v13_3)
+    v13_3, _ = collisional_integral_V13_order3(params, pc, interaction)
+    nb = nb_weak_probe(params, pc, v13_3)
+    nbt = nb_tilde_weak_probe(params, pc, v13_3)
     return ScanResultRow(
-        **_row_inputs(spec, params),
+        **inputs,
         chi_re=pc.s12_1.real, chi_im=pc.s12_1.imag,
         chi_3lev_re=pc.s12_1.real, chi_3lev_im=pc.s12_1.imag,
         chi_2lev_re=chi2.real, chi_2lev_im=chi2.imag,
@@ -297,15 +252,36 @@ def _weak_probe_row(spec: RowSpec, params: AtomParams) -> ScanResultRow:
     )
 
 
-def compute_row(spec: RowSpec) -> ScanResultRow:
-    """Solve one grid point; failures are returned as flagged rows."""
-    params = spec.params()
+def compute_row(config: ScanConfig, delta3: float, omega_p2: float) -> ScanResultRow:
+    """Solve one grid point of ``config``; failures are returned as flagged rows."""
+    params = AtomParams(
+        omega_p=math.sqrt(omega_p2),
+        omega_c=config.resolved_omega_c(),
+        delta2=config.delta2,
+        delta3=delta3,
+        gamma13=config.gamma13,
+        gamma23=config.gamma23,
+        gamma22=config.gamma22,
+        gamma33=config.gamma33,
+    )
+    interaction = InteractionParams(c6=config.resolved_c6(), eta=config.eta)
+    inputs = dict(
+        state=config.state if config.state is not None else 0,
+        c6=interaction.c6,
+        omega_c=params.omega_c,
+        delta2=config.delta2,
+        delta3=delta3,
+        gamma13=config.gamma13,
+        gamma23=params.gamma23,  # resolved defaults
+        gamma22=params.gamma22,
+        gamma33=config.gamma33,
+        eta=config.eta,
+        omega_p2=omega_p2,
+    )
     try:
-        if spec.omega_p2 == 0.0:
-            return _weak_probe_row(spec, params)
-        state, integrals = solve_interacting(
-            params, spec.interaction(), tol=spec.tol
-        )
+        if omega_p2 == 0.0:
+            return _weak_probe_row(inputs, params, interaction)
+        state, integrals = solve_interacting(params, interaction, tol=config.tol)
         obs = observable_set(
             params,
             state,
@@ -313,7 +289,7 @@ def compute_row(spec: RowSpec) -> ScanResultRow:
             steady_state_two_level(params),
         )
         return ScanResultRow(
-            **_row_inputs(spec, params),
+            **inputs,
             chi_re=obs.chi.real, chi_im=obs.chi.imag,
             chi_3lev_re=obs.chi_3lev.real, chi_3lev_im=obs.chi_3lev.imag,
             chi_2lev_re=obs.chi_2lev.real, chi_2lev_im=obs.chi_2lev.imag,
@@ -328,36 +304,14 @@ def compute_row(spec: RowSpec) -> ScanResultRow:
         )
     except _POINT_ERRORS as exc:
         msg = f"{type(exc).__name__}: {exc}".replace("\n", " ")[:200]
-        return ScanResultRow(**_row_inputs(spec, params), flag=msg)
-
-
-def _specs_for(config: ScanConfig) -> list[RowSpec]:
-    state = config.state if config.state is not None else 0
-    specs = []
-    for d3 in config.delta3_grid():
-        for wp2 in config.omega_p2_grid():
-            specs.append(RowSpec(
-                state=state,
-                c6=config.resolved_c6(),
-                omega_c=config.resolved_omega_c(),
-                delta2=config.delta2,
-                delta3=float(d3),
-                gamma13=config.gamma13,
-                gamma23=config.gamma23,
-                gamma22=config.gamma22,
-                gamma33=config.gamma33,
-                eta=config.eta,
-                omega_p2=float(wp2),
-                tol=config.tol,
-            ))
-    return specs
+        return ScanResultRow(**inputs, flag=msg)
 
 
 def run_scan(config: ScanConfig) -> list[ScanResultRow]:
-    """Solve the configured grid, ordered by (state, delta3, |omega_p|^2)."""
-    specs = sorted(_specs_for(config),
-                   key=lambda s: (s.state, s.delta3, s.omega_p2))
-    return [compute_row(s) for s in specs]
+    """Solve the configured grid, sorted by (delta3, |omega_p|^2)."""
+    grid = sorted(itertools.product(config.delta3_grid().tolist(),
+                                    config.omega_p2_grid().tolist()))
+    return [compute_row(config, d3, wp2) for d3, wp2 in grid]
 
 
 def _fmt(x) -> str:
@@ -456,15 +410,10 @@ def _figure4(tol: float):
 FIGURES = {"fig2": _figure2, "fig3": _figure3, "fig4": _figure4}
 
 
-def run_figure(name: str, stream, threads: int = 1, tol: float = 1e-10) -> bool:
-    """Write a figure-preset CSV; returns True if any row is flagged.
-
-    ``threads`` (>= 1) is accepted for compatibility and ignored.
-    """
+def run_figure(name: str, stream, tol: float = 1e-10) -> bool:
+    """Write a figure-preset CSV; returns True if any row is flagged."""
     if name not in FIGURES:
         raise ConfigError(f"unknown figure {name!r}; known: {sorted(FIGURES)}")
-    if threads < 1:
-        raise ConfigError("threads must be >= 1")
     rows, meta, extra = FIGURES[name](tol)
     write_csv(rows, meta, stream, extra=extra)
     return any(r.flag for r in rows)

@@ -130,7 +130,8 @@ def test_criterion_03_third_order_agreement():
     ok = True
     for n in PRESETS:
         p0, inter = _preset_params(n)
-        v13_3, _ = collisional_integral_V13_order3(p0, inter)
+        v13_3, _ = collisional_integral_V13_order3(
+            p0, perturbative_coefficients(p0), inter)
 
         def f(x, p0=p0, inter=inter):
             _, v = solve_interacting(p0.with_omega_p(x), inter)
@@ -272,7 +273,7 @@ def test_criterion_06_scaling_targets():
         lambda k: ss1333_ladder_approximation(p0, k),
         inter.c6, inter.eta, abs(effective_T(p0)),
     ).value
-    nb_route = nb_weak_probe(p0, v13_ladder)
+    nb_route = nb_weak_probe(p0, perturbative_coefficients(p0), v13_ladder)
     nb_cf = nb_closed_form(p0, inter)
     err_nb = abs(nb_route.real - nb_cf.real) / abs(nb_cf.real)
     ok_nb = err_nb < 1e-3 and 22.0 < nb_route.real < 22.3
@@ -299,7 +300,7 @@ def _fig2_rows():
     rows = {}
     for n in PRESETS:
         cfg = ScanConfig(state=n, omega_p2_start=0.0, omega_p2_stop=0.5,
-                         omega_p2_count=26, threads=4)
+                         omega_p2_count=26)
         rows[n] = run_scan(cfg)
     return rows
 
@@ -342,7 +343,7 @@ def test_criterion_08_detuning_sweep_properties():
     resonance; third-order truncation fails for negative detunings."""
     cfg = ScanConfig(state=61, omega_p2_start=0.5, omega_p2_stop=0.5,
                      omega_p2_count=1, delta3_start=-2.0, delta3_stop=2.0,
-                     delta3_count=81, threads=4)
+                     delta3_count=81)
     rows = run_scan(cfg)
     assert not any(r.flag for r in rows)
 
@@ -380,7 +381,7 @@ def test_criterion_09_blockade_count_properties():
     rows = {}
     for d3 in (1.0 / 3.0, 1.0, 2.0):
         cfg = ScanConfig(state=50, delta3=d3, omega_p2_start=0.001,
-                         omega_p2_stop=0.5, omega_p2_count=25, threads=4)
+                         omega_p2_stop=0.5, omega_p2_count=25)
         rows[d3] = run_scan(cfg)
         assert not any(r.flag for r in rows[d3])
     ok = True
@@ -411,7 +412,7 @@ def test_criterion_09_blockade_count_properties():
 
 def test_criterion_10_structural_invariants():
     """Generator symmetries, counts, factorization, reduction equivalence,
-    physicality of solved states and thread determinism."""
+    physicality of solved states and run-to-run determinism."""
     checks = {}
 
     # conjugation closure of the pair generator
@@ -464,15 +465,14 @@ def test_criterion_10_structural_invariants():
         abs(v.v31 - np.conj(v.v13)) + abs(v.v32 - np.conj(v.v23))
     ) / abs(v.v13) < 1e-8
 
-    # byte-identical CSV across thread counts
+    # byte-identical CSV across runs
+    cfg = ScanConfig(state=50, omega_p2_stop=0.4, omega_p2_count=4)
     outs = []
-    for threads in (1, 4):
-        cfg = ScanConfig(state=50, omega_p2_stop=0.4, omega_p2_count=4,
-                         threads=threads)
+    for _ in range(2):
         buf = io.StringIO()
         write_csv(run_scan(cfg), cfg.metadata_dict(), buf)
         outs.append(buf.getvalue())
-    checks["thread determinism"] = outs[0] == outs[1]
+    checks["run determinism"] = outs[0] == outs[1]
 
     ok = all(checks.values())
     _report(10, ok, "; ".join(f"{k}={v}" for k, v in checks.items()) +

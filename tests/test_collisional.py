@@ -7,6 +7,7 @@ from rydeit import (
     InteractionParams,
     StatePreset,
     effective_T,
+    perturbative_coefficients,
     solve_collisional_integrals,
     solve_interacting,
 )
@@ -133,7 +134,8 @@ class TestNonlinearSolve:
             state.check_physical(tol=1e-6)
 
     def test_weak_probe_recovers_third_order(self, params50, inter50):
-        v13_3, _ = collisional_integral_V13_order3(params50, inter50)
+        v13_3, _ = collisional_integral_V13_order3(
+            params50, perturbative_coefficients(params50), inter50)
 
         def f(x):
             _, v = solve_interacting(params50.with_omega_p(x), inter50)

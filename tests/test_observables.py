@@ -5,6 +5,7 @@ import pytest
 from rydeit import (
     AtomParams,
     observable_set,
+    perturbative_coefficients,
     solve_interacting,
     steady_state_three_level,
     steady_state_two_level,
@@ -93,10 +94,11 @@ class TestScalingCoefficients:
         # nb_tilde_weak_probe must equal Re[c * nb_weak_probe] by construction
         from rydeit.observables import _population_transfer_coefficient
 
-        v13_3, _ = collisional_integral_V13_order3(params50, inter50)
+        pc = perturbative_coefficients(params50)
+        v13_3, _ = collisional_integral_V13_order3(params50, pc, inter50)
         c = _population_transfer_coefficient(params50)
-        nb = nb_weak_probe(params50, v13_3)
-        assert nb_tilde_weak_probe(params50, v13_3) == pytest.approx(
+        nb = nb_weak_probe(params50, pc, v13_3)
+        assert nb_tilde_weak_probe(params50, pc, v13_3) == pytest.approx(
             np.real(c * nb), rel=1e-12
         )
 

@@ -109,7 +109,7 @@ class TestClosedFormKernel:
             self._kernel()(k)
 
     def test_singular_k0_block_fails_at_table_build(self, params50):
-        t = _cascade_tables(params50)
+        t = _cascade_tables(params50, perturbative_coefficients(params50))
         kd2, kd3 = t.o2_kdiag, t.o3_kdiag
         z = np.zeros
         with pytest.raises(SingularParameterError, match="order-2 .* k=0"):
@@ -177,7 +177,8 @@ class TestLadderRegime:
 
 class TestCollisionalIntegral:
     def test_v13_order3_value(self, params50, inter50):
-        v, res = collisional_integral_V13_order3(params50, inter50)
+        v, res = collisional_integral_V13_order3(
+            params50, perturbative_coefficients(params50), inter50)
         assert res.converged
         # pinned value at the n = 50 defaults (regression guard)
         assert v == pytest.approx(0.62624 - 0.02398j, rel=2e-4)
@@ -190,12 +191,15 @@ class TestCollisionalIntegral:
         """The node count pins the adaptive quadrature path at delta3 = 1/3."""
         preset = StatePreset(n)
         p = AtomParams(omega_c=preset.omega_c, delta3=1.0 / 3.0)
-        v, res = collisional_integral_V13_order3(p, InteractionParams(c6=preset.c6))
+        v, res = collisional_integral_V13_order3(
+            p, perturbative_coefficients(p), InteractionParams(c6=preset.c6))
         assert res.nodes == 672
         assert abs(v - want) <= 1e-13 * abs(want)
 
     def test_zero_c6(self, params50):
-        v, res = collisional_integral_V13_order3(params50, InteractionParams(c6=1e-300))
+        v, res = collisional_integral_V13_order3(
+            params50, perturbative_coefficients(params50),
+            InteractionParams(c6=1e-300))
         assert abs(v) < 1e-140
 
     def test_chi3_direct_map_agrees_with_cascade(self, params50, inter50):

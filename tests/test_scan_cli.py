@@ -14,7 +14,6 @@ from rydeit.scan import (
     FIGURES,
     ScanConfig,
     ScanResultRow,
-    run_figure,
     run_scan,
     write_csv,
 )
@@ -37,7 +36,7 @@ class TestScanConfig:
         ({"state": 50, "omega_p2_count": 0}, "non-empty"),
         ({"state": 50, "omega_p2_start": 0.5, "omega_p2_stop": 0.1}, "increasing"),
         ({"state": 50, "delta3_count": 3}, "delta3_start"),
-        ({"state": 50, "threads": 0}, "threads"),
+        ({"state": 50, "delta3_count": -1}, "delta3_count"),
         ({"state": 50, "tol": 0.0}, "tol"),
     ])
     def test_validation(self, kw, msg):
@@ -48,36 +47,62 @@ class TestScanConfig:
         with pytest.raises(ConfigError, match="unknown config keys"):
             ScanConfig.from_dict({"state": 50, "bogus": 1})
 
+    def test_from_dict_drops_threads_with_warning(self):
+        with pytest.warns(FutureWarning, match="'threads' is ignored"):
+            cfg = ScanConfig.from_dict({"state": 50, "threads": 2})
+        assert cfg == ScanConfig(state=50)
+
     def test_dict_round_trip(self):
-        cfg = ScanConfig(state=56, omega_p2_count=3, threads=2)
+        cfg = ScanConfig(state=56, omega_p2_count=3)
         assert ScanConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_metadata_reparse_reproduces_run(self):
-        cfg = ScanConfig(state=50, omega_p2_stop=0.2, omega_p2_count=3, threads=4)
+        cfg = ScanConfig(state=50, omega_p2_stop=0.2, omega_p2_count=3)
         cfg2 = ScanConfig.from_dict(cfg.metadata_dict())
         assert run_scan(cfg2) == run_scan(cfg)
 
 
+class TestRowOrder:
+    """Rows come sorted by (delta3, |omega_p|^2), whatever the grid order."""
+
+    @staticmethod
+    def _points(monkeypatch, **kw):
+        monkeypatch.setattr(scan_module, "compute_row",
+                            lambda config, delta3, omega_p2: (delta3, omega_p2))
+        return run_scan(ScanConfig(state=50, **kw))
+
+    def test_descending_delta3_grid(self, monkeypatch):
+        points = self._points(monkeypatch, delta3_start=1.0, delta3_stop=0.0,
+                              delta3_count=3, omega_p2_stop=0.2,
+                              omega_p2_count=2)
+        assert points == [(0.0, 0.0), (0.0, 0.2), (0.5, 0.0), (0.5, 0.2),
+                          (1.0, 0.0), (1.0, 0.2)]
+
+    def test_repeated_grid_values(self, monkeypatch):
+        # equal delta3 values interleave: the sort is over whole points,
+        # not a delta3 loop around an intensity loop
+        points = self._points(monkeypatch, delta3_start=0.5, delta3_stop=0.5,
+                              delta3_count=2, omega_p2_stop=0.2,
+                              omega_p2_count=2)
+        assert points == [(0.5, 0.0), (0.5, 0.0), (0.5, 0.2), (0.5, 0.2)]
+
+
 class TestCsvDeterminism:
     @staticmethod
-    def _emit(threads):
-        cfg = ScanConfig(state=50, omega_p2_stop=0.3, omega_p2_count=3,
-                         threads=threads)
+    def _emit():
+        cfg = ScanConfig(state=50, omega_p2_stop=0.3, omega_p2_count=3)
         buf = io.StringIO()
         write_csv(run_scan(cfg), cfg.metadata_dict(), buf)
         return buf.getvalue()
 
-    def test_byte_identical_across_threads_and_runs(self):
-        a = self._emit(1)
-        b = self._emit(4)
-        c = self._emit(1)
-        assert a == b == c
+    def test_byte_identical_across_runs(self):
+        assert self._emit() == self._emit()
 
     def test_header_structure(self):
-        text = self._emit(1)
+        text = self._emit()
         lines = text.splitlines()
         meta = json.loads(lines[0].lstrip("# "))
-        assert meta["state"] == 50 and "threads" not in meta
+        assert meta["state"] == 50 and "out" not in meta
         assert lines[1].split(",") == ScanResultRow.columns()
         assert len(lines) == 2 + 3
 
@@ -155,6 +180,22 @@ class TestCli:
         assert res.exit_code == 0
         assert len(out.read_text().splitlines()) == 4
 
+    def test_config_file_with_threads_key_still_runs(self, tmp_path):
+        def scan_csv(name, **extra):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps({"state": 50, "omega_p2_count": 2, **extra}))
+            out = tmp_path / f"{name}.csv"
+            res = CliRunner().invoke(
+                main, ["scan", "--config", str(cfg), "--out", str(out)]
+            )
+            assert res.exit_code == 0
+            return out.read_bytes()
+
+        plain = scan_csv("plain")
+        with pytest.warns(FutureWarning, match="threads"):
+            legacy = scan_csv("legacy", threads=2)
+        assert legacy == plain
+
     def test_cli_flag_overrides_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"state": 50, "omega_p2_count": 2,
@@ -174,11 +215,13 @@ class TestCli:
         res = CliRunner().invoke(main, ["figure", "fig9"])
         assert res.exit_code == 2
 
-    def test_figure_rejects_zero_threads(self):
-        res = CliRunner().invoke(main, ["figure", "fig4", "--threads", "0"])
+    @pytest.mark.parametrize("args", [["figure", "fig4"],
+                                      ["point", "--state", "50"]],
+                             ids=["figure", "point"])
+    def test_threads_option_is_rejected(self, args):
+        res = CliRunner().invoke(main, args + ["--threads", "2"])
         assert res.exit_code == 2
-        with pytest.raises(ConfigError, match="threads"):
-            run_figure("fig4", io.StringIO(), threads=0)
+        assert "No such option" in res.output
 
     def test_figures_registered(self):
         assert set(FIGURES) == {"fig2", "fig3", "fig4"}
