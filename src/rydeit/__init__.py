@@ -12,7 +12,8 @@ Layers, from the bottom up:
 * blochgen: generates the single-atom and 36-component pair equations from
   commutator algebra (no hand-transcribed coefficients).
 * noninteracting: reference steady states and the weak-probe cascade.
-* quadrature: radial integrals of k(R) weights over the -C6/R^6 tail.
+* quadrature: radial integrals of k(R) weights over the -C6/R^6 tail
+  (reference paths for the closed forms).
 * perturbative: exact third-order interacting solution and closed forms.
 * collisional: the full nonlinear solver (Schur reduction + spectral
   resolvent integrals + continuation in probe intensity).

@@ -35,7 +35,7 @@ from .noninteracting import (
     solve_single_system,
 )
 from .params import AtomParams, InteractionParams, SingularParameterError
-from .perturbative import BranchAmbiguityError, _principal_sqrt
+from .perturbative import F_lambda
 from .quadrature import vdw_k_integral
 
 __all__ = [
@@ -246,15 +246,6 @@ def spectral_decompose(reduced: ReducedSystem) -> SpectralSystem:
     return SpectralSystem(
         reduced=reduced, eigenvalues=w, u=u, cond_u=float(cond_u)
     )
-
-
-def F_lambda(lam: complex, interaction: InteractionParams) -> complex:
-    """Radial resolvent integral eta Int d^3R k/(k - lambda), closed form
-    (2 pi^2 eta / 3) sqrt(C6/lambda) for k = -C6/R^6, principal branch."""
-    if interaction.c6 == 0.0:
-        return 0.0
-    root = _principal_sqrt(interaction.c6 / lam, "C6/lambda")
-    return 2.0 * np.pi**2 * interaction.eta / 3.0 * root
 
 
 def F_lambda_quadrature(lam: complex, interaction: InteractionParams,

@@ -191,9 +191,11 @@ def perturbative_coefficients(
 ) -> PerturbativeCoefficients:
     """Order-by-order cascade of the single-atom system.
 
-    ``v13_3`` is the reduced third-order collisional integral; pass the
-    radial quadrature value to obtain the interacting third-order
-    susceptibility coefficient, or leave 0 for the non-interacting one.
+    ``v13_3`` is the reduced third-order collisional integral; pass
+    ``perturbative.collisional_integral_V13_order3`` (the closed-form pole
+    sum, whose radial quadrature is its reference) to obtain the interacting
+    third-order susceptibility coefficient, or leave 0 for the
+    non-interacting one.
     """
     sys8 = generate_single_atom_equations(params)
     rp1 = [SINGLE_INDEX[l] for l in _NET_P1]

@@ -1,9 +1,11 @@
 """Exact interacting third-order solution (weak-probe pair cascade).
 
 Solves the interaction-resolved two-body correlators order by order in the
-probe field at fixed pair interaction strength k, integrates the leading
-collisional integral over the Van der Waals potential, and provides the
-closed-form blockade observables that follow from it.
+probe field at fixed pair interaction strength k, evaluates the leading
+collisional integral over the Van der Waals potential in closed form (a sum
+over the four poles of the rational kernel ss^(3)_{13,33}(k); the radial
+quadrature is its tested reference), and provides the closed-form blockade
+observables that follow from it.
 
 All correlator coefficients are reduced: the leading probe monomial
 Omega_p^a (Omega_p*)^b is divided out.
@@ -40,7 +42,9 @@ __all__ = [
     "pair_correlators_order2",
     "pair_correlators_order3",
     "ss1333_ladder_approximation",
+    "F_lambda",
     "collisional_integral_V13_order3",
+    "collisional_integral_V13_order3_quadrature",
     "Chi3Result",
     "chi3_interacting",
     "nb_closed_form",
@@ -69,6 +73,42 @@ def _principal_sqrt(z: complex, what: str) -> complex:
             "(resonant pair-excitation regime)"
         )
     return complex(np.sqrt(z))
+
+
+def F_lambda(lam: complex, interaction: InteractionParams) -> complex:
+    """Radial resolvent integral eta Int d^3R k/(k - lambda), closed form
+    (2 pi^2 eta / 3) sqrt(C6/lambda) for k = -C6/R^6, principal branch."""
+    if interaction.c6 == 0.0:
+        return 0.0
+    root = _principal_sqrt(interaction.c6 / lam, "C6/lambda")
+    return 2.0 * np.pi**2 * interaction.eta / 3.0 * root
+
+
+# binom(-1/2, n): F^(n)(lambda) / n! = binom(-1/2, n) F(lambda) / lambda^n,
+# since F is proportional to lambda^(-1/2)
+_HALF_BINOM = (1.0, -0.5, 0.375, -0.3125)
+
+
+def _quadratic_roots(a1: complex, a2: complex) -> list:
+    """[(root, multiplicity)] of 1 + a1 k + a2 k^2, free of cancellation:
+    q = -(a1 +/- s)/2 with the sign that maximizes |q|, roots q/a2 and 1/q."""
+    if a2 == 0:
+        return [] if a1 == 0 else [(-1.0 / a1, 1)]
+    s = cmath.sqrt(a1 * a1 - 4.0 * a2)
+    if s == 0:  # the derivative a1 + 2 a2 k vanishes at the root
+        return [(-a1 / (2.0 * a2), 2)]
+    q = -0.5 * (a1 + s if abs(a1 + s) >= abs(a1 - s) else a1 - s)
+    return [(q / a2, 1), (1.0 / q, 1)]
+
+
+def _taylor_shift(coeffs: list, x: complex, n: int) -> list:
+    """The first n coefficients of p(x + t) in ascending powers of t
+    (repeated Horner); ``coeffs`` are those of p(k), ascending."""
+    c = list(coeffs)
+    for i in range(n):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] += x * c[j + 1]
+    return c[:n]
 
 
 @dataclass(frozen=True)
@@ -134,6 +174,90 @@ class _Ss1333Kernel:
         det = _checked_det(n00 * n11 - n01 * n10, 3, k)
         return (n11 * y0 - n01 * y1) / det
 
+    def _determinants(self) -> tuple:
+        """(a1, a2) of det2 and of det3, each 1 + a1 k + a2 k^2."""
+        d0, d1 = self.d2
+        w00, w01, w10, w11 = self.w2
+        g0, g1 = self.d3
+        v00, v01, v10, v11 = self.w3
+        return (
+            (d0 * w00 + d1 * w11, d0 * d1 * (w00 * w11 - w01 * w10)),
+            (g0 * v00 + g1 * v11, g0 * g1 * (v00 * v11 - v01 * v10)),
+        )
+
+    def _numerator(self) -> list:
+        """Ascending coefficients of the cubic ss(k) det2(k) det3(k).
+
+        det2 c(k) is quadratic, so is det2 y(k) = h0 det2 - HZ (det2 c),
+        and det3 ss = n11 y0 - n01 y1 with n11, n01 linear in k."""
+        d0, d1 = self.d2
+        w00, w01, w10, w11 = self.w2
+        p0, p1 = self.x2p
+        h0, h1 = self.h0
+        z00, z01, z10, z11 = self.hz
+        g1 = self.d3[1]
+        _, v01, _, v11 = self.w3
+        (a1, a2), _ = self._determinants()
+        det2 = (1.0, a1, a2)
+        c0 = (0.0, d0 * p0, d0 * d1 * (w11 * p0 - w01 * p1))
+        c1 = (0.0, d1 * p1, d0 * d1 * (w00 * p1 - w10 * p0))
+        y0 = [h0 * det2[j] - (z00 * c0[j] + z01 * c1[j]) for j in range(3)]
+        y1 = [h1 * det2[j] - (z10 * c0[j] + z11 * c1[j]) for j in range(3)]
+        return [
+            y0[0],
+            y0[1] + g1 * (v11 * y0[0] - v01 * y1[0]),
+            y0[2] + g1 * (v11 * y0[1] - v01 * y1[1]),
+            g1 * (v11 * y0[2] - v01 * y1[2]),
+        ]
+
+    def _poles(self) -> tuple:
+        """(lead, [[rho, m], ...]) with det2 det3 = lead prod (k - rho)^m.
+        A root shared by det2 and det3 is one pole of the summed order."""
+        lead = 1.0
+        poles: list = []
+        for a1, a2 in self._determinants():
+            lead *= a2 if a2 != 0 else (a1 if a1 != 0 else 1.0)
+            for rho, m in _quadratic_roots(a1, a2):
+                shared = [pole for pole in poles if pole[0] == rho]
+                if shared:
+                    shared[0][1] += m
+                else:
+                    poles.append([rho, m])
+        return lead, poles
+
+    def radial_integral(self, interaction: InteractionParams) -> complex:
+        """eta Int d^3R k ss(k(R)) as a sum over the poles of ss.
+
+        ss = num / (det2 det3), a cubic over a quartic, so near a pole rho of
+        order m it is sum_j g_j (k - rho)^(j - m) plus a part regular at
+        rho, and eta Int d^3R k / (k - rho)^n = F^(n-1)(rho) / (n-1)!
+        turns each term into a closed form. A simple pole contributes
+        num(rho) / (det2 det3)'(rho) * F(rho); a double root or a root
+        shared by det2 and det3 adds the confluent F'(rho) term.
+        """
+        num = self._numerator()
+        lead, poles = self._poles()
+        total = 0j
+        for rho, m in poles:
+            # num and rest = det2 det3 / (k - rho)^m in powers of t = k - rho,
+            # both to order m - 1
+            p = _taylor_shift(num, rho, m)
+            rest = [lead] + [0.0] * (m - 1)
+            for other, m_other in poles:
+                for _ in range(m_other if other != rho else 0):
+                    # times (t + rho - other)
+                    rest = [r * (rho - other) + prev
+                            for r, prev in zip(rest, [0.0] + rest)]
+            # Laurent coefficients g = p / rest
+            g: list = []
+            for j in range(m):
+                g.append((p[j] - sum(rest[i] * g[j - i] for i in range(1, j + 1)))
+                         / rest[0])
+            f = F_lambda(rho, interaction)
+            total += sum(g[j] * _HALF_BINOM[m - 1 - j] * f / rho ** (m - 1 - j)
+                         for j in range(m))
+        return total
+
 
 def _checked_det(det: complex, order: int, k: float) -> complex:
     if det == 0 or not cmath.isfinite(det):
@@ -188,68 +312,87 @@ class _CascadeTables:
     ss1333: _Ss1333Kernel
 
 
+# first- and second-order single-atom sources, in the order of x1 / x2 in
+# ``_cascade_tables``
+_X1_LABELS = ((1, 2), (1, 3), (2, 1), (3, 1))
+_X2_LABELS = ((2, 2), (3, 3), (2, 3), (3, 2))
+_O2 = np.array([PAIR_INDEX[lab] for lab in ORDER2_LABELS])
+_O3 = np.array([PAIR_INDEX[lab] for lab in ORDER3_NETP1_LABELS])
+
+
+def _cascade_source_terms():
+    """Fixed (row, column, source) structure of the order-2/3 sources.
+
+    ``_SRC2_TERMS`` holds (i, src, r, col, j): order-2 row i gains
+    (srcp, srcm)[src][r, col] * x1[j], where srcp pulls a first-order
+    label of net nu - 1 and srcm one of net nu + 1; ``_SRC3_TERMS`` holds
+    (i, r, col, j): order-3 row i gains srcp[r, col] * x2[j]. Terms are
+    listed in the order they accumulate. ``from_o2`` takes ``ap`` on its
+    net-0 order-2 columns and ``am`` on its net +2 ones.
+    """
+    src2 = []
+    for i, lab in enumerate(ORDER2_LABELS):
+        nu = grade_order(lab)[0]
+        for j, m in enumerate(_X1_LABELS):
+            net_m, ord_m = grade_order(m)
+            for src, net in ((0, nu - 1), (1, nu + 1)):
+                if ord_m == 1 and net_m == net:
+                    src2.append((i, src, PAIR_INDEX[lab], SINGLE_INDEX[m], j))
+    src3 = tuple(
+        (i, PAIR_INDEX[lab], SINGLE_INDEX[m], j)
+        for i, lab in enumerate(ORDER3_NETP1_LABELS)
+        for j, m in enumerate(_X2_LABELS)
+    )
+    net2 = np.array([grade_order(lab)[0] for lab in ORDER2_LABELS])
+    return (tuple(src2), src3,
+            np.flatnonzero(net2 == 0), np.flatnonzero(net2 == 2))
+
+
+_SRC2_TERMS, _SRC3_TERMS, _O2_NET0, _O2_NET2 = _cascade_source_terms()
+for _arr in (_O2, _O3, _O2_NET0, _O2_NET2):
+    _arr.flags.writeable = False
+
+
 def _cascade_tables(
     params: AtomParams, pc: PerturbativeCoefficients
 ) -> _CascadeTables:
     """Order-2/3 pair systems at ``params``; ``pc`` is the single-atom
     cascade at the same parameters, which supplies the sources."""
     ps = generate_pair_equations(params)
-    x1 = {
-        (1, 2): pc.s12_1, (1, 3): pc.s13_1,
-        (2, 1): pc.s21_1, (3, 1): pc.s31_1,
-    }
-    x2 = {
-        (2, 2): pc.s22_2, (3, 3): pc.s33_2,
-        (2, 3): pc.s23_2, (3, 2): pc.s32_2,
-    }
-
-    o2 = np.array([PAIR_INDEX[lab] for lab in ORDER2_LABELS])
-    o3 = np.array([PAIR_INDEX[lab] for lab in ORDER3_NETP1_LABELS])
+    x1 = (pc.s12_1, pc.s13_1, pc.s21_1, pc.s31_1)
+    x2 = (pc.s22_2, pc.s33_2, pc.s23_2, pc.s32_2)
 
     # order-2 source: probe-graded single-atom terms with first-order values
-    src2 = np.zeros(len(o2), dtype=complex)
-    for i, lab in enumerate(ORDER2_LABELS):
-        r = PAIR_INDEX[lab]
-        nu = grade_order(lab)[0]
-        for m, (net_m, ord_m) in ((m, grade_order(m)) for m in x1):
-            col = SINGLE_INDEX[m]
-            if ord_m == 1 and net_m == nu - 1:
-                src2[i] += ps.srcp[r, col] * x1[m]
-            if ord_m == 1 and net_m == nu + 1:
-                src2[i] += ps.srcm[r, col] * x1[m]
+    sources = (ps.srcp, ps.srcm)
+    src2 = np.zeros(len(_O2), dtype=complex)
+    for i, src, r, col, j in _SRC2_TERMS:
+        src2[i] += sources[src][r, col] * x1[j]
 
     # order-3 single-atom source: second-order populations/Raman coherences
-    src3 = np.zeros(len(o3), dtype=complex)
-    for i, lab in enumerate(ORDER3_NETP1_LABELS):
-        r = PAIR_INDEX[lab]
-        for m, val in x2.items():
-            src3[i] += ps.srcp[r, SINGLE_INDEX[m]] * val
+    src3 = np.zeros(len(_O3), dtype=complex)
+    for i, r, col, j in _SRC3_TERMS:
+        src3[i] += ps.srcp[r, col] * x2[j]
 
     # order-3 coupling to the order-2 pair solution: Wp pulls net 0,
     # Wp* pulls net +2
-    from_o2 = np.zeros((len(o3), len(o2)), dtype=complex)
-    for j, lab2 in enumerate(ORDER2_LABELS):
-        net2 = grade_order(lab2)[0]
-        c = PAIR_INDEX[lab2]
-        if net2 == 0:
-            from_o2[:, j] = ps.ap[o3, c]
-        elif net2 == 2:
-            from_o2[:, j] = ps.am[o3, c]
+    from_o2 = np.zeros((len(_O3), len(_O2)), dtype=complex)
+    from_o2[:, _O2_NET0] = ps.ap[np.ix_(_O3, _O2[_O2_NET0])]
+    from_o2[:, _O2_NET2] = ps.am[np.ix_(_O3, _O2[_O2_NET2])]
 
-    o2_a = ps.a0[np.ix_(o2, o2)]
-    o3_a = ps.a0[np.ix_(o3, o3)]
+    o2_a = ps.a0[np.ix_(_O2, _O2)]
+    o3_a = ps.a0[np.ix_(_O3, _O3)]
     return _CascadeTables(
-        o2_rows=o2,
+        o2_rows=_O2,
         o2_a=o2_a,
-        o2_kdiag=ps.kdiag[o2],
+        o2_kdiag=ps.kdiag[_O2],
         o2_src=src2,
-        o3_rows=o3,
+        o3_rows=_O3,
         o3_a=o3_a,
-        o3_kdiag=ps.kdiag[o3],
+        o3_kdiag=ps.kdiag[_O3],
         o3_src_single=src3,
         o3_from_o2=from_o2,
         ss1333=_ss1333_kernel(
-            o2_a, ps.kdiag[o2], src2, o3_a, ps.kdiag[o3], src3, from_o2
+            o2_a, ps.kdiag[_O2], src2, o3_a, ps.kdiag[_O3], src3, from_o2
         ),
     )
 
@@ -301,13 +444,27 @@ def collisional_integral_V13_order3(
     params: AtomParams,
     pc: PerturbativeCoefficients,
     interaction: InteractionParams,
-    rel_tol: float = 1e-8,
-) -> tuple[complex, RadialQuadratureResult]:
-    """Reduced V13^(3) = eta Int d^3R k ss^(3)_{13,33}(k(R)) by quadrature.
+) -> complex:
+    """Reduced V13^(3) = eta Int d^3R k ss^(3)_{13,33}(k(R)) in closed form,
+    as a sum of F_lambda over the four poles of the kernel.
 
     ``pc`` is ``perturbative_coefficients(params)``, which callers usually
     need as well, so it is evaluated once per parameter set.
+    ``collisional_integral_V13_order3_quadrature`` is the reference.
     """
+    if interaction.c6 == 0.0:
+        return 0.0
+    return _cascade_tables(params, pc).ss1333.radial_integral(interaction)
+
+
+def collisional_integral_V13_order3_quadrature(
+    params: AtomParams,
+    pc: PerturbativeCoefficients,
+    interaction: InteractionParams,
+    rel_tol: float = 1e-8,
+) -> tuple[complex, RadialQuadratureResult]:
+    """The same V13^(3) by adaptive radial quadrature of the kernel
+    (validation path for ``collisional_integral_V13_order3``)."""
     if interaction.c6 == 0.0:
         return 0.0, RadialQuadratureResult(0.0, 0.0, 0, True)
     k_scale = abs(effective_T(params))
@@ -337,7 +494,7 @@ def chi3_interacting(params: AtomParams, interaction: InteractionParams) -> Chi3
     -omega_c / (Gamma13 Gamma12 + omega_c^2) * V13^(3).
     """
     pc0 = perturbative_coefficients(params)
-    v13_3, _ = collisional_integral_V13_order3(params, pc0, interaction)
+    v13_3 = collisional_integral_V13_order3(params, pc0, interaction)
     pc = perturbative_coefficients(params, v13_3=v13_3)
     rc = relaxation_constants(params)
     denom = rc.Gamma13 * rc.Gamma12 + params.omega_c**2

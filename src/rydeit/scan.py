@@ -46,7 +46,6 @@ from .perturbative import (
     chi3_interacting,
     collisional_integral_V13_order3,
 )
-from .quadrature import QuadratureError
 
 __all__ = [
     "ConfigError",
@@ -66,7 +65,6 @@ _NAN = float("nan")
 _POINT_ERRORS = (
     ConvergenceError,
     SingularParameterError,
-    QuadratureError,
     BranchAmbiguityError,
     DegenerateNormalizationError,
     np.linalg.LinAlgError,
@@ -235,7 +233,7 @@ def _weak_probe_row(inputs: dict, params: AtomParams,
     pc = perturbative_coefficients(params)
     rc = relaxation_constants(params)
     chi2 = -1j / rc.Gamma12
-    v13_3, _ = collisional_integral_V13_order3(params, pc, interaction)
+    v13_3 = collisional_integral_V13_order3(params, pc, interaction)
     nb = nb_weak_probe(params, pc, v13_3)
     nbt = nb_tilde_weak_probe(params, pc, v13_3)
     return ScanResultRow(

@@ -209,7 +209,7 @@ def check_oracle_vs_cascade():
 def check_weak_probe_v13():
     p = _params()
     inter = InteractionParams(c6=_P50.c6)
-    v13_3, _ = collisional_integral_V13_order3(p, perturbative_coefficients(p), inter)
+    v13_3 = collisional_integral_V13_order3(p, perturbative_coefficients(p), inter)
 
     def f(x):
         _, v = solve_interacting(p.with_omega_p(x), inter)

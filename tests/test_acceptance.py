@@ -130,7 +130,7 @@ def test_criterion_03_third_order_agreement():
     ok = True
     for n in PRESETS:
         p0, inter = _preset_params(n)
-        v13_3, _ = collisional_integral_V13_order3(
+        v13_3 = collisional_integral_V13_order3(
             p0, perturbative_coefficients(p0), inter)
 
         def f(x, p0=p0, inter=inter):

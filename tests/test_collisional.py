@@ -134,7 +134,7 @@ class TestNonlinearSolve:
             state.check_physical(tol=1e-6)
 
     def test_weak_probe_recovers_third_order(self, params50, inter50):
-        v13_3, _ = collisional_integral_V13_order3(
+        v13_3 = collisional_integral_V13_order3(
             params50, perturbative_coefficients(params50), inter50)
 
         def f(x):

@@ -95,7 +95,7 @@ class TestScalingCoefficients:
         from rydeit.observables import _population_transfer_coefficient
 
         pc = perturbative_coefficients(params50)
-        v13_3, _ = collisional_integral_V13_order3(params50, pc, inter50)
+        v13_3 = collisional_integral_V13_order3(params50, pc, inter50)
         c = _population_transfer_coefficient(params50)
         nb = nb_weak_probe(params50, pc, v13_3)
         assert nb_tilde_weak_probe(params50, pc, v13_3) == pytest.approx(

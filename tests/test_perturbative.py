@@ -1,4 +1,7 @@
 """Weak-probe pair cascade, collisional integral and closed-form observables."""
+import dataclasses
+import sys
+
 import numpy as np
 import pytest
 
@@ -13,13 +16,20 @@ from rydeit import (
     relaxation_constants,
     steady_state_three_level,
 )
-from rydeit.blochgen import canonical_pair
+from rydeit.blochgen import (
+    PAIR_INDEX,
+    SINGLE_INDEX,
+    canonical_pair,
+    generate_pair_equations,
+    grade_order,
+)
 from rydeit.perturbative import (
     BranchAmbiguityError,
     ORDER2_LABELS,
     ORDER3_NETP1_LABELS,
     chi3_interacting,
     collisional_integral_V13_order3,
+    collisional_integral_V13_order3_quadrature,
     ib_quadrature,
     nb_closed_form,
     nb_closed_form_dispersive,
@@ -28,7 +38,16 @@ from rydeit.perturbative import (
     ss1333_ladder_approximation,
     ss1333_order3,
 )
-from rydeit.perturbative import _cascade_tables, _ss1333_kernel, _Ss1333Kernel
+from rydeit.perturbative import (
+    _cascade_tables,
+    _CascadeTables,
+    _quadratic_roots,
+    _ss1333_kernel,
+    _Ss1333Kernel,
+)
+from rydeit.quadrature import vdw_k_integral, vdw_k_integral_reference
+from rydeit.scan import ScanConfig, run_scan
+from test_blochgen import _PRESET_GRID, _random_params
 
 
 class TestCascadeStructure:
@@ -177,7 +196,7 @@ class TestLadderRegime:
 
 class TestCollisionalIntegral:
     def test_v13_order3_value(self, params50, inter50):
-        v, res = collisional_integral_V13_order3(
+        v, res = collisional_integral_V13_order3_quadrature(
             params50, perturbative_coefficients(params50), inter50)
         assert res.converged
         # pinned value at the n = 50 defaults (regression guard)
@@ -191,16 +210,28 @@ class TestCollisionalIntegral:
         """The node count pins the adaptive quadrature path at delta3 = 1/3."""
         preset = StatePreset(n)
         p = AtomParams(omega_c=preset.omega_c, delta3=1.0 / 3.0)
-        v, res = collisional_integral_V13_order3(
+        v, res = collisional_integral_V13_order3_quadrature(
             p, perturbative_coefficients(p), InteractionParams(c6=preset.c6))
         assert res.nodes == 672
         assert abs(v - want) <= 1e-13 * abs(want)
 
+    @pytest.mark.parametrize("n,want", [
+        (50, 0.6262402430222824 - 0.023980372353187597j),
+        (61, 2.169429765835607 - 0.12505339715969077j),
+    ])
+    def test_pole_sum_value(self, n, want):
+        """The pole sum at the points of the quadrature pins above."""
+        preset = StatePreset(n)
+        p = AtomParams(omega_c=preset.omega_c, delta3=1.0 / 3.0)
+        v = collisional_integral_V13_order3(
+            p, perturbative_coefficients(p), InteractionParams(c6=preset.c6))
+        assert abs(v - want) <= 1e-13 * abs(want)
+
     def test_zero_c6(self, params50):
-        v, res = collisional_integral_V13_order3(
-            params50, perturbative_coefficients(params50),
-            InteractionParams(c6=1e-300))
+        pc = perturbative_coefficients(params50)
+        v = collisional_integral_V13_order3(params50, pc, InteractionParams(c6=1e-300))
         assert abs(v) < 1e-140
+        assert collisional_integral_V13_order3(params50, pc, InteractionParams(c6=0.0)) == 0
 
     def test_chi3_direct_map_agrees_with_cascade(self, params50, inter50):
         r = chi3_interacting(params50, inter50)
@@ -210,6 +241,185 @@ class TestCollisionalIntegral:
         assert r.s12_3_total == pytest.approx(
             r.s12_3_noninteracting + r.s12_3_collisional, rel=1e-10
         )
+
+
+def _cascade_tables_by_label_loops(params, pc):
+    """``_cascade_tables`` as built label by label from the grading rules
+    (the construction the hoisted index tables reproduce)."""
+    ps = generate_pair_equations(params)
+    x1 = {
+        (1, 2): pc.s12_1, (1, 3): pc.s13_1,
+        (2, 1): pc.s21_1, (3, 1): pc.s31_1,
+    }
+    x2 = {
+        (2, 2): pc.s22_2, (3, 3): pc.s33_2,
+        (2, 3): pc.s23_2, (3, 2): pc.s32_2,
+    }
+    o2 = np.array([PAIR_INDEX[lab] for lab in ORDER2_LABELS])
+    o3 = np.array([PAIR_INDEX[lab] for lab in ORDER3_NETP1_LABELS])
+    src2 = np.zeros(len(o2), dtype=complex)
+    for i, lab in enumerate(ORDER2_LABELS):
+        r = PAIR_INDEX[lab]
+        nu = grade_order(lab)[0]
+        for m, (net_m, ord_m) in ((m, grade_order(m)) for m in x1):
+            col = SINGLE_INDEX[m]
+            if ord_m == 1 and net_m == nu - 1:
+                src2[i] += ps.srcp[r, col] * x1[m]
+            if ord_m == 1 and net_m == nu + 1:
+                src2[i] += ps.srcm[r, col] * x1[m]
+    src3 = np.zeros(len(o3), dtype=complex)
+    for i, lab in enumerate(ORDER3_NETP1_LABELS):
+        r = PAIR_INDEX[lab]
+        for m, val in x2.items():
+            src3[i] += ps.srcp[r, SINGLE_INDEX[m]] * val
+    from_o2 = np.zeros((len(o3), len(o2)), dtype=complex)
+    for j, lab2 in enumerate(ORDER2_LABELS):
+        net2 = grade_order(lab2)[0]
+        c = PAIR_INDEX[lab2]
+        if net2 == 0:
+            from_o2[:, j] = ps.ap[o3, c]
+        elif net2 == 2:
+            from_o2[:, j] = ps.am[o3, c]
+    o2_a = ps.a0[np.ix_(o2, o2)]
+    o3_a = ps.a0[np.ix_(o3, o3)]
+    return _CascadeTables(
+        o2_rows=o2, o2_a=o2_a, o2_kdiag=ps.kdiag[o2], o2_src=src2,
+        o3_rows=o3, o3_a=o3_a, o3_kdiag=ps.kdiag[o3], o3_src_single=src3,
+        o3_from_o2=from_o2,
+        ss1333=_ss1333_kernel(
+            o2_a, ps.kdiag[o2], src2, o3_a, ps.kdiag[o3], src3, from_o2
+        ),
+    )
+
+
+class TestHoistedCascadeTables:
+    """The import-time index tables give byte-identical cascade tables."""
+
+    @pytest.mark.parametrize("params", [
+        pytest.param(_PRESET_GRID, id="presets-x-81-delta3"),
+        pytest.param(_random_params(), id="200-seeded-random"),
+    ])
+    def test_matches_label_loops(self, params):
+        compared = 0
+        for p in params:
+            try:
+                pc = perturbative_coefficients(p)
+            except np.linalg.LinAlgError:
+                continue  # no single-atom sources, so no cascade to compare
+            try:
+                want = _cascade_tables_by_label_loops(p, pc)
+            except SingularParameterError:
+                with pytest.raises(SingularParameterError):
+                    _cascade_tables(p, pc)
+                continue
+            got = _cascade_tables(p, pc)
+            for f in dataclasses.fields(_CascadeTables):
+                if f.name != "ss1333":
+                    a, b = getattr(got, f.name), getattr(want, f.name)
+                    assert a.tobytes() == b.tobytes(), f.name
+            for f in dataclasses.fields(_Ss1333Kernel):
+                a, b = getattr(got.ss1333, f.name), getattr(want.ss1333, f.name)
+                assert np.array(a).tobytes() == np.array(b).tobytes(), f.name
+            compared += 1
+        assert compared >= len(params) // 2
+
+
+def _synthetic_kernel(d2, w2, d3, w3):
+    return _Ss1333Kernel(
+        d2=d2, w2=w2, x2p=(1.0, 2.0), h0=(1.0, 1.0 + 0.5j),
+        hz=(0.3, 0.1, 0.2j, 0.3), d3=d3, w3=w3,
+    )
+
+
+# (d, w) of a determinant (1 + d0 w00 k)(1 + d1 w11 k) - d0 d1 w01 w10 k^2:
+# roots 2 and 4, 2 and 8, a double root at 2 (all exact in binary), 3 and 5
+_ROOTS_2_4 = ((1.0, 1.0), (-0.5, 0.3, 0.0, -0.25))
+_ROOTS_2_8 = ((1.0, 1.0), (-0.5, 0.2, 0.0, -0.125))
+_DOUBLE_2 = ((1.0, 1.0), (-0.5, 0.5, 0.0, -0.5))
+_ROOTS_3_5 = ((1.0, 1.0), (-0.2, 0.4, 0.0, -1.0 / 3.0))
+
+
+class TestPoleSum:
+    """V13^(3) as a sum over the kernel poles against radial quadrature."""
+
+    def test_matches_quadrature_on_preset_grid(self):
+        worst = 0.0
+        for n in (46, 50, 56, 61):
+            preset = StatePreset(n)
+            inter = InteractionParams(c6=preset.c6)
+            for d3 in np.linspace(-2.0, 2.0, 81):
+                p = AtomParams(omega_c=preset.omega_c, delta3=float(d3))
+                pc = perturbative_coefficients(p)
+                want, _ = collisional_integral_V13_order3_quadrature(p, pc, inter)
+                got = collisional_integral_V13_order3(p, pc, inter)
+                worst = max(worst, abs(got - want) / abs(want))
+        assert worst <= 1e-9
+
+    @pytest.mark.parametrize("n,delta3", [
+        (46, -1.7), (50, -1.0 / 3.0), (56, 1.0 / 3.0), (61, 1.9),
+    ])
+    def test_matches_tanh_sinh_reference(self, n, delta3):
+        preset = StatePreset(n)
+        p = AtomParams(omega_c=preset.omega_c, delta3=delta3)
+        inter = InteractionParams(c6=preset.c6)
+        pc = perturbative_coefficients(p)
+        want = vdw_k_integral_reference(
+            _cascade_tables(p, pc).ss1333, inter.c6, inter.eta,
+            abs(effective_T(p)), prec_dps=30,
+        ).value
+        got = collisional_integral_V13_order3(p, pc, inter)
+        assert abs(got - want) <= 1e-11 * abs(want)
+
+    @pytest.mark.parametrize("det2,det3,orders", [
+        pytest.param(_DOUBLE_2, _ROOTS_3_5, [1, 1, 2], id="double-root-det2"),
+        pytest.param(_ROOTS_3_5, _DOUBLE_2, [1, 1, 2], id="double-root-det3"),
+        pytest.param(_ROOTS_2_4, _ROOTS_2_8, [1, 1, 2], id="shared-root"),
+        pytest.param(_DOUBLE_2, _ROOTS_2_8, [1, 3], id="double-and-shared"),
+    ])
+    def test_confluent_poles_match_quadrature(self, det2, det3, orders):
+        kernel = _synthetic_kernel(*det2, *det3)
+        assert sorted(m for _, m in kernel._poles()[1]) == orders
+        inter = InteractionParams(c6=5000.0)
+        want = vdw_k_integral(kernel, inter.c6, inter.eta, 2.0, rel_tol=1e-11).value
+        got = kernel.radial_integral(inter)
+        assert abs(got - want) <= 1e-9 * abs(want)
+
+    def test_pole_on_the_radial_path_raises(self):
+        # det2 = 1 + 0.75k + 0.125k^2: poles at k = -2, -4, where k(R) runs
+        kernel = _synthetic_kernel((1.0, 1.0), (0.5, 0.3, 0.0, 0.25), *_ROOTS_2_8)
+        with pytest.raises(BranchAmbiguityError):
+            kernel.radial_integral(InteractionParams(c6=5000.0))
+
+    def test_quadratic_roots_are_free_of_cancellation(self):
+        # 1 + 1e8 k + k^2: the small root -1e-8 would cancel in the textbook form
+        (small, _), (large, _) = sorted(_quadratic_roots(1e8, 1.0), key=lambda r: abs(r[0]))
+        assert small == pytest.approx(-1e-8, rel=1e-15)
+        assert large == pytest.approx(-1e8, rel=1e-15)
+
+
+class TestNoQuadratureOnProductionPath:
+    """Weak-probe rows and chi3 evaluate V13^(3) without radial quadrature."""
+
+    @pytest.fixture(autouse=True)
+    def _forbid_quadrature(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("vdw_k_integral called on the production path")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "rydeit" and hasattr(module, "vdw_k_integral"):
+                monkeypatch.setattr(module, "vdw_k_integral", forbidden)
+
+    def test_weak_probe_scan(self):
+        cfg = ScanConfig(state=61, omega_p2_start=0.0, omega_p2_stop=0.0,
+                         omega_p2_count=1, delta3_start=-2.0, delta3_stop=2.0,
+                         delta3_count=5)
+        rows = run_scan(cfg)
+        assert len(rows) == 5 and not any(r.flag for r in rows)
+        assert all(np.isfinite(r.nb_re) for r in rows)
+
+    def test_chi3_interacting(self, params50, inter50):
+        r = chi3_interacting(params50, inter50)
+        assert r.v13_3 != 0 and np.isfinite(r.v13_3)
 
 
 class TestClosedFormObservables:
