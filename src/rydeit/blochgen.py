@@ -309,11 +309,15 @@ class PairSystem:
     def single_source_matrix(self, omega_p: complex) -> np.ndarray:
         return self.src0 + omega_p * self.srcp + np.conj(omega_p) * self.srcm
 
-    def ladder_source(self, v4: np.ndarray, sigma8: np.ndarray) -> np.ndarray:
-        out = np.zeros(36, dtype=complex)
+    def ladder_source(self, v4, sigma8) -> np.ndarray:
+        # Python complex scalars, not array multiplies: numpy's array
+        # complex multiply may use FMA and differ in the last bit.
+        vl = np.asarray(v4, dtype=complex).tolist()
+        sl = np.asarray(sigma8, dtype=complex).tolist()
+        out = [0j] * 36
         for row, vi, si, coeff in self.ladder:
-            out[row] += coeff * v4[vi] * sigma8[si]
-        return out
+            out[row] += coeff * vl[vi] * sl[si]
+        return np.array(out)
 
 
 def _pair_matrices(wp, wpc, p: AtomParams):

@@ -75,9 +75,11 @@ class PQSystem:
     """Row-partitioned pair system at a fixed probe amplitude.
 
     P rows are rescaled so they read k P_m = a P + b Q + R_m; Q rows read
-    0 = c Q + d P + Rn. The source builder returns (R, Rn) for given V.
-    ``feedback_cols`` maps (V13, V31, V23, V32) onto P positions. The
-    partition is structural, so the labels and positions are constants.
+    0 = c Q + d P + Rn. ``sources`` returns (R, Rn) for given V from the
+    operands fixed by the probe amplitude, evaluated once here: the
+    single-atom C(wp), S(wp) and B, and the pair Ssrc(wp). ``feedback_cols``
+    maps (V13, V31, V23, V32) onto P positions. The partition is
+    structural, so the labels and positions are constants.
     """
 
     p_labels = P_LABELS
@@ -90,18 +92,26 @@ class PQSystem:
     c: np.ndarray  # 26 x 26
     d: np.ndarray  # 26 x 10
     p_rowscale: np.ndarray
+    single_matrix: np.ndarray   # 8 x 8 C(wp)
+    single_source: np.ndarray   # 8 S(wp)
+    v_coupling: np.ndarray      # 8 x 4 B
+    pair_source: np.ndarray     # 36 x 8 Ssrc(wp)
     _pair_system: object
 
     def single_state(self, v4) -> SingleAtomState:
-        return solve_single_system(self.params, v4=v4)
+        """The 8 averages solving 0 = C sigma + S + B V at this V."""
+        try:
+            sigma = np.linalg.solve(
+                self.single_matrix, -(self.single_source + self.v_coupling @ v4))
+        except np.linalg.LinAlgError as exc:
+            raise _singular_single_atom(self.params, exc) from exc
+        return SingleAtomState(values=sigma)
 
     def sources(self, v4) -> tuple[np.ndarray, np.ndarray]:
         """(R, Rn) source vectors; quadratic in the four components of v4."""
         v4 = np.asarray(v4, dtype=complex)
         sigma = self.single_state(v4).values
-        ps = self._pair_system
-        full = ps.single_source_matrix(self.params.omega_p) @ sigma
-        full = full + ps.ladder_source(v4, sigma)
+        full = self.pair_source @ sigma + self._pair_system.ladder_source(v4, sigma)
         return self.p_rowscale * full[_P_IDX], full[_Q_IDX]
 
 
@@ -122,10 +132,13 @@ def regularize(params: AtomParams) -> AtomParams:
 
 
 def assemble_PQ(params: AtomParams) -> PQSystem:
-    """Partition the generated 36-row system into the P/Q block form."""
+    """Partition the generated 36-row system into the P/Q block form and
+    evaluate the single-atom and pair source operands at the probe."""
     ps = generate_pair_equations(params)
+    sys8 = generate_single_atom_equations(params)
+    wp = params.omega_p
     p_idx, q_idx = _P_IDX, _Q_IDX
-    amat = ps.matrix(params.omega_p)
+    amat = ps.matrix(wp)
     # P row m reads 0 = (A ss)_m + kdiag_m k ss_m + src_m; divide by
     # -kdiag_m to isolate k ss_m on the left.
     rowscale = -1.0 / ps.kdiag[p_idx]
@@ -136,6 +149,10 @@ def assemble_PQ(params: AtomParams) -> PQSystem:
         c=amat[np.ix_(q_idx, q_idx)],
         d=amat[np.ix_(q_idx, p_idx)],
         p_rowscale=rowscale,
+        single_matrix=sys8.matrix(wp),
+        single_source=sys8.source(wp),
+        v_coupling=sys8.v_coupling,
+        pair_source=ps.single_source_matrix(wp),
         _pair_system=ps,
     )
 
@@ -176,53 +193,18 @@ class SpectralSystem:
     cond_u: float
 
     def feedback_map(self, interaction: InteractionParams):
-        """Return G with G(v4) the spectral prediction for the feedback V.
-
-        G(v4) = lu @ (f * (u @ rtilde(v4))). Everything fixed by the probe
-        amplitude is built here once; G then repeats exactly the arithmetic
-        of ``ReducedSystem.rtilde`` on the same operands, so its result is
-        bit-identical to that plain composition.
+        """Return G(v4) = lu @ (f * (u @ rtilde(v4))), the spectral
+        prediction for the feedback V: f = F(lambda) and lu, the feedback
+        rows of U^-1, are built once per probe amplitude, and G composes
+        them with ``ReducedSystem.rtilde``, the one evaluation of Rtilde(V).
         """
         f = np.array(
             [F_lambda(lam, interaction) for lam in self.eigenvalues]
         )
         u = self.u
         lu = np.linalg.inv(u)[_FEEDBACK_COLS, :]
-        alpha = self.reduced.alpha
-        pq = self.reduced.pq
-        params, wp = pq.params, pq.params.omega_p
-        sys8 = generate_single_atom_equations(params)
-        mat8, src8, v_coupling = sys8.matrix(wp), sys8.source(wp), sys8.v_coupling
-        ps = pq._pair_system
-        single_source = ps.single_source_matrix(wp)
-        ladder = ps.ladder
-        rowscale = pq.p_rowscale
-
-        def g(v4):
-            v = np.asarray(v4, dtype=complex)
-            try:
-                sigma = np.linalg.solve(mat8, -(src8 + v_coupling @ v))
-            except np.linalg.LinAlgError as exc:
-                raise _singular_single_atom(params, exc) from exc
-            # Python complex scalars, not array multiplies: numpy's array
-            # complex multiply may use FMA and differ in the last bit.
-            vl, sl = v.tolist(), sigma.tolist()
-            lad = [0j] * 36
-            for row, vi, si, coeff in ladder:
-                lad[row] += coeff * vl[vi] * sl[si]
-            full = single_source @ sigma + np.array(lad)
-            r = rowscale * full[_P_IDX] + alpha @ full[_Q_IDX]
-            return lu @ (f * (u @ r))
-
-        return g
-
-    def all_integrals(self, interaction: InteractionParams, v4) -> dict:
-        """All ten V components at a given feedback solution (diagnostics)."""
-        f = np.array(
-            [F_lambda(lam, interaction) for lam in self.eigenvalues]
-        )
-        v10 = np.linalg.solve(self.u, f * (self.u @ self.reduced.rtilde(v4)))
-        return dict(zip(self.reduced.pq.p_labels, v10))
+        rtilde = self.reduced.rtilde
+        return lambda v4: lu @ (f * (u @ rtilde(v4)))
 
 
 def spectral_decompose(reduced: ReducedSystem) -> SpectralSystem:
@@ -276,13 +258,19 @@ class CollisionalIntegrals:
         return np.array([self.v13, self.v31, self.v23, self.v32])
 
 
-def _damped_iterate(g, v0, damping, max_iter, tol):
+_DAMPING = 0.5
+_MAX_ITER_PER_STAGE = 100
+_MIN_STEP = 1.0 / (8.0 * 50 * 50)  # of the target intensity
+_MAX_STAGES = 16 * 50
+
+
+def _damped_iterate(g, v0, tol):
     """Damped fixed-point iteration; returns (v, iters, resid, converged)."""
     v = np.asarray(v0, dtype=complex)
     prev_resid = np.inf
-    keep = 1.0 - damping
+    keep = 1.0 - _DAMPING
     with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(1, max_iter + 1):
+        for it in range(1, _MAX_ITER_PER_STAGE + 1):
             gv = g(v)
             if not np.isfinite(gv).all():
                 return v, it, np.inf, False
@@ -292,8 +280,8 @@ def _damped_iterate(g, v0, damping, max_iter, tol):
             if resid > 10.0 * prev_resid:
                 return v, it, resid, False  # diverging, caller escalates
             prev_resid = min(prev_resid, resid)
-            v = keep * v + damping * gv
-    return v, max_iter, prev_resid, False
+            v = keep * v + _DAMPING * gv
+    return v, _MAX_ITER_PER_STAGE, prev_resid, False
 
 
 def _newton(g, v0, max_iter, tol):
@@ -351,31 +339,31 @@ def solve_collisional_integrals(
     params: AtomParams,
     interaction: InteractionParams,
     tol: float = 1e-10,
-    damping: float = 0.5,
-    max_continuation_steps: int = 50,
-    max_iter_per_step: int = 500,
 ) -> CollisionalIntegrals:
-    """Solve the nonlinear self-consistency for V13, V31, V23, V32.
+    """Solve the nonlinear self-consistency V = G(V) for V13, V31, V23, V32.
 
-    Starts from V = 0 (the non-interacting root) with damped fixed-point
-    iteration; if that diverges or stalls, the probe intensity is continued
-    from 0 toward its target in up to ``max_continuation_steps`` stages,
-    each warm-started from the previous stage; a finite-difference Newton
-    iteration is the final fallback. The continuation pins the physical
-    root connected to the non-interacting solution.
+    The probe intensity is continued from 0 (V = 0, the non-interacting
+    root) to its target in stages of at most a quarter, each warm-started
+    by a secant predictor and building G once. A stage runs damped
+    fixed-point iteration (``_DAMPING``, at most ``_MAX_ITER_PER_STAGE``
+    iterations), then finite-difference Newton; it is accepted on a
+    conjugation-symmetric, physical root, else the step halves. This pins
+    the physical root. ``ConvergenceError`` is raised when the step falls
+    below ``_MIN_STEP`` = 1/(8*50^2) or after more than ``_MAX_STAGES`` =
+    16*50 stages.
     """
     wp = params.omega_p
     if interaction.c6 == 0.0 or wp == 0:
         return CollisionalIntegrals(0j, 0j, 0j, 0j, 0, 0.0, 0, False)
     params = regularize(params)
 
-    def feedback_at(x):
+    def stage_at(x):
         # x is the intensity fraction; amplitudes scale as sqrt(x)
         p = params.with_omega_p(wp * np.sqrt(x))
         spec = spectral_decompose(schur_reduce(assemble_PQ(p)))
-        return spec.feedback_map(interaction), p
+        return spec.feedback_map(interaction), spec.reduced.pq
 
-    def root_ok(v, p):
+    def root_ok(v, pq):
         # the physical branch is conjugation-symmetric: V31 = conj(V13),
         # V32 = conj(V23); spurious polynomial roots are not, and they
         # typically reconstruct unphysical populations
@@ -384,7 +372,7 @@ def solve_collisional_integrals(
         if dev > max(1e-3 * scale, 1e-13):
             return False
         try:
-            solve_single_system(p, v4=v).check_physical(tol=1e-6)
+            pq.single_state(v).check_physical(tol=1e-6)
         except ValueError:
             return False
         return True
@@ -396,10 +384,7 @@ def solve_collisional_integrals(
     history = [(0.0, v)]  # solved (x, V) pairs for secant prediction
     x = 0.0
     dx = 0.25
-    dx_min = 1.0 / (8.0 * max_continuation_steps * max_continuation_steps)
-    while x < 1.0:
-        if steps > 16 * max_continuation_steps:
-            break
+    while x < 1.0 and steps <= _MAX_STAGES:
         x_try = min(1.0, x + dx)
         # secant warm start from the last two accepted points
         if len(history) >= 2:
@@ -407,16 +392,15 @@ def solve_collisional_integrals(
             v_pred = v1 + (v1 - v0) * (x_try - x1) / (x1 - x0)
         else:
             v_pred = history[-1][1]
-        g, p_try = feedback_at(x_try)
-        v_new, it, resid, conv = _damped_iterate(
-            g, v_pred, damping, min(100, max_iter_per_step), tol)
+        g, pq = stage_at(x_try)
+        v_new, it, resid, conv = _damped_iterate(g, v_pred, tol)
         total_iters += it
         if not conv:
             v_new, it, resid, conv = _newton(g, v_pred, max_iter=50, tol=tol)
             total_iters += it
             used_newton = True
         steps += 1
-        if conv and root_ok(v_new, p_try):
+        if conv and root_ok(v_new, pq):
             x = x_try
             v = v_new
             history.append((x, v))
@@ -424,7 +408,7 @@ def solve_collisional_integrals(
                 dx = min(2.0 * dx, 0.25)
         else:
             dx *= 0.5
-            if dx < dx_min:
+            if dx < _MIN_STEP:
                 raise ConvergenceError(
                     f"collisional solve stalled at intensity fraction {x:.4g} "
                     f"(step {dx:.2g}) after {total_iters} iterations; "

@@ -18,9 +18,7 @@ import numpy as np
 
 from .blochgen import (
     SINGLE_INDEX,
-    SINGLE_LABELS,
     generate_single_atom_equations,
-    grade_order,
 )
 from .params import AtomParams, SingularParameterError, relaxation_constants
 
@@ -80,9 +78,6 @@ class SingleAtomState:
     @property
     def sigma11(self):
         return 1.0 - self.sigma22 - self.sigma33
-
-    def as_dict(self):
-        return {lab: complex(v) for lab, v in zip(SINGLE_LABELS, self.values)}
 
     def check_physical(self, tol: float = _POP_TOL):
         """Hermiticity and population bounds (valid for conjugate-consistent V)."""
@@ -195,29 +190,35 @@ def perturbative_coefficients(
     ``perturbative.collisional_integral_V13_order3`` (the closed-form pole
     sum, whose radial quadrature is its reference) to obtain the interacting
     third-order susceptibility coefficient, or leave 0 for the
-    non-interacting one.
+    non-interacting one. A singular block raises ``SingularParameterError``.
     """
     sys8 = generate_single_atom_equations(params)
     rp1 = [SINGLE_INDEX[l] for l in _NET_P1]
     rm1 = [SINGLE_INDEX[l] for l in _NET_M1]
     r0 = [SINGLE_INDEX[l] for l in _NET_0]
 
+    def solve(a, rhs):
+        try:
+            return np.linalg.solve(a, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise _singular_single_atom(params, exc) from exc
+
     # order 1: net +1 driven by the Wp part of the constant source
     a_p1 = _block(sys8.c0, _NET_P1, _NET_P1)
-    x_p1 = np.linalg.solve(a_p1, -sys8.sp[rp1])
+    x_p1 = solve(a_p1, -sys8.sp[rp1])
     a_m1 = _block(sys8.c0, _NET_M1, _NET_M1)
-    x_m1 = np.linalg.solve(a_m1, -sys8.sm[rm1])
+    x_m1 = solve(a_m1, -sys8.sm[rm1])
 
     # order 2: net 0, sourced by order-1 coherences through the probe terms
     src0 = sys8.cp[np.ix_(r0, rm1)] @ x_m1 + sys8.cm[np.ix_(r0, rp1)] @ x_p1
     a_0 = _block(sys8.c0, _NET_0, _NET_0)
-    x_0 = np.linalg.solve(a_0, -src0)
+    x_0 = solve(a_0, -src0)
 
     # order 3: net +1, sourced by order-2 populations/Raman coherence,
     # plus the third-order collisional integral in the sigma13 equation
     src3 = sys8.cp[np.ix_(rp1, r0)] @ x_0
     src3 = src3 + sys8.v_coupling[rp1, 0] * v13_3
-    x_p3 = np.linalg.solve(a_p1, -src3)
+    x_p3 = solve(a_p1, -src3)
 
     return PerturbativeCoefficients(
         s12_1=complex(x_p1[0]),

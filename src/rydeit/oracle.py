@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blochgen import PAIR_LABELS, SINGLE_LABELS
 from .params import AtomParams, SingularParameterError, vdw_potential
 from .quadrature import vdw_k_integral_reference as quadrature_reference
 
@@ -124,12 +123,6 @@ class TwoAtomState:
         a, b = label
         op = np.kron(_e(a, b), np.eye(3))
         return complex(np.trace(self.rho @ op))
-
-    def pair_averages(self) -> dict:
-        return {lab: self.pair_average(*lab) for lab in PAIR_LABELS}
-
-    def single_averages(self) -> dict:
-        return {lab: self.single_average(lab) for lab in SINGLE_LABELS}
 
 
 def two_atom_steady_state(params: AtomParams, r: float | None = None,

@@ -12,8 +12,8 @@ The pair potential is k(r) = -C6/r^6, so C6 > 0 is attractive.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+import cmath
+from dataclasses import dataclass, field, fields, replace
 
 __all__ = [
     "AtomParams",
@@ -56,13 +56,20 @@ def default_gamma23(gamma12: float, gamma13: float, gamma33: float) -> float:
     return gamma12 + gamma13 - gamma33 / 2.0
 
 
+def _require_finite(record) -> None:
+    for f in fields(record):
+        if not cmath.isfinite(getattr(record, f.name)):
+            raise ValueError(f"{f.name} must be finite")
+
+
 @dataclass(frozen=True)
 class AtomParams:
     """Drive, detuning and decay parameters of a single driven atom.
 
     All rates are in units of gamma; ``gamma12`` must be exactly 1 and
     ``gamma22`` defaults to 2 (radiative intermediate state). ``gamma23``
-    defaults to ``gamma12 + gamma13 - gamma33/2`` when left as None.
+    defaults to ``gamma12 + gamma13 - gamma33/2`` when left as None. Every
+    field must be finite.
     """
 
     omega_p: complex = 0.0
@@ -84,6 +91,7 @@ class AtomParams:
             object.__setattr__(
                 self, "gamma23", default_gamma23(self.gamma12, self.gamma13, self.gamma33)
             )
+        _require_finite(self)
         if self.omega_c < 0:
             raise ValueError("omega_c must be non-negative")
         for name in ("gamma12", "gamma13", "gamma23", "gamma22", "gamma33"):
@@ -117,12 +125,13 @@ class RelaxationConstants:
 
 @dataclass(frozen=True)
 class InteractionParams:
-    """Van der Waals coefficient and atomic density."""
+    """Van der Waals coefficient and atomic density, both finite."""
 
     c6: float
     eta: float = 0.04
 
     def __post_init__(self):
+        _require_finite(self)
         if self.eta <= 0:
             raise ValueError("atomic density eta must be positive")
 

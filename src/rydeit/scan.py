@@ -67,7 +67,6 @@ _POINT_ERRORS = (
     SingularParameterError,
     BranchAmbiguityError,
     DegenerateNormalizationError,
-    np.linalg.LinAlgError,
 )
 
 
@@ -82,7 +81,8 @@ class ScanConfig:
     ``state`` selects a principal-quantum-number preset (46, 50, 56, 61)
     that fixes c6 and omega_c unless those are given explicitly. The probe
     grid is linear in |omega_p|^2. A delta3 grid is optional (used for
-    spectra); when absent the single ``delta3`` value is used.
+    spectra); when absent the single ``delta3`` value is used. Every float
+    field must be finite.
     """
 
     state: int | None = None
@@ -105,6 +105,10 @@ class ScanConfig:
     out: str | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.state is not None and self.state not in C6_PRESETS:
             raise ConfigError(
                 f"unknown state preset {self.state}; known: {sorted(C6_PRESETS)}"

@@ -11,6 +11,7 @@ from rydeit import (
     solve_collisional_integrals,
     solve_interacting,
 )
+from rydeit import collisional, noninteracting
 from rydeit.collisional import (
     F_lambda,
     F_lambda_quadrature,
@@ -99,14 +100,25 @@ class TestFeedbackMap:
             want = lu @ (f * (spec.u @ spec.reduced.rtilde(v)))
             assert np.array_equal(g(v), want)
 
-    def test_work_counts_are_unchanged(self, preset50):
-        """Exact iteration and stage counts pin the solver trajectory."""
+    def test_work_counts_are_unchanged(self, preset50, monkeypatch):
+        """Exact iteration and stage counts pin the solver trajectory, and
+        each continuation stage generates the single-atom system once."""
+        calls = []
+        generate = collisional.generate_single_atom_equations
+
+        def counted(params):
+            calls.append(params)
+            return generate(params)
+
+        for module in (collisional, noninteracting):
+            monkeypatch.setattr(module, "generate_single_atom_equations", counted)
         p = AtomParams(omega_p=np.sqrt(0.3), omega_c=preset50.omega_c,
                        delta3=1.0 / 3.0)
         v = solve_collisional_integrals(p, InteractionParams(c6=preset50.c6))
         assert v.iterations == 97
         assert v.continuation_steps == 4
         assert v.used_newton is False
+        assert len(calls) == v.continuation_steps
 
 
 class TestNonlinearSolve:

@@ -49,6 +49,16 @@ class TestAtomParams:
         with pytest.raises(ValueError):
             AtomParams(**kw)
 
+    @pytest.mark.parametrize("kw", [
+        {"omega_p": complex(math.nan, 0.0)}, {"omega_p": complex(0.3, math.inf)},
+        {"omega_c": math.nan}, {"delta2": math.inf}, {"delta3": -math.inf},
+        {"gamma13": math.nan}, {"gamma23": math.inf}, {"gamma22": math.nan},
+        {"gamma33": math.inf},
+    ])
+    def test_non_finite_rejected(self, kw):
+        with pytest.raises(ValueError, match="finite"):
+            AtomParams(**kw)
+
     def test_with_omega_p(self):
         p = AtomParams(omega_p=0.0).with_omega_p(0.3 + 0.1j)
         assert p.omega_p == 0.3 + 0.1j
@@ -103,6 +113,14 @@ class TestPresets:
     def test_interaction_params_validation(self):
         with pytest.raises(ValueError, match="eta"):
             InteractionParams(c6=5000.0, eta=0.0)
+
+    @pytest.mark.parametrize("kw", [
+        {"c6": math.nan}, {"c6": -math.inf}, {"c6": 5000.0, "eta": math.nan},
+        {"c6": 5000.0, "eta": math.inf},
+    ])
+    def test_interaction_params_non_finite_rejected(self, kw):
+        with pytest.raises(ValueError, match="finite"):
+            InteractionParams(**kw)
 
 
 class TestPotentialAndBlockade:

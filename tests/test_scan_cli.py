@@ -3,6 +3,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -38,6 +39,14 @@ class TestScanConfig:
         ({"state": 50, "delta3_count": 3}, "delta3_start"),
         ({"state": 50, "delta3_count": -1}, "delta3_count"),
         ({"state": 50, "tol": 0.0}, "tol"),
+        ({"state": 50, "tol": math.nan}, "tol must be finite"),
+        ({"state": 50, "delta3": math.nan}, "delta3 must be finite"),
+        ({"state": 50, "gamma13": math.nan}, "gamma13 must be finite"),
+        ({"state": 50, "omega_p2_stop": math.nan}, "omega_p2_stop must be finite"),
+        ({"state": 50, "delta2": math.inf}, "delta2 must be finite"),
+        ({"c6": math.nan, "omega_c": 3.0}, "c6 must be finite"),
+        ({"state": 50, "delta3_count": 3, "delta3_start": 0.0,
+          "delta3_stop": -math.inf}, "delta3_stop must be finite"),
     ])
     def test_validation(self, kw, msg):
         with pytest.raises(ConfigError, match=msg):
@@ -132,8 +141,16 @@ class TestPointFailures:
         assert row.omega_p2 == 0.1 and math.isnan(row.chi_re)
 
     def test_programming_error_propagates(self, monkeypatch):
-        with pytest.raises(TypeError, match="bug"):
-            self._run_with_solver(monkeypatch, TypeError("bug"))
+        for exc in (TypeError("bug"), np.linalg.LinAlgError("bug")):
+            with pytest.raises(type(exc), match="bug"):
+                self._run_with_solver(monkeypatch, exc)
+
+    def test_singular_weak_probe_row_is_typed(self):
+        # omega_c = 0 leaves the weak-probe population block singular
+        cfg = ScanConfig(c6=5000.0, omega_c=0.0, omega_p2_start=0.0,
+                         omega_p2_stop=0.0, omega_p2_count=1)
+        (row,) = run_scan(cfg)
+        assert row.flag.startswith("SingularParameterError: singular single-atom")
 
     def test_degenerate_normalization_gives_flagged_row(self):
         # on two-photon and one-photon resonance the two- and three-level
@@ -207,6 +224,11 @@ class TestCli:
         meta = json.loads(res.output.splitlines()[0].lstrip("# "))
         assert meta["delta3"] == 2.0
 
+    def test_non_finite_flag_exits_2(self):
+        res = CliRunner().invoke(main, ["point", "--state", "50", "--delta3", "nan"])
+        assert res.exit_code == 2
+        assert "delta3 must be finite" in res.output
+
     def test_bad_state_exits_2(self):
         res = CliRunner().invoke(main, ["point", "--state", "99"])
         assert res.exit_code == 2
@@ -231,8 +253,10 @@ class TestCli:
         assert res.exit_code == 0
         assert res.output.count("0 = ") == 8
 
-    def test_validate_fast(self):
-        res = CliRunner().invoke(main, ["validate", "fast"])
+    @pytest.mark.parametrize("suite,passed", [("fast", "9/9"), ("full", "13/13")],
+                             ids=["fast", "full"])
+    def test_validate(self, suite, passed):
+        res = CliRunner().invoke(main, ["validate", suite])
         assert res.exit_code == 0
-        assert "9/9 checks passed" in res.output
+        assert f"{passed} checks passed" in res.output
         assert "FAIL" not in res.output
