@@ -49,7 +49,6 @@ __all__ = [
     "F_lambda",
     "F_lambda_quadrature",
     "solve_collisional_integrals",
-    "reconstruct_averages",
     "solve_interacting",
     "solve_pair_at_k",
 ]
@@ -427,17 +426,12 @@ def solve_collisional_integrals(
     )
 
 
-def reconstruct_averages(params: AtomParams, v: CollisionalIntegrals) -> SingleAtomState:
-    """Single-atom averages with the solved collisional integral sources."""
-    return solve_single_system(params, v4=v.v4)
-
-
 def solve_interacting(
     params: AtomParams, interaction: InteractionParams, tol: float = 1e-10
 ) -> tuple[SingleAtomState, CollisionalIntegrals]:
     """High-level entry: solve V self-consistently, then the averages."""
     v = solve_collisional_integrals(params, interaction, tol=tol)
-    return reconstruct_averages(params, v), v
+    return solve_single_system(params, v4=v.v4), v
 
 
 def solve_pair_at_k(params: AtomParams, k: float, v4=None) -> dict:

@@ -4,7 +4,8 @@ Normalized susceptibilities, the complex blockade count n_b extracted from
 the coherence, the real scaling parameter nb_tilde extracted from the
 Rydberg population, and the linear coefficients (xi1, xi2) relating the two.
 
-All functions here are pure reductions of already-solved averages; the
+All functions here are pure reductions of already-solved averages, except
+that observable_set also solves the non-interacting references; the
 weak-probe limit helpers take the parameters and their perturbative
 cascade instead.
 """
@@ -14,8 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noninteracting import PerturbativeCoefficients, perturbative_coefficients
-from .params import AtomParams, InteractionParams, relaxation_constants
+from .noninteracting import (
+    PerturbativeCoefficients,
+    perturbative_coefficients,
+    steady_state_three_level,
+    steady_state_two_level,
+)
+from .params import AtomParams, relaxation_constants
 
 __all__ = [
     "DegenerateNormalizationError",
@@ -213,17 +219,12 @@ class ObservableSet:
     p_r: float
 
 
-def observable_set(
-    params: AtomParams,
-    state,
-    state_3lev,
-    state_2lev,
-) -> ObservableSet:
-    """Assemble the observable set from solved interacting and reference states.
+def observable_set(params: AtomParams, state) -> ObservableSet:
+    """Assemble the observable set from a solved interacting state.
 
-    ``state`` is the interacting single-atom solution; ``state_3lev`` and
-    ``state_2lev`` are the non-interacting three-level and two-level
-    references at the same probe field (all SingleAtomState).
+    ``state`` is the interacting single-atom solution (SingleAtomState); the
+    non-interacting three-level and two-level references are solved here at
+    the same parameters.
     """
     wp = params.omega_p
     if wp == 0:
@@ -231,6 +232,8 @@ def observable_set(
             "observable_set needs a finite probe; use the weak-probe "
             "limit helpers at zero probe"
         )
+    state_3lev = steady_state_three_level(params)
+    state_2lev = steady_state_two_level(params)
     chi = susceptibility(state.sigma12, wp)
     chi3 = susceptibility(state_3lev.sigma12, wp)
     chi2 = susceptibility(state_2lev.sigma12, wp)

@@ -13,6 +13,7 @@ The pair potential is k(r) = -C6/r^6, so C6 > 0 is attractive.
 from __future__ import annotations
 
 import cmath
+import numbers
 from dataclasses import dataclass, field, fields, replace
 
 __all__ = [
@@ -58,7 +59,10 @@ def default_gamma23(gamma12: float, gamma13: float, gamma33: float) -> float:
 
 def _require_finite(record) -> None:
     for f in fields(record):
-        if not cmath.isfinite(getattr(record, f.name)):
+        value = getattr(record, f.name)
+        if not isinstance(value, numbers.Number):
+            raise TypeError(f"{f.name} must be a number, got {value!r}")
+        if not cmath.isfinite(value):
             raise ValueError(f"{f.name} must be finite")
 
 
@@ -69,7 +73,7 @@ class AtomParams:
     All rates are in units of gamma; ``gamma12`` must be exactly 1 and
     ``gamma22`` defaults to 2 (radiative intermediate state). ``gamma23``
     defaults to ``gamma12 + gamma13 - gamma33/2`` when left as None. Every
-    field must be finite.
+    field must be a finite number.
     """
 
     omega_p: complex = 0.0

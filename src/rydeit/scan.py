@@ -22,11 +22,7 @@ from typing import Iterable
 import numpy as np
 
 from .collisional import ConvergenceError, solve_interacting
-from .noninteracting import (
-    perturbative_coefficients,
-    steady_state_three_level,
-    steady_state_two_level,
-)
+from .noninteracting import perturbative_coefficients
 from .observables import (
     DegenerateNormalizationError,
     nb_tilde_weak_probe,
@@ -82,7 +78,8 @@ class ScanConfig:
     that fixes c6 and omega_c unless those are given explicitly. The probe
     grid is linear in |omega_p|^2. A delta3 grid is optional (used for
     spectra); when absent the single ``delta3`` value is used. Every float
-    field must be finite.
+    field must be finite, grid counts must be integers, and the atom and
+    interaction parameters must pass AtomParams and InteractionParams.
     """
 
     state: int | None = None
@@ -115,6 +112,9 @@ class ScanConfig:
             )
         if self.state is None and (self.c6 is None or self.omega_c is None):
             raise ConfigError("either a state preset or explicit c6 and omega_c")
+        for name in ("omega_p2_count", "delta3_count"):
+            if not isinstance(getattr(self, name), int):
+                raise ConfigError(f"{name} must be an integer")
         if self.omega_p2_count < 1:
             raise ConfigError("probe grid must be non-empty")
         if self.omega_p2_start < 0 or self.omega_p2_stop < self.omega_p2_start:
@@ -125,6 +125,10 @@ class ScanConfig:
             raise ConfigError("delta3 grid needs delta3_start and delta3_stop")
         if self.tol <= 0:
             raise ConfigError("tol must be positive")
+        try:
+            self.point_params(self.delta3_grid().tolist()[0], self.omega_p2_start)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from exc
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScanConfig":
@@ -170,6 +174,21 @@ class ScanConfig:
         if self.omega_c is not None:
             return self.omega_c
         return StatePreset(self.state).omega_c
+
+    def point_params(self, delta3: float,
+                     omega_p2: float) -> tuple[AtomParams, InteractionParams]:
+        """Atom and interaction parameters of the grid point (delta3, omega_p2)."""
+        atom = AtomParams(
+            omega_p=math.sqrt(omega_p2),
+            omega_c=self.resolved_omega_c(),
+            delta2=self.delta2,
+            delta3=delta3,
+            gamma13=self.gamma13,
+            gamma23=self.gamma23,
+            gamma22=self.gamma22,
+            gamma33=self.gamma33,
+        )
+        return atom, InteractionParams(c6=self.resolved_c6(), eta=self.eta)
 
     def omega_p2_grid(self) -> np.ndarray:
         if self.omega_p2_count == 1:
@@ -256,17 +275,7 @@ def _weak_probe_row(inputs: dict, params: AtomParams,
 
 def compute_row(config: ScanConfig, delta3: float, omega_p2: float) -> ScanResultRow:
     """Solve one grid point of ``config``; failures are returned as flagged rows."""
-    params = AtomParams(
-        omega_p=math.sqrt(omega_p2),
-        omega_c=config.resolved_omega_c(),
-        delta2=config.delta2,
-        delta3=delta3,
-        gamma13=config.gamma13,
-        gamma23=config.gamma23,
-        gamma22=config.gamma22,
-        gamma33=config.gamma33,
-    )
-    interaction = InteractionParams(c6=config.resolved_c6(), eta=config.eta)
+    params, interaction = config.point_params(delta3, omega_p2)
     inputs = dict(
         state=config.state if config.state is not None else 0,
         c6=interaction.c6,
@@ -284,12 +293,7 @@ def compute_row(config: ScanConfig, delta3: float, omega_p2: float) -> ScanResul
         if omega_p2 == 0.0:
             return _weak_probe_row(inputs, params, interaction)
         state, integrals = solve_interacting(params, interaction, tol=config.tol)
-        obs = observable_set(
-            params,
-            state,
-            steady_state_three_level(params),
-            steady_state_two_level(params),
-        )
+        obs = observable_set(params, state)
         return ScanResultRow(
             **inputs,
             chi_re=obs.chi.real, chi_im=obs.chi.imag,

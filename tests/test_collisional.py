@@ -6,15 +6,12 @@ from rydeit import (
     AtomParams,
     InteractionParams,
     StatePreset,
-    effective_T,
-    perturbative_coefficients,
     solve_collisional_integrals,
     solve_interacting,
 )
 from rydeit import collisional, noninteracting
 from rydeit.collisional import (
     F_lambda,
-    F_lambda_quadrature,
     GAMMA33_REGULARIZATION,
     ConvergenceError,
     assemble_PQ,
@@ -23,9 +20,6 @@ from rydeit.collisional import (
     solve_pair_at_k,
     spectral_decompose,
 )
-from rydeit.oracle import order_extract
-from rydeit.perturbative import collisional_integral_V13_order3
-from rydeit.quadrature import vdw_k_integral
 
 
 class TestSchurReduction:
@@ -50,31 +44,6 @@ class TestSchurReduction:
         assert regularize(p).gamma33 == GAMMA33_REGULARIZATION
         p2 = AtomParams(gamma33=0.3)
         assert regularize(p2) is p2
-
-
-class TestSpectralIntegrals:
-    @pytest.mark.parametrize("lam", [1.0 + 2.0j, -3.0 + 0.5j, 0.2 - 4.0j])
-    def test_resolvent_closed_form(self, lam, inter50):
-        closed = F_lambda(lam, inter50)
-        quad = F_lambda_quadrature(lam, inter50)
-        assert closed == pytest.approx(quad, rel=1e-6)
-
-    def test_spectral_feedback_equals_direct_quadrature(self, inter50):
-        p = AtomParams(omega_p=0.3, omega_c=3.0, gamma33=0.05)
-        spec = spectral_decompose(schur_reduce(assemble_PQ(p)))
-        v4 = np.zeros(4, dtype=complex)
-        got = spec.feedback_map(inter50)(v4)
-        t_scale = abs(effective_T(p))
-        labels = (
-            ((1, 3), (3, 3)), ((3, 1), (3, 3)),
-            ((2, 3), (3, 3)), ((3, 2), (3, 3)),
-        )
-        for want, lab in zip(got, labels):
-            res = vdw_k_integral(
-                lambda k, lab=lab: solve_pair_at_k(p, k, v4=v4)[lab],
-                inter50.c6, inter50.eta, t_scale,
-            )
-            assert want == pytest.approx(res.value, rel=1e-6)
 
 
 class TestFeedbackMap:
@@ -134,27 +103,10 @@ class TestNonlinearSolve:
         _, v = solve_interacting(params50.with_omega_p(np.sqrt(0.5)), inter50)
         assert v.residual < 1e-9
 
-    def test_solution_is_conjugation_symmetric(self, params50, inter50):
-        _, v = solve_interacting(params50.with_omega_p(np.sqrt(0.3)), inter50)
-        scale = abs(v.v13)
-        assert abs(v.v31 - np.conj(v.v13)) / scale < 1e-8
-        assert abs(v.v32 - np.conj(v.v23)) / scale < 1e-8
-
     def test_reconstructed_state_is_physical(self, params50, inter50):
         for wp2 in (0.05, 0.25, 0.5):
             state, _ = solve_interacting(params50.with_omega_p(np.sqrt(wp2)), inter50)
             state.check_physical(tol=1e-6)
-
-    def test_weak_probe_recovers_third_order(self, params50, inter50):
-        v13_3 = collisional_integral_V13_order3(
-            params50, perturbative_coefficients(params50), inter50)
-
-        def f(x):
-            _, v = solve_interacting(params50.with_omega_p(x), inter50)
-            return v.v13
-
-        est, _ = order_extract(f, order=3, base=np.sqrt(1e-4), rtol=1e-4)
-        assert est == pytest.approx(v13_3, rel=1e-3)
 
     def test_v23_is_fourth_order(self, params50, inter50):
         vals = []

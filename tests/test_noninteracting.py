@@ -86,15 +86,6 @@ class TestThreeLevel:
 
 
 class TestPerturbativeCoefficients:
-    def test_first_order_closed_forms(self):
-        p = AtomParams()
-        rc = relaxation_constants(p)
-        pc = perturbative_coefficients(p)
-        den = rc.Gamma12 * rc.Gamma13 + p.omega_c**2
-        assert pc.s12_1 == pytest.approx(-1j * rc.Gamma13 / den, rel=1e-12)
-        assert pc.s13_1 == pytest.approx(-p.omega_c / den, rel=1e-12)
-        assert pc.s21_1 == pytest.approx(np.conj(pc.s12_1), rel=1e-12)
-
     def test_second_order_populations_real(self):
         pc = perturbative_coefficients(AtomParams())
         assert abs(pc.s22_2.imag) < 1e-14

@@ -30,16 +30,6 @@ class TestSteadyState:
                 st.pair_average(l2, l1), abs=1e-10
             )
 
-    def test_factorizes_at_zero_interaction(self):
-        p = AtomParams(omega_p=0.35)
-        st = two_atom_steady_state(p, k=0.0)
-        single = steady_state_three_level(p)
-        for l1 in ((1, 2), (3, 3), (2, 3)):
-            for l2 in ((2, 1), (2, 2), (1, 3)):
-                assert st.pair_average(l1, l2) == pytest.approx(
-                    single[l1] * single[l2], abs=1e-10
-                )
-
     def test_marginals_match_single_atom_at_zero_interaction(self):
         p = AtomParams(omega_p=0.35)
         st = two_atom_steady_state(p, k=0.0)

@@ -59,6 +59,12 @@ class TestAtomParams:
         with pytest.raises(ValueError, match="finite"):
             AtomParams(**kw)
 
+    @pytest.mark.parametrize("kw", [{"delta3": "0.5"}, {"omega_c": None}])
+    def test_non_numbers_rejected(self, kw):
+        (name,) = kw
+        with pytest.raises(TypeError, match=f"{name} must be a number"):
+            AtomParams(**kw)
+
     def test_with_omega_p(self):
         p = AtomParams(omega_p=0.0).with_omega_p(0.3 + 0.1j)
         assert p.omega_p == 0.3 + 0.1j
@@ -121,6 +127,10 @@ class TestPresets:
     def test_interaction_params_non_finite_rejected(self, kw):
         with pytest.raises(ValueError, match="finite"):
             InteractionParams(**kw)
+
+    def test_interaction_params_non_number_rejected(self):
+        with pytest.raises(TypeError, match="c6 must be a number"):
+            InteractionParams(c6="5000")
 
 
 class TestPotentialAndBlockade:

@@ -13,8 +13,6 @@ from rydeit import (
     blockade_radius,
     effective_T,
     perturbative_coefficients,
-    relaxation_constants,
-    steady_state_three_level,
 )
 from rydeit.blochgen import (
     PAIR_INDEX,
@@ -30,7 +28,6 @@ from rydeit.perturbative import (
     chi3_interacting,
     collisional_integral_V13_order3,
     collisional_integral_V13_order3_quadrature,
-    ib_quadrature,
     nb_closed_form,
     nb_closed_form_dispersive,
     pair_correlators_order2,
@@ -431,11 +428,6 @@ class TestClosedFormObservables:
         a = nb_closed_form(params50, InteractionParams(c6=5000.0))
         b = nb_closed_form(params50, InteractionParams(c6=20000.0))
         assert b == pytest.approx(2.0 * a, rel=1e-12)
-
-    def test_nb_matches_quadrature(self, params50, inter50):
-        nb = nb_closed_form(params50, inter50)
-        ib = ib_quadrature(params50, inter50).value
-        assert abs(nb - ib) / abs(nb) < 1e-6
 
     def test_dispersive_form_close(self, params50, inter50):
         nb = nb_closed_form(params50, inter50)

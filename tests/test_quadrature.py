@@ -2,12 +2,7 @@
 import numpy as np
 import pytest
 
-from rydeit import AtomParams, effective_T
-from rydeit.quadrature import (
-    QuadratureError,
-    vdw_k_integral,
-    vdw_k_integral_reference,
-)
+from rydeit.quadrature import vdw_k_integral
 
 ETA = 0.04
 C6 = 5000.0
@@ -48,14 +43,3 @@ class TestAdaptiveQuadrature:
         b = vdw_k_integral(lambda k: 1.0 / (k - lam), C6, ETA, 30.0).value
         assert a == pytest.approx(b, rel=1e-7)
 
-
-class TestIndependentReference:
-    def test_against_tanh_sinh_nodes(self):
-        t = effective_T(AtomParams(omega_c=3.0))
-
-        def fn(k):
-            return 1j / (t + 1j * k)
-
-        a = vdw_k_integral(fn, C6, ETA, abs(t)).value
-        b = vdw_k_integral_reference(fn, C6, ETA, abs(t)).value
-        assert a == pytest.approx(b, rel=1e-8)
