@@ -12,6 +12,7 @@ from rydeit import (
 from rydeit import collisional, noninteracting
 from rydeit.collisional import (
     F_lambda,
+    F_lambda_quadrature,
     GAMMA33_REGULARIZATION,
     ConvergenceError,
     assemble_PQ,
@@ -44,6 +45,14 @@ class TestSchurReduction:
         assert regularize(p).gamma33 == GAMMA33_REGULARIZATION
         p2 = AtomParams(gamma33=0.3)
         assert regularize(p2) is p2
+
+
+class TestSpectralIntegrals:
+    @pytest.mark.parametrize("lam", [1.0 + 2.0j, -3.0 + 0.5j, 0.2 - 4.0j])
+    def test_resolvent_closed_form(self, lam, inter50):
+        closed = F_lambda(lam, inter50)
+        quad = F_lambda_quadrature(lam, inter50)
+        assert closed == pytest.approx(quad, rel=1e-6)
 
 
 class TestFeedbackMap:
