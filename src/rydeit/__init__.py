@@ -45,7 +45,7 @@ from .observables import (
     susceptibility,
     xi_coefficients,
 )
-from .oracle import TwoAtomState, order_extract, two_atom_steady_state
+from .oracle import TwoAtomState, two_atom_steady_state
 from .params import (
     C6_PRESETS,
     AtomParams,
@@ -88,7 +88,6 @@ __all__ = [
     "solve_interacting",
     "TwoAtomState",
     "two_atom_steady_state",
-    "order_extract",
     "ObservableSet",
     "observable_set",
     "susceptibility",

@@ -20,10 +20,13 @@ Probe-field dependence is kept formal: the Hamiltonian is linear in
 (Omega_p, Omega_p*), so every generated coefficient is affine in the pair
 and is stored as a matrix triple (c0, cp, cm) with
 
-    coefficient(Omega_p) = c0 + Omega_p * cp + conj(Omega_p) * cm.
+    coefficient(wp, wpc) = c0 + wp * cp + wpc * cm.
 
-The same generated system therefore serves the order-by-order perturbative
-cascade and the full nonlinear collisional-integral solver.
+The evaluators take (wp, wpc) as independent inputs: physical callers pass
+wpc = conj(wp), and wp = wpc = a continues every average analytically to a
+complex a, whose Taylor coefficients are the weak-probe coefficients. The
+same generated system serves the order-by-order perturbative cascade and
+the full nonlinear collisional-integral solver.
 
 Only c0 and a0 depend on the parameters, in closed form: with
 g(a, b) = -Gamma_ab = -gamma_ab + i(Delta_b - Delta_a) of a row label,
@@ -212,9 +215,9 @@ def _minus_gamma(p: AtomParams) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SingleAtomSystem:
-    """Steady-state structure 0 = C(wp) sigma + S(wp) + B V for the 8 averages.
+    """Steady-state structure 0 = C sigma + S + B V for the 8 averages.
 
-    C(wp) = c0 + wp*cp + conj(wp)*cm, likewise S; B couples the four
+    C(wp, wpc) = c0 + wp*cp + wpc*cm, likewise S; B couples the four
     collisional integrals (V13, V31, V23, V32) into the coherence equations.
     """
 
@@ -227,11 +230,11 @@ class SingleAtomSystem:
     sm: np.ndarray
     v_coupling: np.ndarray
 
-    def matrix(self, omega_p: complex) -> np.ndarray:
-        return self.c0 + omega_p * self.cp + np.conj(omega_p) * self.cm
+    def matrix(self, wp: complex, wpc: complex) -> np.ndarray:
+        return self.c0 + wp * self.cp + wpc * self.cm
 
-    def source(self, omega_p: complex) -> np.ndarray:
-        return self.s0 + omega_p * self.sp + np.conj(omega_p) * self.sm
+    def source(self, wp: complex, wpc: complex) -> np.ndarray:
+        return self.s0 + wp * self.sp + wpc * self.sm
 
 
 def _single_matrices(wp, wpc, p: AtomParams):
@@ -287,7 +290,7 @@ def generate_single_atom_equations(params: AtomParams) -> SingleAtomSystem:
 class PairSystem:
     """Steady-state structure of the 36 two-body correlator equations:
 
-        0 = [A(wp) + k * diag(kdiag)] ss + Ssrc(wp) sigma + ladder(V, sigma)
+        0 = [A(wp, wpc) + k * diag(kdiag)] ss + Ssrc(wp, wpc) sigma + ladder(V, sigma)
 
     ``ladder`` rows are (row, v_index, single_index, coeff): the ladder
     closure source coeff * V[v_index] * sigma[single_index].
@@ -303,11 +306,11 @@ class PairSystem:
     kdiag: np.ndarray
     ladder: tuple
 
-    def matrix(self, omega_p: complex) -> np.ndarray:
-        return self.a0 + omega_p * self.ap + np.conj(omega_p) * self.am
+    def matrix(self, wp: complex, wpc: complex) -> np.ndarray:
+        return self.a0 + wp * self.ap + wpc * self.am
 
-    def single_source_matrix(self, omega_p: complex) -> np.ndarray:
-        return self.src0 + omega_p * self.srcp + np.conj(omega_p) * self.srcm
+    def single_source_matrix(self, wp: complex, wpc: complex) -> np.ndarray:
+        return self.src0 + wp * self.srcp + wpc * self.srcm
 
     def ladder_source(self, v4, sigma8) -> np.ndarray:
         # Python complex scalars, not array multiplies: numpy's array

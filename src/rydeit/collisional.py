@@ -76,7 +76,7 @@ class PQSystem:
     P rows are rescaled so they read k P_m = a P + b Q + R_m; Q rows read
     0 = c Q + d P + Rn. ``sources`` returns (R, Rn) for given V from the
     operands fixed by the probe amplitude, evaluated once here: the
-    single-atom C(wp), S(wp) and B, and the pair Ssrc(wp). ``feedback_cols``
+    single-atom C, S and B, and the pair Ssrc. ``feedback_cols``
     maps (V13, V31, V23, V32) onto P positions. The partition is
     structural, so the labels and positions are constants.
     """
@@ -91,10 +91,10 @@ class PQSystem:
     c: np.ndarray  # 26 x 26
     d: np.ndarray  # 26 x 10
     p_rowscale: np.ndarray
-    single_matrix: np.ndarray   # 8 x 8 C(wp)
-    single_source: np.ndarray   # 8 S(wp)
+    single_matrix: np.ndarray   # 8 x 8 C(wp, wpc)
+    single_source: np.ndarray   # 8 S(wp, wpc)
     v_coupling: np.ndarray      # 8 x 4 B
-    pair_source: np.ndarray     # 36 x 8 Ssrc(wp)
+    pair_source: np.ndarray     # 36 x 8 Ssrc(wp, wpc)
     _pair_system: object
 
     def single_state(self, v4) -> SingleAtomState:
@@ -133,11 +133,15 @@ def regularize(params: AtomParams) -> AtomParams:
 def assemble_PQ(params: AtomParams) -> PQSystem:
     """Partition the generated 36-row system into the P/Q block form and
     evaluate the single-atom and pair source operands at the probe."""
+    return _assemble_PQ(params, params.omega_p, np.conj(params.omega_p))
+
+
+def _assemble_PQ(params: AtomParams, wp: complex, wpc: complex) -> PQSystem:
+    """``assemble_PQ`` at (wp, wpc); wp = wpc = a continues it to complex a."""
     ps = generate_pair_equations(params)
     sys8 = generate_single_atom_equations(params)
-    wp = params.omega_p
     p_idx, q_idx = _P_IDX, _Q_IDX
-    amat = ps.matrix(wp)
+    amat = ps.matrix(wp, wpc)
     # P row m reads 0 = (A ss)_m + kdiag_m k ss_m + src_m; divide by
     # -kdiag_m to isolate k ss_m on the left.
     rowscale = -1.0 / ps.kdiag[p_idx]
@@ -148,10 +152,10 @@ def assemble_PQ(params: AtomParams) -> PQSystem:
         c=amat[np.ix_(q_idx, q_idx)],
         d=amat[np.ix_(q_idx, p_idx)],
         p_rowscale=rowscale,
-        single_matrix=sys8.matrix(wp),
-        single_source=sys8.source(wp),
+        single_matrix=sys8.matrix(wp, wpc),
+        single_source=sys8.source(wp, wpc),
         v_coupling=sys8.v_coupling,
-        pair_source=ps.single_source_matrix(wp),
+        pair_source=ps.single_source_matrix(wp, wpc),
         _pair_system=ps,
     )
 
@@ -443,8 +447,9 @@ def solve_pair_at_k(params: AtomParams, k: float, v4=None) -> dict:
     ps = generate_pair_equations(params)
     v4 = np.zeros(4, dtype=complex) if v4 is None else np.asarray(v4, complex)
     sigma = solve_single_system(params, v4=v4).values
-    mat = ps.matrix(params.omega_p) + k * np.diag(ps.kdiag)
-    rhs = ps.single_source_matrix(params.omega_p) @ sigma
+    wp = params.omega_p
+    mat = ps.matrix(wp, np.conj(wp)) + k * np.diag(ps.kdiag)
+    rhs = ps.single_source_matrix(wp, np.conj(wp)) @ sigma
     rhs = rhs + ps.ladder_source(v4, sigma)
     try:
         sol = np.linalg.solve(mat, -rhs)

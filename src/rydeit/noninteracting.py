@@ -98,10 +98,10 @@ def solve_single_system(params: AtomParams, v4=None) -> SingleAtomState:
     """Solve 0 = C(wp) sigma + S(wp) + B V for the 8 averages."""
     sys8 = generate_single_atom_equations(params)
     wp = params.omega_p
-    rhs = sys8.source(wp).copy()
+    rhs = sys8.source(wp, np.conj(wp)).copy()
     if v4 is not None:
         rhs = rhs + sys8.v_coupling @ np.asarray(v4, dtype=complex)
-    mat = sys8.matrix(wp)
+    mat = sys8.matrix(wp, np.conj(wp))
     try:
         sol = np.linalg.solve(mat, -rhs)
     except np.linalg.LinAlgError as exc:

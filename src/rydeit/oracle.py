@@ -1,13 +1,16 @@
 """Independent brute-force references.
 
-* exact two-atom master-equation steady state at a fixed separation
+* exact two-atom master-equation steady state at a fixed pair interaction
   (dense 81-dimensional Liouvillian, no closure or truncation),
-* Richardson-style extraction of probe-power expansion coefficients,
+* weak-probe expansion coefficients read off a contour in the complex
+  probe amplitude (``_contour_coefficients``),
 * re-export of the independent-node-family radial quadrature.
 
 These deliberately share no code with the generated Bloch systems: the
 Hamiltonian and dissipator are written in the Schroedinger picture and the
-steady state is obtained from the vectorized Liouvillian.
+steady state is obtained from the vectorized Liouvillian. The Hamiltonian
+takes (wp, wpc) as independent inputs: wpc = conj(wp) is physical, and
+wp = wpc = a continues every average analytically to complex a.
 """
 from __future__ import annotations
 
@@ -15,13 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import AtomParams, SingularParameterError, vdw_potential
+from .params import AtomParams, SingularParameterError
 from .quadrature import vdw_k_integral_reference as quadrature_reference
 
 __all__ = [
     "TwoAtomState",
     "two_atom_steady_state",
-    "order_extract",
     "quadrature_reference",
 ]
 
@@ -32,12 +34,11 @@ def _e(a: int, b: int) -> np.ndarray:
     return m
 
 
-def _single_hamiltonian(p: AtomParams) -> np.ndarray:
-    wp = p.omega_p
+def _single_hamiltonian(p: AtomParams, wp: complex, wpc: complex) -> np.ndarray:
     return (
         -p.delta2 * _e(2, 2)
         - p.delta3 * _e(3, 3)
-        + np.conj(wp) * _e(1, 2)
+        + wpc * _e(1, 2)
         + wp * _e(2, 1)
         + p.omega_c * (_e(2, 3) + _e(3, 2))
     )
@@ -74,11 +75,11 @@ def _jump_operators(p: AtomParams) -> list[np.ndarray]:
     return ops
 
 
-def _liouvillian(p: AtomParams, k: float) -> np.ndarray:
+def _liouvillian(p: AtomParams, k: float, wp: complex, wpc: complex) -> np.ndarray:
     """Vectorized generator for the two-atom density matrix (row-major vec)."""
     i3 = np.eye(3, dtype=complex)
     i9 = np.eye(9, dtype=complex)
-    h1 = _single_hamiltonian(p)
+    h1 = _single_hamiltonian(p, wp, wpc)
     h = np.kron(h1, i3) + np.kron(i3, h1) + k * np.kron(_e(3, 3), _e(3, 3))
 
     def left(a):
@@ -103,85 +104,62 @@ class TwoAtomState:
     rho: np.ndarray
     k: float
 
-    def __post_init__(self):
-        r = self.rho
-        if abs(np.trace(r) - 1.0) > 1e-8:
-            raise ValueError(f"trace {np.trace(r)} != 1")
-        if np.max(np.abs(r - r.conj().T)) > 1e-8:
-            raise ValueError("density matrix not Hermitian")
-        w = np.linalg.eigvalsh(0.5 * (r + r.conj().T))
-        if w.min() < -1e-8:
-            raise ValueError(f"density matrix not positive: min eig {w.min()}")
-
     def pair_average(self, l1, l2) -> complex:
         """<sigma^1_{ab} sigma^2_{mn}> = Tr[rho (E_ab x E_mn)]."""
         (a, b), (m, n) = l1, l2
-        op = np.kron(_e(a, b), _e(m, n))
-        return complex(np.trace(self.rho @ op))
+        return complex(np.trace(self.rho @ np.kron(_e(a, b), _e(m, n))))
 
     def single_average(self, label) -> complex:
-        a, b = label
-        op = np.kron(_e(a, b), np.eye(3))
-        return complex(np.trace(self.rho @ op))
+        return complex(np.trace(self.rho @ np.kron(_e(*label), np.eye(3))))
 
 
-def two_atom_steady_state(params: AtomParams, r: float | None = None,
-                          c6: float = 0.0, k: float | None = None) -> TwoAtomState:
-    """Exact steady state of two driven atoms at separation r (or fixed k).
-
-    Either pass ``r`` with ``c6`` (the interaction is k = -c6/r^6), or pass
-    ``k`` directly.
-    """
-    if k is None:
-        if r is None:
-            raise ValueError("pass either r (with c6) or k")
-        k = vdw_potential(r, c6)
-    lv = _liouvillian(params, k)
-    # steady state: Lv rho = 0 with unit trace, via least squares
+def _steady_state(params: AtomParams, k: float, wp: complex, wpc: complex) -> TwoAtomState:
+    """Unit-trace steady state at any (wp, wpc); raises on a rank-deficient
+    Liouvillian, a residual above 1e-9 or a trace off by more than 1e-8."""
+    lv = _liouvillian(params, k, wp, wpc)
+    # steady state: Lv rho = 0 with unit trace (the appended row), via least squares
     n = 81
-    trace_row = np.zeros(n, dtype=complex)
-    for i in range(9):
-        trace_row[i * 9 + i] = 1.0
-    a = np.vstack([lv, trace_row[None, :]])
-    b = np.zeros(n + 1, dtype=complex)
-    b[-1] = 1.0
-    sol, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
+    a = np.vstack([lv, np.eye(9, dtype=complex).reshape(1, n)])
+    sol, _, rank, _ = np.linalg.lstsq(a, np.eye(n + 1, dtype=complex)[-1], rcond=None)
     if rank < n:
         raise SingularParameterError(
             f"two-atom Liouvillian rank-deficient (rank {rank} < {n})"
         )
-    rho = sol.reshape(9, 9)
     resid = np.max(np.abs(lv @ sol))
     if resid > 1e-9:
         raise SingularParameterError(f"steady-state residual {resid} too large")
+    rho = sol.reshape(9, 9)
+    if abs(np.trace(rho) - 1.0) > 1e-8:
+        raise ValueError(f"trace {np.trace(rho)} != 1")
     return TwoAtomState(rho=rho, k=k)
 
 
-def order_extract(f, order: int, base: float = 1e-2, levels: int = 4,
-                  rtol: float = 1e-6):
-    """Leading coefficient of f(x) = c x^order + O(x^(order+2)) as x -> 0.
+def two_atom_steady_state(params: AtomParams, k: float) -> TwoAtomState:
+    """Exact, Hermitian and positive steady state of two driven atoms with
+    pair interaction k (k = -c6/r^6 at separation r: ``vdw_potential``)."""
+    wp = params.omega_p
+    st = _steady_state(params, k, wp, np.conj(wp))
+    if np.max(np.abs(st.rho - st.rho.conj().T)) > 1e-8:
+        raise ValueError("density matrix not Hermitian")
+    w = np.linalg.eigvalsh(0.5 * (st.rho + st.rho.conj().T))
+    if w.min() < -1e-8:
+        raise ValueError(f"density matrix not positive: min eig {w.min()}")
+    return st
 
-    ``f`` maps a real probe amplitude x > 0 to a complex value whose
-    expansion contains only every other power beyond the leading one (the
-    probe-grading structure), so Richardson extrapolation runs in x^2.
-    Returns (coefficient, error_estimate); raises if the extrapolation
-    does not settle to ``rtol``.
-    """
-    xs = np.array([base / 2.0**j for j in range(levels)])
-    g = np.array([f(x) / x**order for x in xs], dtype=complex)
-    t = xs**2
-    # Neville table in x^2; err compares the last two extrapolation columns
-    tab = g.copy()
-    prev_top = complex(g[-1])
-    for m in range(1, levels):
-        prev_top = complex(tab[-1])
-        tab = tab[1:] + (tab[1:] - tab[:-1]) * t[m:] / (t[:-m] - t[m:])
-    est = complex(tab[0])
-    err = abs(est - prev_top)
-    scale = max(abs(est), 1e-300)
-    if err > 10 * rtol * scale:
-        raise SingularParameterError(
-            f"order-{order} extraction did not converge: estimate {est}, "
-            f"spread {err}"
-        )
-    return est, err
+
+def _contour_coefficients(f, grade, r: float, n: int):
+    """Taylor coefficients c[j] (j < n) of f about a = 0 from the trapezoidal
+    rule at the n nodes r exp(2 pi i j/n), called in order (a stateful f can
+    carry a root round |a| = r); exact up to the aliased c_{j+n} r^n
+    (Trefethen & Weideman, SIAM Review 56 (2014) 385). f(a) returns a value
+    or a 1-D array; value i holds only the powers grade_i, grade_i + 2, ...
+    (grade: an int or one per value); n is even, so aliasing keeps parity.
+    Also returns wrong: the largest wrong-grade mode |c_j| r^j over the
+    largest right-grade one."""
+    nodes = r * np.exp(2j * np.pi * np.arange(n) / n)
+    modes = np.fft.fft([f(a) for a in nodes], axis=0) / n  # c_j r^j
+    j = np.arange(n).reshape((n,) + (1,) * (modes.ndim - 1))
+    off = (j < grade) | ((j - grade) % 2 == 1)
+    size = np.abs(modes)
+    wrong = np.where(off, size, 0.0).max(axis=0) / np.where(off, 0.0, size).max(axis=0)
+    return modes / r**j, wrong

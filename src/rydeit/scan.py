@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 import warnings
 from dataclasses import asdict, dataclass, fields
 from typing import Iterable
@@ -78,8 +79,9 @@ class ScanConfig:
     that fixes c6 and omega_c unless those are given explicitly. The probe
     grid is linear in |omega_p|^2. A delta3 grid is optional (used for
     spectra); when absent the single ``delta3`` value is used. Every float
-    field must be finite, grid counts must be integers, and the atom and
-    interaction parameters must pass AtomParams and InteractionParams.
+    field must be a finite real number (not a bool), grid counts must be
+    integers, and the atom and interaction parameters must pass AtomParams
+    and InteractionParams.
     """
 
     state: int | None = None
@@ -104,6 +106,9 @@ class ScanConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
+            if "float" in str(f.type) and value is not None and (
+                    isinstance(value, bool) or not isinstance(value, numbers.Real)):
+                raise ConfigError(f"{f.name} must be a number, real and not bool: {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.state is not None and self.state not in C6_PRESETS:
@@ -113,7 +118,7 @@ class ScanConfig:
         if self.state is None and (self.c6 is None or self.omega_c is None):
             raise ConfigError("either a state preset or explicit c6 and omega_c")
         for name in ("omega_p2_count", "delta3_count"):
-            if not isinstance(getattr(self, name), int):
+            if type(getattr(self, name)) is not int:  # a bool is not a count
                 raise ConfigError(f"{name} must be an integer")
         if self.omega_p2_count < 1:
             raise ConfigError("probe grid must be non-empty")

@@ -17,7 +17,6 @@ from rydeit import (
     AtomParams,
     InteractionParams,
     StatePreset,
-    blockade_radius,
     effective_T,
     observable_set,
     perturbative_coefficients,
@@ -25,23 +24,19 @@ from rydeit import (
     steady_state_three_level,
     xi_coefficients,
 )
-from rydeit.blochgen import canonical_pair
 from rydeit.collisional import F_lambda, F_lambda_quadrature
 from rydeit.observables import nb_tilde_raman_contribution, nb_weak_probe
-from rydeit.oracle import order_extract, two_atom_steady_state
-from rydeit.params import vdw_potential
 from rydeit.perturbative import (
-    collisional_integral_V13_order3,
     ib_quadrature,
     nb_closed_form,
-    pair_correlators_order2,
-    pair_correlators_order3,
     ss1333_ladder_approximation,
     ss1333_order3,
 )
 from rydeit.quadrature import vdw_k_integral
 from rydeit.scan import ScanConfig, _s_slope_third_order, run_scan
 from rydeit.validate import (
+    _oracle_vs_cascade,
+    _solver_contour,
     check_pair_conjugation_closure,
     check_pq_partition,
     check_scan_determinism,
@@ -107,68 +102,27 @@ def test_criterion_02_closed_forms_vs_quadrature():
 
 def test_criterion_03_third_order_agreement():
     """The full solver reproduces the exact third-order nonlinearity at weak
-    probe, and the emitted low-intensity slopes match its prediction."""
-    details = []
-    ok = True
+    probe, and the emitted low-intensity slopes match its prediction: both
+    are a^3 coefficients of the solver's root carried round a contour in
+    the complex probe amplitude a (``validate._solver_contour``)."""
+    details, ok = [], True
     for n in PRESETS:
-        p0, inter = _preset_params(n)
-        v13_3 = collisional_integral_V13_order3(
-            p0, perturbative_coefficients(p0), inter)
-
-        def f(x, p0=p0, inter=inter):
-            _, v = solve_interacting(p0.with_omega_p(x), inter)
-            return v.v13
-
-        # anchored at |omega_p|^2 = 1e-4: raw ratio plus extrapolated limit
-        raw = abs(f(np.sqrt(1e-4)) / (1e-4 * np.sqrt(1e-4)) - v13_3) / abs(v13_3)
-        est, _ = order_extract(f, order=3, base=np.sqrt(1e-4), rtol=1e-4)
-        rel = abs(est - v13_3) / abs(v13_3)
-        ok &= rel < 1e-3
-
-        # slope of the normalized response at zero intensity vs prediction
-        pred = _s_slope_third_order(p0, inter)
-
-        def s_at(h, p0=p0, inter=inter):
-            obs, _ = _observables(p0.with_omega_p(np.sqrt(h)), inter)
-            return (obs.S - 1.0) / h
-
-        # Neville extrapolation of the finite-intensity slope to zero
-        hs = np.array([0.008 / 2.0**j for j in range(5)])
-        tab = np.array([s_at(h) for h in hs])
-        for m in range(1, len(hs)):
-            tab = tab[1:] + (tab[1:] - tab[:-1]) * hs[m:] / (hs[:-m] - hs[m:])
-        slope = tab[0]
-        slope_rel = abs(slope - pred) / abs(pred)
-        ok &= slope_rel < 0.01
-        details.append(f"n={n}: V13 limit {rel:.1e} (raw {raw:.1e}), "
-                       f"slope {slope_rel:.1e}")
-    _report(3, ok, "; ".join(details) + " (V13 < 1e-3, slope < 1e-2)")
+        rel, slope_rel, wrong, closure = _solver_contour(*_preset_params(n))
+        ok &= rel < 1e-3 and slope_rel < 1e-3 and max(wrong, closure) < 1e-6
+        details.append(f"n={n}: V13 {rel:.1e}, slope {slope_rel:.1e} "
+                       f"(wrong-grade {wrong:.1e}, closure {closure:.1e})")
+    _report(3, ok, "; ".join(details)
+            + " (V13 < 1e-3, slope < 1e-3, wrong-grade and closure < 1e-6)")
 
 
 def test_criterion_04_two_atom_oracle():
-    """Order-extracted exact two-atom correlators match the cascade."""
+    """Weak-probe coefficients of the exact two-atom correlators, read off
+    a contour in the complex probe amplitude, match the cascade."""
     p0, inter = _preset_params(50)
-    rb = blockade_radius(p0, inter.c6)
-    worst = 0.0
-    for rfac in (0.3, 0.75, 1.5, 2.2, 3.0):
-        k = vdw_potential(rfac * rb, inter.c6)
-        o2 = pair_correlators_order2(p0, k)[canonical_pair((1, 3), (3, 1))]
-        o3 = pair_correlators_order3(p0, k)[canonical_pair((1, 3), (3, 3))]
-
-        def f2(x, k=k):
-            return two_atom_steady_state(p0.with_omega_p(x), k=k).pair_average(
-                (1, 3), (3, 1))
-
-        def f3(x, k=k):
-            return two_atom_steady_state(p0.with_omega_p(x), k=k).pair_average(
-                (1, 3), (3, 3))
-
-        c2, _ = order_extract(f2, order=2)
-        c3, _ = order_extract(f3, order=3)
-        worst = max(worst, abs(c2 - o2) / abs(c2), abs(c3 - o3) / abs(c3))
-    _report(4, worst < 1e-3,
+    worst, wrong = _oracle_vs_cascade(p0, inter.c6, (0.3, 0.75, 1.5, 2.2, 3.0))
+    _report(4, worst < 1e-9 and wrong < 1e-9,
             f"max relative deviation over 5 separations (0.3-3 r_b) = "
-            f"{worst:.2e} (< 1e-3)")
+            f"{worst:.2e}, wrong-grade ratio {wrong:.2e} (both < 1e-9)")
 
 
 def _closure_deviation(params):

@@ -30,7 +30,8 @@ WP = 0.37 + 0.11j
 def _single_row(params, label, omega_p):
     sys8 = generate_single_atom_equations(params)
     r = SINGLE_INDEX[label]
-    return sys8.matrix(omega_p)[r], sys8.source(omega_p)[r], sys8.v_coupling[r]
+    wpc = np.conj(omega_p)
+    return sys8.matrix(omega_p, wpc)[r], sys8.source(omega_p, wpc)[r], sys8.v_coupling[r]
 
 
 class TestSingleAtomGolden:
@@ -68,12 +69,11 @@ class TestSingleAtomGolden:
         sys8 = generate_single_atom_equations(p)
         r = SINGLE_INDEX[(3, 3)]
         # 0 = -gamma33 s33 - i Wc (s32 - s23): probe-independent
-        np.testing.assert_allclose(
-            sys8.matrix(WP)[r], sys8.matrix(0.0)[r], atol=1e-15
-        )
-        assert sys8.matrix(0.0)[r, SINGLE_INDEX[(3, 3)]] == pytest.approx(-0.3)
-        assert sys8.matrix(0.0)[r, SINGLE_INDEX[(3, 2)]] == pytest.approx(-1j * 3.0)
-        assert sys8.matrix(0.0)[r, SINGLE_INDEX[(2, 3)]] == pytest.approx(1j * 3.0)
+        m0 = sys8.matrix(0.0, 0.0)
+        np.testing.assert_allclose(sys8.matrix(WP, np.conj(WP))[r], m0[r], atol=1e-15)
+        assert m0[r, SINGLE_INDEX[(3, 3)]] == pytest.approx(-0.3)
+        assert m0[r, SINGLE_INDEX[(3, 2)]] == pytest.approx(-1j * 3.0)
+        assert m0[r, SINGLE_INDEX[(2, 3)]] == pytest.approx(1j * 3.0)
         np.testing.assert_array_equal(sys8.v_coupling[r], 0.0)
 
     def test_sigma13_decouples_without_control(self):
@@ -147,8 +147,8 @@ class TestClosedForm:
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
         for name in evaluations:
             for wp in _WPS:
-                a = getattr(got, name)(wp)
-                b = getattr(want, name)(wp)
+                a = getattr(got, name)(wp, np.conj(wp))
+                b = getattr(want, name)(wp, np.conj(wp))
                 assert a.tobytes() == b.tobytes(), (name, wp)
 
     @pytest.mark.parametrize("params", [
@@ -253,7 +253,7 @@ class TestConjugationClosure:
     def test_pair_matrix_closure(self, wre, wim, delta2, delta3, gamma33):
         p = AtomParams(delta2=delta2, delta3=delta3, gamma33=gamma33)
         wp = wre + 1j * wim
-        amat = generate_pair_equations(p).matrix(wp)
+        amat = generate_pair_equations(p).matrix(wp, np.conj(wp))
         idx = {lab: i for i, lab in enumerate(PAIR_LABELS)}
         flipped = np.empty_like(amat)
         for r, lab in enumerate(PAIR_LABELS):
@@ -264,7 +264,7 @@ class TestConjugationClosure:
     def test_single_matrix_closure(self):
         p = AtomParams(delta3=0.7, gamma33=0.2)
         sys8 = generate_single_atom_equations(p)
-        amat = sys8.matrix(WP)
+        amat = sys8.matrix(WP, np.conj(WP))
         for r, (a, b) in enumerate(SINGLE_LABELS):
             fr = SINGLE_INDEX[(b, a)]
             for c, (m, n) in enumerate(SINGLE_LABELS):

@@ -5,12 +5,20 @@ from hypothesis import given, settings, strategies as st
 
 from rydeit import (
     AtomParams,
+    SingleAtomState,
     perturbative_coefficients,
     relaxation_constants,
     steady_state_three_level,
     steady_state_two_level,
 )
-from rydeit.oracle import _jump_operators, order_extract
+from rydeit.blochgen import generate_single_atom_equations
+from rydeit.oracle import _contour_coefficients, _jump_operators
+
+
+def _sigma_at(params, a):
+    """Single-atom averages at the complex probe amplitude wp = wpc = a."""
+    sys8 = generate_single_atom_equations(params)
+    return SingleAtomState(np.linalg.solve(sys8.matrix(a, a), -sys8.source(a, a)))
 
 
 class TestTwoLevel:
@@ -105,21 +113,14 @@ class TestPerturbativeCoefficients:
         assert errs[0] / errs[1] == pytest.approx(32.0, rel=0.15)
 
     def test_third_order_matches_richardson_extraction(self):
+        # the a^3 coefficient of sigma12 on a contour in the complex amplitude
         p0 = AtomParams()
-        pc = perturbative_coefficients(p0)
-
-        def residual(x):
-            return steady_state_three_level(p0.with_omega_p(x)).sigma12 - x * pc.s12_1
-
-        est, _ = order_extract(residual, order=3, base=0.05)
-        assert est == pytest.approx(pc.s12_3, rel=1e-6)
+        c, wrong = _contour_coefficients(lambda a: _sigma_at(p0, a)[(1, 2)], 1, 0.05, 16)
+        assert c[3] == pytest.approx(perturbative_coefficients(p0).s12_3, rel=1e-11)
+        assert wrong < 1e-12
 
     def test_population_extraction(self):
         p0 = AtomParams()
-        pc = perturbative_coefficients(p0)
-
-        def pop(x):
-            return steady_state_three_level(p0.with_omega_p(x)).sigma33
-
-        est, _ = order_extract(pop, order=2, base=0.05)
-        assert est == pytest.approx(pc.s33_2, rel=1e-6)
+        c, wrong = _contour_coefficients(lambda a: _sigma_at(p0, a)[(3, 3)], 2, 0.05, 16)
+        assert c[2] == pytest.approx(perturbative_coefficients(p0).s33_2, rel=1e-11)
+        assert wrong < 1e-12

@@ -1,22 +1,20 @@
-"""Exact two-atom master-equation oracle and order extraction."""
+"""Exact two-atom master-equation oracle and contour extraction."""
 import numpy as np
 import pytest
 
-from rydeit import (
-    AtomParams,
-    blockade_radius,
-    steady_state_three_level,
-)
-from rydeit.blochgen import canonical_pair
-from rydeit.oracle import order_extract, two_atom_steady_state
-from rydeit.params import SingularParameterError, vdw_potential
-from rydeit.perturbative import pair_correlators_order2, pair_correlators_order3
+from rydeit import AtomParams, steady_state_three_level
+from rydeit.oracle import _contour_coefficients, two_atom_steady_state
+from rydeit.validate import _oracle_vs_cascade
 
 
 class TestSteadyState:
-    def test_requires_r_or_k(self):
-        with pytest.raises(ValueError, match="either r"):
-            two_atom_steady_state(AtomParams(omega_p=0.1))
+    def test_takes_params_and_k_only(self):
+        p = AtomParams(omega_p=0.1)
+        with pytest.raises(TypeError):
+            two_atom_steady_state(p)
+        with pytest.raises(TypeError):
+            two_atom_steady_state(p, r=1.0, c6=5000.0, k=-2.0)
+        assert two_atom_steady_state(p, -2.0).k == -2.0
 
     def test_density_matrix_sanity(self):
         st = two_atom_steady_state(AtomParams(omega_p=0.4), k=-2.0)
@@ -38,37 +36,27 @@ class TestSteadyState:
             assert st.single_average(lab) == pytest.approx(single[lab], abs=1e-10)
 
 
-class TestOrderExtract:
+class TestContourCoefficients:
     def test_polynomial(self):
-        c, err = order_extract(lambda x: 3.0 * x**3 + 0.5 * x**5, order=3, base=0.1)
-        assert c == pytest.approx(3.0, rel=1e-9)
+        c, wrong = _contour_coefficients(lambda a: 3.0 * a**3 + 0.5 * a**5, 3, 0.5, 16)
+        assert abs(c[3] - 3.0) <= 1e-14 and abs(c[5] - 0.5) <= 1e-14
+        assert wrong < 1e-15
 
     def test_complex_coefficient(self):
-        c, _ = order_extract(lambda x: (1 - 2j) * x**2 - 0.1j * x**4, order=2, base=0.1)
-        assert c == pytest.approx(1 - 2j, rel=1e-9)
+        c, wrong = _contour_coefficients(
+            lambda a: [(1 - 2j) * a**2 - 0.1j * a**4, 2j * a], (2, 1), 0.3, 16)
+        assert abs(c[2, 0] - (1 - 2j)) <= 1e-14 and abs(c[4, 0] + 0.1j) <= 1e-13
+        assert abs(c[1, 1] - 2j) <= 1e-14
+        assert np.all(wrong < 1e-15)
 
-    def test_wrong_order_fails(self):
-        # an odd-power remainder breaks the even-power grading assumption
-        with pytest.raises(SingularParameterError, match="did not converge"):
-            order_extract(lambda x: x**2 + x**3, order=2, base=0.5, rtol=1e-12)
+    def test_wrong_grade_is_reported(self):
+        # an a^1 term in an order-3 extraction: |c1 r| / |c3 r^3| = 1/r^2
+        _, wrong = _contour_coefficients(lambda a: a + a**3, 3, 0.5, 16)
+        assert wrong == pytest.approx(4.0, rel=1e-14)
 
 
 class TestOracleVsCascade:
     def test_correlators_at_one_blockade_radius(self, params50, preset50):
-        r = blockade_radius(params50, preset50.c6)
-        k = vdw_potential(r, preset50.c6)
-        o2 = pair_correlators_order2(params50, k)
-        o3 = pair_correlators_order3(params50, k)
-
-        def f2(x):
-            st = two_atom_steady_state(params50.with_omega_p(x), k=k)
-            return st.pair_average((1, 3), (3, 1))
-
-        def f3(x):
-            st = two_atom_steady_state(params50.with_omega_p(x), k=k)
-            return st.pair_average((1, 3), (3, 3))
-
-        c2, _ = order_extract(f2, order=2)
-        c3, _ = order_extract(f3, order=3)
-        assert c2 == pytest.approx(o2[canonical_pair((1, 3), (3, 1))], rel=1e-4)
-        assert c3 == pytest.approx(o3[canonical_pair((1, 3), (3, 3))], rel=1e-4)
+        worst, wrong = _oracle_vs_cascade(params50, preset50.c6, (1.0,))
+        assert worst < 1e-9
+        assert wrong < 1e-9

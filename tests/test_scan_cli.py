@@ -54,6 +54,13 @@ class TestScanConfig:
         ({"state": 50, "delta3": "0.5"}, "delta3 must be a number"),
         ({"state": 50, "omega_p2_count": 1.5}, "omega_p2_count must be an integer"),
         ({"state": 50, "delta3_count": 2.0}, "delta3_count must be an integer"),
+        ({"state": 50, "omega_p2_count": True}, "omega_p2_count must be an integer"),
+        ({"state": 50, "tol": "x"}, "tol must be a number"),
+        ({"state": 50, "delta3_count": 3, "delta3_start": "0", "delta3_stop": 1.0},
+         "delta3_start must be a number"),
+        ({"state": 50, "omega_p2_stop": "1"}, "omega_p2_stop must be a number"),
+        ({"state": 50, "delta3": True}, "delta3 must be a number"),
+        ({"state": 50, "gamma33": 0.5j}, "gamma33 must be a number"),
     ])
     def test_validation(self, kw, msg):
         with pytest.raises(ConfigError, match=msg):
@@ -233,10 +240,16 @@ class TestCli:
         assert res.exit_code == 2
         assert "delta3 must be finite" in res.output
 
-    def test_invalid_parameter_exits_2(self):
+    def test_invalid_parameter_exits_2(self, tmp_path):
         res = CliRunner().invoke(main, ["point", "--state", "50", "--omega-c", "-1"])
         assert res.exit_code == 2
         assert "config error: omega_c must be non-negative" in res.output
+        for key, value in (("tol", "x"), ("omega_p2_stop", "1"), ("delta3", True)):
+            cfg = tmp_path / f"{key}.json"
+            cfg.write_text(json.dumps({"state": 50, key: value}))
+            res = CliRunner().invoke(main, ["scan", "--config", str(cfg)])
+            assert res.exit_code == 2, key
+            assert f"config error: {key} must be a number" in res.output
 
     def test_bad_state_exits_2(self):
         res = CliRunner().invoke(main, ["point", "--state", "99"])

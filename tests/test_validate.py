@@ -14,4 +14,4 @@ from rydeit.validate import FULL_CHECKS
                          ids=[fn.__name__ for _, fn in FULL_CHECKS])
 def test_passes(name, check):
     passed, detail = check()
-    assert passed, f"{name}: {detail}"
+    assert passed is True, f"{name}: {detail}"
