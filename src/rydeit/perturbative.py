@@ -7,6 +7,19 @@ over the four poles of the rational kernel ss^(3)_{13,33}(k); the radial
 quadrature is its tested reference), and provides the closed-form blockade
 observables that follow from it.
 
+Production and references. Weak-probe rows and ``chi3_interacting`` call
+``collisional_integral_V13_order3``: ``_ss1333_kernel`` makes one solve per
+probe order on the k = 0 blocks of the generated pair system, read at
+precomputed flat positions, and the pole sum integrates the kernel. Every
+parameter-free part (source terms, the order-2 to order-3 coupling, the
+unit columns of the right-hand sides) is an import-time constant. The
+references are tested against that path and never run on it: the full
+order-2/3 pair solves ``pair_correlators_order2/3`` (through
+``_cascade_tables``) for the kernel, and the adaptive radial quadrature
+``collisional_integral_V13_order3_quadrature`` for the pole sum. The
+label-by-label constructions the constants reproduce byte for byte are
+kept in the tests.
+
 All correlator coefficients are reduced: the leading probe monomial
 Omega_p^a (Omega_p*)^b is divided out.
 """
@@ -14,13 +27,20 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .blochgen import (
+    _AM,
+    _AP,
+    _KDIAG,
+    _SRCM,
+    _SRCP,
     PAIR_INDEX,
     PAIR_LABELS,
     SINGLE_INDEX,
+    PairSystem,
     canonical_pair,
     generate_pair_equations,
     grade_order,
@@ -72,7 +92,7 @@ def _principal_sqrt(z: complex, what: str) -> complex:
             f"{what} lies on the negative real axis: branch ambiguous "
             "(resonant pair-excitation regime)"
         )
-    return complex(np.sqrt(z))
+    return cmath.sqrt(z)
 
 
 def F_lambda(lam: complex, interaction: InteractionParams) -> complex:
@@ -185,8 +205,9 @@ class _Ss1333Kernel:
             (g0 * v00 + g1 * v11, g0 * g1 * (v00 * v11 - v01 * v10)),
         )
 
-    def _numerator(self) -> list:
-        """Ascending coefficients of the cubic ss(k) det2(k) det3(k).
+    def _numerator(self, det2: tuple) -> list:
+        """Ascending coefficients of the cubic ss(k) det2(k) det3(k), given
+        (a1, a2) of det2.
 
         det2 c(k) is quadratic, so is det2 y(k) = h0 det2 - HZ (det2 c),
         and det3 ss = n11 y0 - n01 y1 with n11, n01 linear in k."""
@@ -197,8 +218,7 @@ class _Ss1333Kernel:
         z00, z01, z10, z11 = self.hz
         g1 = self.d3[1]
         _, v01, _, v11 = self.w3
-        (a1, a2), _ = self._determinants()
-        det2 = (1.0, a1, a2)
+        det2 = (1.0, *det2)
         c0 = (0.0, d0 * p0, d0 * d1 * (w11 * p0 - w01 * p1))
         c1 = (0.0, d1 * p1, d0 * d1 * (w00 * p1 - w10 * p0))
         y0 = [h0 * det2[j] - (z00 * c0[j] + z01 * c1[j]) for j in range(3)]
@@ -210,12 +230,13 @@ class _Ss1333Kernel:
             g1 * (v11 * y0[2] - v01 * y1[2]),
         ]
 
-    def _poles(self) -> tuple:
+    def _poles(self, dets: tuple | None = None) -> tuple:
         """(lead, [[rho, m], ...]) with det2 det3 = lead prod (k - rho)^m.
-        A root shared by det2 and det3 is one pole of the summed order."""
+        A root shared by det2 and det3 is one pole of the summed order.
+        ``dets`` is ``_determinants()``, when the caller has it already."""
         lead = 1.0
         poles: list = []
-        for a1, a2 in self._determinants():
+        for a1, a2 in dets or self._determinants():
             lead *= a2 if a2 != 0 else (a1 if a1 != 0 else 1.0)
             for rho, m in _quadratic_roots(a1, a2):
                 shared = [pole for pole in poles if pole[0] == rho]
@@ -235,8 +256,9 @@ class _Ss1333Kernel:
         num(rho) / (det2 det3)'(rho) * F(rho); a double root or a root
         shared by det2 and det3 adds the confluent F'(rho) term.
         """
-        num = self._numerator()
-        lead, poles = self._poles()
+        dets = self._determinants()
+        num = self._numerator(dets[0])
+        lead, poles = self._poles(dets)
         total = 0j
         for rho, m in poles:
             # num and rest = det2 det3 / (k - rho)^m in powers of t = k - rho,
@@ -274,83 +296,124 @@ def _solve_at_k0(a: np.ndarray, rhs: np.ndarray, order: int) -> np.ndarray:
         raise SingularParameterError(f"singular order-{order} pair system at k=0") from exc
 
 
-def _ss1333_kernel(a2, kdiag2, src2, a3, kdiag3, src3, from_o2) -> _Ss1333Kernel:
-    p2 = np.flatnonzero(kdiag2)
-    target = ORDER3_NETP1_LABELS.index(_SS1333)
-    p3 = [target] + [i for i in np.flatnonzero(kdiag3) if i != target]
-    assert len(p2) == 2 and len(p3) == 2 and kdiag3[target] != 0
-    # A2^-1 [-src2 | U2]
-    sol2 = _solve_at_k0(a2, np.column_stack([-src2, np.eye(len(src2))[:, p2]]), 2)
-    x2, z2 = sol2[:, 0], sol2[:, 1:]
-    # A3^-1 [-src3 - F x2(0) | -F Z2 | U3]
-    rhs3 = np.column_stack([-src3 - from_o2 @ x2, -from_o2 @ z2, np.eye(len(src3))[:, p3]])
-    sol3 = _solve_at_k0(a3, rhs3, 3)[p3]
-
-    def scalars(arr):
-        return tuple(complex(v) for v in np.ravel(arr))
-
-    return _Ss1333Kernel(
-        d2=scalars(kdiag2[p2]), w2=scalars(z2[p2]), x2p=scalars(x2[p2]),
-        h0=scalars(sol3[:, 0]), hz=scalars(sol3[:, 1:3]),
-        d3=scalars(kdiag3[p3]), w3=scalars(sol3[:, 3:]),
-    )
-
-
-@dataclass(frozen=True)
-class _CascadeTables:
-    """Probe-graded blocks of the generated pair system for one parameter set."""
-
-    o2_rows: np.ndarray
-    o2_a: np.ndarray
-    o2_kdiag: np.ndarray
-    o2_src: np.ndarray          # constant source vector built from sigma^(1)
-    o3_rows: np.ndarray
-    o3_a: np.ndarray
-    o3_kdiag: np.ndarray
-    o3_src_single: np.ndarray   # source from sigma^(2)
-    o3_from_o2: np.ndarray      # coupling matrix applied to the order-2 solution
-    ss1333: _Ss1333Kernel
-
-
 # first- and second-order single-atom sources, in the order of x1 / x2 in
-# ``_cascade_tables``
+# ``_cascade_sources``
 _X1_LABELS = ((1, 2), (1, 3), (2, 1), (3, 1))
 _X2_LABELS = ((2, 2), (3, 3), (2, 3), (3, 2))
-_O2 = np.array([PAIR_INDEX[lab] for lab in ORDER2_LABELS])
-_O3 = np.array([PAIR_INDEX[lab] for lab in ORDER3_NETP1_LABELS])
 
 
-def _cascade_source_terms():
-    """Fixed (row, column, source) structure of the order-2/3 sources.
+def _cascade_constants():
+    """Parameter-free parts of the order-2/3 pair cascade, built once from
+    the generator's constants.
 
-    ``_SRC2_TERMS`` holds (i, src, r, col, j): order-2 row i gains
-    (srcp, srcm)[src][r, col] * x1[j], where srcp pulls a first-order
-    label of net nu - 1 and srcm one of net nu + 1; ``_SRC3_TERMS`` holds
-    (i, r, col, j): order-3 row i gains srcp[r, col] * x2[j]. Terms are
-    listed in the order they accumulate. ``from_o2`` takes ``ap`` on its
-    net-0 order-2 columns and ``am`` on its net +2 ones.
+    ``src2`` holds (i, coeff, j): order-2 row i gains coeff * x1[j], where
+    coeff is an entry of srcp pulling a first-order label of net nu - 1 or
+    of srcm pulling one of net nu + 1; ``src3`` holds (i, coeff, j):
+    order-3 row i gains coeff * x2[j], coeff an entry of srcp. Terms are
+    listed in the order they accumulate. ``from_o2`` couples the order-2 solution into the
+    order-3 rows: ``ap`` on its net-0 columns, ``am`` on its net +2 ones.
+    ``flat2``/``flat3`` are the flat positions of the two k = 0 blocks in
+    a0, and ``rhs2``/``rhs3`` hold the unit columns U2/U3 of the kernel's
+    right-hand sides.
     """
+    o2 = [PAIR_INDEX[lab] for lab in ORDER2_LABELS]
+    o3 = [PAIR_INDEX[lab] for lab in ORDER3_NETP1_LABELS]
     src2 = []
     for i, lab in enumerate(ORDER2_LABELS):
         nu = grade_order(lab)[0]
         for j, m in enumerate(_X1_LABELS):
             net_m, ord_m = grade_order(m)
-            for src, net in ((0, nu - 1), (1, nu + 1)):
+            for src, net in ((_SRCP, nu - 1), (_SRCM, nu + 1)):
                 if ord_m == 1 and net_m == net:
-                    src2.append((i, src, PAIR_INDEX[lab], SINGLE_INDEX[m], j))
+                    src2.append((i, complex(src[PAIR_INDEX[lab], SINGLE_INDEX[m]]), j))
     src3 = tuple(
-        (i, PAIR_INDEX[lab], SINGLE_INDEX[m], j)
+        (i, complex(_SRCP[PAIR_INDEX[lab], SINGLE_INDEX[m]]), j)
         for i, lab in enumerate(ORDER3_NETP1_LABELS)
         for j, m in enumerate(_X2_LABELS)
     )
     net2 = np.array([grade_order(lab)[0] for lab in ORDER2_LABELS])
-    return (tuple(src2), src3,
-            np.flatnonzero(net2 == 0), np.flatnonzero(net2 == 2))
+    net0, netp2 = np.flatnonzero(net2 == 0), np.flatnonzero(net2 == 2)
+    from_o2 = np.zeros((len(o3), len(o2)), dtype=complex)
+    from_o2[:, net0] = _AP[np.ix_(o3, np.take(o2, net0))]
+    from_o2[:, netp2] = _AM[np.ix_(o3, np.take(o2, netp2))]
+
+    kdiag2, kdiag3 = _KDIAG[o2], _KDIAG[o3]
+    p2 = np.flatnonzero(kdiag2)
+    target = ORDER3_NETP1_LABELS.index(_SS1333)
+    p3 = np.array([target] + [i for i in np.flatnonzero(kdiag3) if i != target])
+    assert len(p2) == 2 and len(p3) == 2 and kdiag3[target] != 0
+    rhs2 = np.zeros((len(o2), 3), dtype=complex)
+    rhs2[p2, [1, 2]] = 1.0
+    rhs3 = np.zeros((len(o3), 5), dtype=complex)
+    rhs3[p3, [3, 4]] = 1.0
+
+    def flat(rows):
+        return np.ravel_multi_index(np.ix_(rows, rows), _KDIAG.shape * 2)
+
+    arrays = dict(from_o2=from_o2, neg_from_o2=-from_o2, flat2=flat(o2),
+                  flat3=flat(o3), kdiag2=kdiag2, kdiag3=kdiag3, p2=p2, p3=p3,
+                  rhs2=rhs2, rhs3=rhs3)
+    for arr in arrays.values():
+        arr.flags.writeable = False
+    return SimpleNamespace(src2=tuple(src2), src3=src3,
+                           d2=tuple(kdiag2[p2].tolist()),
+                           d3=tuple(kdiag3[p3].tolist()), **arrays)
 
 
-_SRC2_TERMS, _SRC3_TERMS, _O2_NET0, _O2_NET2 = _cascade_source_terms()
-for _arr in (_O2, _O3, _O2_NET0, _O2_NET2):
-    _arr.flags.writeable = False
+_CASCADE = _cascade_constants()
+
+
+def _cascade_sources(pc: PerturbativeCoefficients) -> tuple:
+    """The order-2 source and the order-3 single-atom source (lists of
+    complex) built from the single-atom cascade ``pc``."""
+    x1 = (pc.s12_1, pc.s13_1, pc.s21_1, pc.s31_1)
+    x2 = (pc.s22_2, pc.s33_2, pc.s23_2, pc.s32_2)
+    src2 = [0j] * len(ORDER2_LABELS)
+    for i, coeff, j in _CASCADE.src2:
+        src2[i] += coeff * x1[j]
+    src3 = [0j] * len(ORDER3_NETP1_LABELS)
+    for i, coeff, j in _CASCADE.src3:
+        src3[i] += coeff * x2[j]
+    return src2, src3
+
+
+def _ss1333_kernel(ps: PairSystem, pc: PerturbativeCoefficients) -> _Ss1333Kernel:
+    """The closed-form kernel at the parameters of ``ps`` (the generated
+    pair system) and ``pc`` (the single-atom cascade there): one solve per
+    order on the k = 0 blocks of ``ps.a0``; everything else is constant."""
+    src2, src3 = _cascade_sources(pc)
+    # A2^-1 [-src2 | U2]
+    rhs2 = _CASCADE.rhs2.copy()
+    rhs2[:, 0] = [-v for v in src2]
+    sol2 = _solve_at_k0(ps.a0.take(_CASCADE.flat2), rhs2, 2)
+    # A3^-1 [-src3 - F x2(0) | -F Z2 | U3]
+    rhs3 = _CASCADE.rhs3.copy()
+    rhs3[:, 0] = [-v for v in src3]
+    rhs3[:, 0] -= _CASCADE.from_o2 @ sol2[:, 0]
+    rhs3[:, 1:3] = _CASCADE.neg_from_o2 @ sol2[:, 1:]
+    sol3 = _solve_at_k0(ps.a0.take(_CASCADE.flat3), rhs3, 3)
+
+    (p0, w00, w01), (p1, w10, w11) = sol2[_CASCADE.p2].tolist()
+    (h0, z00, z01, v00, v01), (h1, z10, z11, v10, v11) = sol3[_CASCADE.p3].tolist()
+    return _Ss1333Kernel(
+        d2=_CASCADE.d2, w2=(w00, w01, w10, w11), x2p=(p0, p1),
+        h0=(h0, h1), hz=(z00, z01, z10, z11),
+        d3=_CASCADE.d3, w3=(v00, v01, v10, v11),
+    )
+
+
+@dataclass(frozen=True)
+class _CascadeTables:
+    """k = 0 blocks and sources of the order-2/3 pair systems for one
+    parameter set: what the full-solve references read."""
+
+    o2_a: np.ndarray
+    o2_kdiag: np.ndarray
+    o2_src: np.ndarray          # constant source vector built from sigma^(1)
+    o3_a: np.ndarray
+    o3_kdiag: np.ndarray
+    o3_src_single: np.ndarray   # source from sigma^(2)
+    o3_from_o2: np.ndarray      # coupling matrix applied to the order-2 solution
 
 
 def _cascade_tables(
@@ -358,42 +421,12 @@ def _cascade_tables(
 ) -> _CascadeTables:
     """Order-2/3 pair systems at ``params``; ``pc`` is the single-atom
     cascade at the same parameters, which supplies the sources."""
-    ps = generate_pair_equations(params)
-    x1 = (pc.s12_1, pc.s13_1, pc.s21_1, pc.s31_1)
-    x2 = (pc.s22_2, pc.s33_2, pc.s23_2, pc.s32_2)
-
-    # order-2 source: probe-graded single-atom terms with first-order values
-    sources = (ps.srcp, ps.srcm)
-    src2 = np.zeros(len(_O2), dtype=complex)
-    for i, src, r, col, j in _SRC2_TERMS:
-        src2[i] += sources[src][r, col] * x1[j]
-
-    # order-3 single-atom source: second-order populations/Raman coherences
-    src3 = np.zeros(len(_O3), dtype=complex)
-    for i, r, col, j in _SRC3_TERMS:
-        src3[i] += ps.srcp[r, col] * x2[j]
-
-    # order-3 coupling to the order-2 pair solution: Wp pulls net 0,
-    # Wp* pulls net +2
-    from_o2 = np.zeros((len(_O3), len(_O2)), dtype=complex)
-    from_o2[:, _O2_NET0] = ps.ap[np.ix_(_O3, _O2[_O2_NET0])]
-    from_o2[:, _O2_NET2] = ps.am[np.ix_(_O3, _O2[_O2_NET2])]
-
-    o2_a = ps.a0[np.ix_(_O2, _O2)]
-    o3_a = ps.a0[np.ix_(_O3, _O3)]
+    a0 = generate_pair_equations(params).a0
+    src2, src3 = _cascade_sources(pc)
     return _CascadeTables(
-        o2_rows=_O2,
-        o2_a=o2_a,
-        o2_kdiag=ps.kdiag[_O2],
-        o2_src=src2,
-        o3_rows=_O3,
-        o3_a=o3_a,
-        o3_kdiag=ps.kdiag[_O3],
-        o3_src_single=src3,
-        o3_from_o2=from_o2,
-        ss1333=_ss1333_kernel(
-            o2_a, ps.kdiag[_O2], src2, o3_a, ps.kdiag[_O3], src3, from_o2
-        ),
+        o2_a=a0.take(_CASCADE.flat2), o2_kdiag=_CASCADE.kdiag2, o2_src=np.array(src2),
+        o3_a=a0.take(_CASCADE.flat3), o3_kdiag=_CASCADE.kdiag3, o3_src_single=np.array(src3),
+        o3_from_o2=_CASCADE.from_o2,
     )
 
 
@@ -406,13 +439,15 @@ def _order2(t: _CascadeTables, k: float) -> np.ndarray:
 
 
 def pair_correlators_order2(params: AtomParams, k: float) -> dict:
-    """Reduced second-order two-body correlators at interaction strength k."""
+    """Reduced second-order two-body correlators at interaction strength k
+    (full solve; the reference for the closed-form kernel)."""
     t = _cascade_tables(params, perturbative_coefficients(params))
     return dict(zip(ORDER2_LABELS, _order2(t, k)))
 
 
 def pair_correlators_order3(params: AtomParams, k: float) -> dict:
-    """Reduced third-order net-+1 two-body correlators at interaction k.
+    """Reduced third-order net-+1 two-body correlators at interaction k
+    (full solve; the reference for the closed-form kernel).
 
     Returns the eight coefficients ss^(3)_{1b,mn} for 1b in {12, 13} and
     mn in {22, 33, 23, 32}.
@@ -430,7 +465,8 @@ def pair_correlators_order3(params: AtomParams, k: float) -> dict:
 def ss1333_order3(params: AtomParams, k: float) -> complex:
     """Reduced ss^(3)_{13,33} at interaction k, from the closed-form kernel
     (``pair_correlators_order3`` is the full-solve reference)."""
-    return _cascade_tables(params, perturbative_coefficients(params)).ss1333(k)
+    pc = perturbative_coefficients(params)
+    return _ss1333_kernel(generate_pair_equations(params), pc)(k)
 
 
 def ss1333_ladder_approximation(params: AtomParams, k: float) -> complex:
@@ -454,7 +490,8 @@ def collisional_integral_V13_order3(
     """
     if interaction.c6 == 0.0:
         return 0.0
-    return _cascade_tables(params, pc).ss1333.radial_integral(interaction)
+    kernel = _ss1333_kernel(generate_pair_equations(params), pc)
+    return kernel.radial_integral(interaction)
 
 
 def collisional_integral_V13_order3_quadrature(
@@ -469,7 +506,7 @@ def collisional_integral_V13_order3_quadrature(
         return 0.0, RadialQuadratureResult(0.0, 0.0, 0, True)
     k_scale = abs(effective_T(params))
     res = vdw_k_integral(
-        _cascade_tables(params, pc).ss1333,
+        _ss1333_kernel(generate_pair_equations(params), pc),
         interaction.c6, interaction.eta, k_scale, rel_tol=rel_tol,
     )
     return res.value, res

@@ -1,4 +1,6 @@
 """Reference steady states and the weak-probe expansion coefficients."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,13 +8,16 @@ from hypothesis import given, settings, strategies as st
 from rydeit import (
     AtomParams,
     SingleAtomState,
+    SingularParameterError,
     perturbative_coefficients,
     relaxation_constants,
     steady_state_three_level,
     steady_state_two_level,
 )
-from rydeit.blochgen import generate_single_atom_equations
+from rydeit.blochgen import SINGLE_INDEX, generate_single_atom_equations
+from rydeit.noninteracting import PerturbativeCoefficients
 from rydeit.oracle import _contour_coefficients, _jump_operators
+from test_blochgen import _PRESET_GRID, _random_params
 
 
 def _sigma_at(params, a):
@@ -124,3 +129,61 @@ class TestPerturbativeCoefficients:
         c, wrong = _contour_coefficients(lambda a: _sigma_at(p0, a)[(3, 3)], 2, 0.05, 16)
         assert c[2] == pytest.approx(perturbative_coefficients(p0).s33_2, rel=1e-11)
         assert wrong < 1e-12
+
+
+def _perturbative_coefficients_by_label_blocks(params, v13_3=0.0):
+    """``perturbative_coefficients`` with every block cut out of the
+    generated system by its labels (the construction the production path's
+    import-time constants and flat positions reproduce)."""
+    sys8 = generate_single_atom_equations(params)
+    net_p1, net_m1 = ((1, 2), (1, 3)), ((2, 1), (3, 1))
+    net_0 = ((2, 2), (3, 3), (2, 3), (3, 2))
+    rp1, rm1, r0 = ([SINGLE_INDEX[lab] for lab in labs]
+                    for labs in (net_p1, net_m1, net_0))
+
+    def block(mat, rows, cols):
+        return mat[np.ix_(rows, cols)]
+
+    def solve(a, rhs):
+        try:
+            return np.linalg.solve(a, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise SingularParameterError(str(exc)) from exc
+
+    a_p1 = block(sys8.c0, rp1, rp1)
+    x_p1 = solve(a_p1, -sys8.sp[rp1])
+    x_m1 = solve(block(sys8.c0, rm1, rm1), -sys8.sm[rm1])
+    src0 = block(sys8.cp, r0, rm1) @ x_m1 + block(sys8.cm, r0, rp1) @ x_p1
+    x_0 = solve(block(sys8.c0, r0, r0), -src0)
+    src3 = block(sys8.cp, rp1, r0) @ x_0
+    src3 = src3 + sys8.v_coupling[rp1, 0] * v13_3
+    x_p3 = solve(a_p1, -src3)
+    values = [complex(v) for v in (*x_p1, *x_m1, *x_0, *x_p3)]
+    return PerturbativeCoefficients(*values)
+
+
+class TestPerturbativeConstantBlocks:
+    """The production cascade is byte-identical to its label-block derivation."""
+
+    @pytest.mark.parametrize("v13_3", [0.0, 0.6262402430222824 - 0.023980372353187597j],
+                             ids=["v13_3-zero", "v13_3-nonzero"])
+    @pytest.mark.parametrize("params", [
+        pytest.param(_PRESET_GRID, id="presets-x-81-delta3"),
+        pytest.param(_random_params(), id="200-seeded-random"),
+    ])
+    def test_matches_label_blocks(self, params, v13_3):
+        compared = 0
+        for p in params:
+            try:
+                want = _perturbative_coefficients_by_label_blocks(p, v13_3)
+            except SingularParameterError:
+                with pytest.raises(SingularParameterError):
+                    perturbative_coefficients(p, v13_3)
+                continue
+            got = perturbative_coefficients(p, v13_3)
+            for f in dataclasses.fields(PerturbativeCoefficients):
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                assert type(a) is complex, f.name
+                assert np.array(a).tobytes() == np.array(b).tobytes(), f.name
+            compared += 1
+        assert compared >= len(params) // 2

@@ -1,6 +1,7 @@
 """Weak-probe pair cascade, collisional integral and closed-form observables."""
 import dataclasses
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -43,7 +44,7 @@ from rydeit.perturbative import (
     _Ss1333Kernel,
 )
 from rydeit.quadrature import vdw_k_integral, vdw_k_integral_reference
-from rydeit.scan import ScanConfig, run_scan
+from rydeit.scan import ScanConfig, compute_row, run_scan
 from test_blochgen import _PRESET_GRID, _random_params
 
 
@@ -125,13 +126,14 @@ class TestClosedFormKernel:
             self._kernel()(k)
 
     def test_singular_k0_block_fails_at_table_build(self, params50):
-        t = _cascade_tables(params50, perturbative_coefficients(params50))
-        kd2, kd3 = t.o2_kdiag, t.o3_kdiag
-        z = np.zeros
+        ps = generate_pair_equations(params50)
+        pc = perturbative_coefficients(params50)
+        order2_rows = np.zeros(36)
+        order2_rows[[PAIR_INDEX[lab] for lab in ORDER2_LABELS]] = 1.0
         with pytest.raises(SingularParameterError, match="order-2 .* k=0"):
-            _ss1333_kernel(z((10, 10)), kd2, z(10), np.eye(8), kd3, z(8), z((8, 10)))
+            _ss1333_kernel(dataclasses.replace(ps, a0=np.zeros((36, 36))), pc)
         with pytest.raises(SingularParameterError, match="order-3 .* k=0"):
-            _ss1333_kernel(np.eye(10), kd2, z(10), z((8, 8)), kd3, z(8), z((8, 10)))
+            _ss1333_kernel(dataclasses.replace(ps, a0=np.diag(order2_rows)), pc)
 
 
 class TestRationalStructure:
@@ -240,9 +242,32 @@ class TestCollisionalIntegral:
         )
 
 
+def _kernel_by_full_blocks(a2, kdiag2, src2, a3, kdiag3, src3, from_o2):
+    """The closed-form kernel from the full k = 0 blocks, with unit columns
+    cut from identity matrices (the construction the production builder's
+    import-time constants reproduce)."""
+    p2 = np.flatnonzero(kdiag2)
+    target = ORDER3_NETP1_LABELS.index(canonical_pair((1, 3), (3, 3)))
+    p3 = [target] + [i for i in np.flatnonzero(kdiag3) if i != target]
+    sol2 = np.linalg.solve(a2, np.column_stack([-src2, np.eye(len(src2))[:, p2]]))
+    x2, z2 = sol2[:, 0], sol2[:, 1:]
+    rhs3 = np.column_stack([-src3 - from_o2 @ x2, -from_o2 @ z2,
+                            np.eye(len(src3))[:, p3]])
+    sol3 = np.linalg.solve(a3, rhs3)[p3]
+
+    def scalars(arr):
+        return tuple(complex(v) for v in np.ravel(arr))
+
+    return _Ss1333Kernel(
+        d2=scalars(kdiag2[p2]), w2=scalars(z2[p2]), x2p=scalars(x2[p2]),
+        h0=scalars(sol3[:, 0]), hz=scalars(sol3[:, 1:3]),
+        d3=scalars(kdiag3[p3]), w3=scalars(sol3[:, 3:]),
+    )
+
+
 def _cascade_tables_by_label_loops(params, pc):
-    """``_cascade_tables`` as built label by label from the grading rules
-    (the construction the hoisted index tables reproduce)."""
+    """``_cascade_tables`` and the kernel as built label by label from the
+    grading rules (the construction the hoisted constants reproduce)."""
     ps = generate_pair_equations(params)
     x1 = {
         (1, 2): pc.s12_1, (1, 3): pc.s13_1,
@@ -279,23 +304,29 @@ def _cascade_tables_by_label_loops(params, pc):
             from_o2[:, j] = ps.am[o3, c]
     o2_a = ps.a0[np.ix_(o2, o2)]
     o3_a = ps.a0[np.ix_(o3, o3)]
-    return _CascadeTables(
-        o2_rows=o2, o2_a=o2_a, o2_kdiag=ps.kdiag[o2], o2_src=src2,
-        o3_rows=o3, o3_a=o3_a, o3_kdiag=ps.kdiag[o3], o3_src_single=src3,
+    tables = _CascadeTables(
+        o2_a=o2_a, o2_kdiag=ps.kdiag[o2], o2_src=src2,
+        o3_a=o3_a, o3_kdiag=ps.kdiag[o3], o3_src_single=src3,
         o3_from_o2=from_o2,
-        ss1333=_ss1333_kernel(
-            o2_a, ps.kdiag[o2], src2, o3_a, ps.kdiag[o3], src3, from_o2
-        ),
     )
+    try:
+        kernel = _kernel_by_full_blocks(
+            o2_a, ps.kdiag[o2], src2, o3_a, ps.kdiag[o3], src3, from_o2)
+    except np.linalg.LinAlgError as exc:
+        raise SingularParameterError(str(exc)) from exc
+    return SimpleNamespace(**dataclasses.asdict(tables), ss1333=kernel)
+
+
+_GRIDS = [
+    pytest.param(_PRESET_GRID, id="presets-x-81-delta3"),
+    pytest.param(_random_params(), id="200-seeded-random"),
+]
 
 
 class TestHoistedCascadeTables:
-    """The import-time index tables give byte-identical cascade tables."""
+    """The import-time constants give byte-identical cascade tables and kernel."""
 
-    @pytest.mark.parametrize("params", [
-        pytest.param(_PRESET_GRID, id="presets-x-81-delta3"),
-        pytest.param(_random_params(), id="200-seeded-random"),
-    ])
+    @pytest.mark.parametrize("params", _GRIDS)
     def test_matches_label_loops(self, params):
         compared = 0
         for p in params:
@@ -303,22 +334,87 @@ class TestHoistedCascadeTables:
                 pc = perturbative_coefficients(p)
             except SingularParameterError:
                 continue  # no single-atom sources, so no cascade to compare
-            try:
-                want = _cascade_tables_by_label_loops(p, pc)
-            except SingularParameterError:
-                with pytest.raises(SingularParameterError):
-                    _cascade_tables(p, pc)
-                continue
             got = _cascade_tables(p, pc)
+            want = _cascade_tables_by_label_loops(p, pc)
             for f in dataclasses.fields(_CascadeTables):
-                if f.name != "ss1333":
-                    a, b = getattr(got, f.name), getattr(want, f.name)
-                    assert a.tobytes() == b.tobytes(), f.name
-            for f in dataclasses.fields(_Ss1333Kernel):
-                a, b = getattr(got.ss1333, f.name), getattr(want.ss1333, f.name)
-                assert np.array(a).tobytes() == np.array(b).tobytes(), f.name
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                assert a.tobytes() == b.tobytes(), f.name
             compared += 1
         assert compared >= len(params) // 2
+
+    @pytest.mark.parametrize("params", _GRIDS + [pytest.param(
+        # omega_c = gamma13 = 0 leaves ss_{13,31} with a zero k = 0 diagonal,
+        # while the single-atom system stays regular
+        [AtomParams(omega_c=0.0, gamma13=0.0, gamma33=0.5, delta3=d3)
+         for d3 in (-0.7, 0.4, 1.3)], id="singular-pair-block")])
+    def test_production_kernel_matches_label_loops(self, params, monkeypatch):
+        """The kernel ``collisional_integral_V13_order3`` sums over, caught
+        on its way into the pole sum; a singular k = 0 block raises there
+        as it does in the reference."""
+        built = []
+
+        def record(kernel, interaction):
+            built.append(kernel)
+            return 0j
+
+        monkeypatch.setattr(_Ss1333Kernel, "radial_integral", record)
+        inter = InteractionParams(c6=5000.0)
+        compared = singular = 0
+        for p in params:
+            try:
+                pc = perturbative_coefficients(p)
+            except SingularParameterError:
+                continue
+            try:
+                want = _cascade_tables_by_label_loops(p, pc).ss1333
+            except SingularParameterError:
+                with pytest.raises(SingularParameterError, match="k=0"):
+                    collisional_integral_V13_order3(p, pc, inter)
+                singular += 1
+                continue
+            collisional_integral_V13_order3(p, pc, inter)
+            got = built.pop()
+            for f in dataclasses.fields(_Ss1333Kernel):
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                assert all(type(v) is complex for v in a), f.name
+                assert np.array(a).tobytes() == np.array(b).tobytes(), f.name
+            compared += 1
+        assert compared + singular >= len(params) // 2 and not built
+
+
+class TestReferencesOffProductionPath:
+    """The weak-probe row and V13^(3) never touch the full-solve references."""
+
+    @pytest.fixture(autouse=True)
+    def _forbid_references(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a reference path ran on the production path")
+
+        for name in ("_cascade_tables", "pair_correlators_order2",
+                     "pair_correlators_order3"):
+            for modname, module in list(sys.modules.items()):
+                if modname.split(".")[0] == "rydeit" and hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+
+    @pytest.mark.parametrize("n,want", [
+        (50, 0.6262402430222824 - 0.023980372353187597j),
+        (61, 2.169429765835607 - 0.12505339715969077j),
+    ])
+    def test_collisional_integral(self, n, want):
+        preset = StatePreset(n)
+        p = AtomParams(omega_c=preset.omega_c, delta3=1.0 / 3.0)
+        got = collisional_integral_V13_order3(
+            p, perturbative_coefficients(p), InteractionParams(c6=preset.c6))
+        assert got == want
+
+    def test_weak_probe_row(self):
+        cfg = ScanConfig(state=61, omega_p2_start=0.0, omega_p2_stop=0.0,
+                         omega_p2_count=1)
+        row = compute_row(cfg, -0.35, 0.0)
+        assert row.flag == ""
+        assert (row.chi_re, row.chi_im) == (-0.07248976938805651, -0.028859309536835232)
+        assert (row.nb_re, row.nb_im) == (36.0120553282002, -115.02855587536703)
+        assert row.nb_tilde == -126.34686554958662
 
 
 def _synthetic_kernel(d2, w2, d3, w3):
@@ -361,7 +457,7 @@ class TestPoleSum:
         inter = InteractionParams(c6=preset.c6)
         pc = perturbative_coefficients(p)
         want = vdw_k_integral_reference(
-            _cascade_tables(p, pc).ss1333, inter.c6, inter.eta,
+            _ss1333_kernel(generate_pair_equations(p), pc), inter.c6, inter.eta,
             abs(effective_T(p)), prec_dps=30,
         ).value
         got = collisional_integral_V13_order3(p, pc, inter)

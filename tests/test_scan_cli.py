@@ -1,7 +1,9 @@
 """Scan configuration, CSV determinism and the command-line interface."""
+import importlib.util
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -297,3 +299,30 @@ class TestCli:
         assert "FAIL  failing check: deviation 1.00e+00" in res.output
         assert "FAIL  raising check: raised ValueError: broken check" in res.output
         assert "0/2 checks passed" in res.output
+
+
+_BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _bench_module(name):
+    """A benchmark module, loaded read-only from its file."""
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", _BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_weak_probe_benchmark_job_passes_the_reference_check():
+    """The benchmark's seed-0 weak-probe job, scanned in-process and held to
+    the benchmark's own correctness check against its stored reference."""
+    checks, workloads = _bench_module("checks"), _bench_module("workloads")
+    job = workloads.make_job("weak-probe-spectrum", 0)
+    buf = io.StringIO()
+    for d in job:
+        with pytest.warns(FutureWarning, match="threads"):
+            cfg = ScanConfig.from_dict(d)
+        write_csv(run_scan(cfg), cfg.metadata_dict(), buf)
+    reference = (_BENCH / "reference" / "weak-probe-spectrum.csv").read_text()
+    attempted, failures = checks.check_pass(buf.getvalue(), job, reference)
+    assert attempted == 81
+    assert failures == []
