@@ -97,19 +97,22 @@ class PQSystem:
     pair_source: np.ndarray     # 36 x 8 Ssrc(wp, wpc)
     _pair_system: object
 
-    def single_state(self, v4) -> SingleAtomState:
+    def _sigma(self, v4) -> np.ndarray:
         """The 8 averages solving 0 = C sigma + S + B V at this V."""
         try:
-            sigma = np.linalg.solve(
+            return np.linalg.solve(
                 self.single_matrix, -(self.single_source + self.v_coupling @ v4))
         except np.linalg.LinAlgError as exc:
             raise _singular_single_atom(self.params, exc) from exc
-        return SingleAtomState(values=sigma)
+
+    def single_state(self, v4) -> SingleAtomState:
+        """``_sigma`` as a ``SingleAtomState``."""
+        return SingleAtomState(values=self._sigma(v4))
 
     def sources(self, v4) -> tuple[np.ndarray, np.ndarray]:
         """(R, Rn) source vectors; quadratic in the four components of v4."""
         v4 = np.asarray(v4, dtype=complex)
-        sigma = self.single_state(v4).values
+        sigma = self._sigma(v4)
         full = self.pair_source @ sigma + self._pair_system.ladder_source(v4, sigma)
         return self.p_rowscale * full[_P_IDX], full[_Q_IDX]
 

@@ -10,13 +10,16 @@ observables that follow from it.
 Production and references. Weak-probe rows and ``chi3_interacting`` call
 ``collisional_integral_V13_order3``: ``_ss1333_kernel`` makes one solve per
 probe order on the k = 0 blocks of the generated pair system, read at
-precomputed flat positions, and the pole sum integrates the kernel. Every
-parameter-free part (source terms, the order-2 to order-3 coupling, the
-unit columns of the right-hand sides) is an import-time constant. The
-references are tested against that path and never run on it: the full
-order-2/3 pair solves ``pair_correlators_order2/3`` (through
-``_cascade_tables``) for the kernel, and the adaptive radial quadrature
-``collisional_integral_V13_order3_quadrature`` for the pole sum. The
+precomputed flat positions, and turns the solutions into the kernel's
+rational coefficients (a cubic numerator over two quadratic
+determinants), which the pole sum integrates. Every parameter-free part
+(source terms, the order-2 to order-3 coupling, the unit columns of the
+right-hand sides) is an import-time constant. The references are tested
+against that path and never run on it: the full order-2/3 pair solves
+``pair_correlators_order2/3``, on the same k = 0 blocks and sources, check
+the coefficients pointwise (the kernel's ``__call__`` is a Horner
+evaluation of them), and the adaptive radial quadrature
+``collisional_integral_V13_order3_quadrature`` checks the pole sum. The
 label-by-label constructions the constants reproduce byte for byte are
 kept in the tests.
 
@@ -133,110 +136,82 @@ def _taylor_shift(coeffs: list, x: complex, n: int) -> list:
 
 @dataclass(frozen=True)
 class _Ss1333Kernel:
-    """ss^(3)_{13,33}(k) in closed form from the k = 0 pair blocks.
+    """ss^(3)_{13,33}(k) = num(k) / (det2(k) det3(k)), a cubic over two
+    quadratics, as the coefficients the pole sum integrates.
 
-    In each order the interaction enters only through two P columns,
-    A + U (kD) U^T with U selecting them and D their ``kdiag`` values, so the
-    Woodbury identity gives the order-2 solution as
-
-        x2(k) = x2(0) - Z2 c(k),   c(k) = (I + kD2 W2)^-1 kD2 x2_P(0),
-
-    with Z2 = A2^-1 U2 and W2 = U2^T Z2, and push-through gives the two P
-    components of the order-3 solution as
-
-        x3_P(k) = (I + W3 kD3)^-1 (h0 - HZ c(k)),   W3 = U3^T A3^-1 U3,
-
-    where h0 = x3_P(0) and HZ = -U3^T A3^-1 F Z2 carries the order-2
-    correction through the order-3 source -F x2(k) into the P right-hand
-    side. Only P components are formed, so nothing cancels deep in the
-    blockade core. The first order-3 P column is ss_{13,33}. Every
-    coefficient is a Python complex: a node costs two 2x2 solves in scalar
-    arithmetic.
+    ``num`` holds the four coefficients of the numerator in ascending
+    powers of k; ``det2`` and ``det3`` hold (a1, a2) of 1 + a1 k + a2 k^2.
+    Every kernel, production, reference or synthetic, is built by
+    ``from_woodbury``.
     """
 
-    d2: tuple   # (d0, d1): kdiag of the two order-2 P columns
-    w2: tuple   # W2 row-major (w00, w01, w10, w11)
-    x2p: tuple  # x2_P(0)
-    h0: tuple   # x3_P(0)
-    hz: tuple   # HZ row-major
-    d3: tuple   # kdiag of the two order-3 P columns, ss_{13,33} first
-    w3: tuple   # W3 row-major
+    num: tuple
+    det2: tuple
+    det3: tuple
 
-    def __call__(self, k) -> complex:
-        k = float(k)  # a numpy float would make every product a numpy scalar op
-        d0, d1 = self.d2
-        w00, w01, w10, w11 = self.w2
-        e0 = k * d0
-        e1 = k * d1
-        m00 = 1.0 + e0 * w00
-        m01 = e0 * w01
-        m10 = e1 * w10
-        m11 = 1.0 + e1 * w11
-        det = _checked_det(m00 * m11 - m01 * m10, 2, k)
-        p0, p1 = self.x2p
-        r0 = e0 * p0
-        r1 = e1 * p1
-        c0 = (m11 * r0 - m01 * r1) / det
-        c1 = (m00 * r1 - m10 * r0) / det
+    @classmethod
+    def from_woodbury(cls, d2, w2, x2p, h0, hz, d3, w3) -> "_Ss1333Kernel":
+        """The kernel from the Woodbury blocks of the k = 0 pair systems.
 
-        h0, h1 = self.h0
-        z00, z01, z10, z11 = self.hz
-        y0 = h0 - (z00 * c0 + z01 * c1)
-        y1 = h1 - (z10 * c0 + z11 * c1)
-        g0, g1 = self.d3
-        w00, w01, w10, w11 = self.w3
-        f0 = k * g0
-        f1 = k * g1
-        n00 = 1.0 + w00 * f0
-        n01 = w01 * f1
-        n10 = w10 * f0
-        n11 = 1.0 + w11 * f1
-        det = _checked_det(n00 * n11 - n01 * n10, 3, k)
-        return (n11 * y0 - n01 * y1) / det
+        In each order the interaction enters only through two P columns,
+        A + U (kD) U^T with U selecting them and D their ``kdiag`` values, so
+        the Woodbury identity gives the order-2 solution as
 
-    def _determinants(self) -> tuple:
-        """(a1, a2) of det2 and of det3, each 1 + a1 k + a2 k^2."""
-        d0, d1 = self.d2
-        w00, w01, w10, w11 = self.w2
-        g0, g1 = self.d3
-        v00, v01, v10, v11 = self.w3
-        return (
-            (d0 * w00 + d1 * w11, d0 * d1 * (w00 * w11 - w01 * w10)),
-            (g0 * v00 + g1 * v11, g0 * g1 * (v00 * v11 - v01 * v10)),
-        )
+            x2(k) = x2(0) - Z2 c(k),   c(k) = (I + kD2 W2)^-1 kD2 x2_P(0),
 
-    def _numerator(self, det2: tuple) -> list:
-        """Ascending coefficients of the cubic ss(k) det2(k) det3(k), given
-        (a1, a2) of det2.
+        with Z2 = A2^-1 U2 and W2 = U2^T Z2, and push-through gives the two P
+        components of the order-3 solution as
 
-        det2 c(k) is quadratic, so is det2 y(k) = h0 det2 - HZ (det2 c),
-        and det3 ss = n11 y0 - n01 y1 with n11, n01 linear in k."""
-        d0, d1 = self.d2
-        w00, w01, w10, w11 = self.w2
-        p0, p1 = self.x2p
-        h0, h1 = self.h0
-        z00, z01, z10, z11 = self.hz
-        g1 = self.d3[1]
-        _, v01, _, v11 = self.w3
-        det2 = (1.0, *det2)
+            x3_P(k) = (I + W3 kD3)^-1 (h0 - HZ c(k)),   W3 = U3^T A3^-1 U3,
+
+        where h0 = x3_P(0) and HZ = -U3^T A3^-1 F Z2 carries the order-2
+        correction through the order-3 source -F x2(k) into the P
+        right-hand side. The first order-3 P column is ss_{13,33}.
+
+        The arguments are tuples of Python scalars (complex in production,
+        so no product is a numpy scalar op): ``d2``/``d3`` the kdiag
+        values of the two order-2/3 P columns (ss_{13,33} first), ``x2p`` =
+        x2_P(0), ``h0``, and the 2x2 matrices ``w2`` = W2, ``hz`` = HZ,
+        ``w3`` = W3 row-major. det2 = det(I + kD2 W2) and det3 = det(I + W3
+        kD3) are quadratic in k; det2 c(k) is quadratic, so is det2 y(k) =
+        h0 det2 - HZ (det2 c), and the numerator det3 ss = n11 y0 - n01 y1,
+        with n11, n01 the entries of I + W3 kD3, is cubic.
+        """
+        d0, d1 = d2
+        w00, w01, w10, w11 = w2
+        g0, g1 = d3
+        v00, v01, v10, v11 = w3
+        det2 = (d0 * w00 + d1 * w11, d0 * d1 * (w00 * w11 - w01 * w10))
+        det3 = (g0 * v00 + g1 * v11, g0 * g1 * (v00 * v11 - v01 * v10))
+        p0, p1 = x2p
+        z00, z01, z10, z11 = hz
+        e2 = (1.0, *det2)  # det2 in ascending powers of k
         c0 = (0.0, d0 * p0, d0 * d1 * (w11 * p0 - w01 * p1))
         c1 = (0.0, d1 * p1, d0 * d1 * (w00 * p1 - w10 * p0))
-        y0 = [h0 * det2[j] - (z00 * c0[j] + z01 * c1[j]) for j in range(3)]
-        y1 = [h1 * det2[j] - (z10 * c0[j] + z11 * c1[j]) for j in range(3)]
-        return [
+        y0 = [h0[0] * e2[j] - (z00 * c0[j] + z01 * c1[j]) for j in range(3)]
+        y1 = [h0[1] * e2[j] - (z10 * c0[j] + z11 * c1[j]) for j in range(3)]
+        num = (
             y0[0],
             y0[1] + g1 * (v11 * y0[0] - v01 * y1[0]),
             y0[2] + g1 * (v11 * y0[1] - v01 * y1[1]),
             g1 * (v11 * y0[2] - v01 * y1[2]),
-        ]
+        )
+        return cls(num=num, det2=det2, det3=det3)
 
-    def _poles(self, dets: tuple | None = None) -> tuple:
+    def __call__(self, k) -> complex:
+        k = float(k)  # a numpy float would make every product a numpy scalar op
+        (a1, a2), (b1, b2) = self.det2, self.det3
+        det2 = _checked_det(1.0 + k * (a1 + k * a2), 2, k)
+        det3 = _checked_det(1.0 + k * (b1 + k * b2), 3, k)
+        n0, n1, n2, n3 = self.num
+        return (n0 + k * (n1 + k * (n2 + k * n3))) / (det2 * det3)
+
+    def _poles(self) -> tuple:
         """(lead, [[rho, m], ...]) with det2 det3 = lead prod (k - rho)^m.
-        A root shared by det2 and det3 is one pole of the summed order.
-        ``dets`` is ``_determinants()``, when the caller has it already."""
+        A root shared by det2 and det3 is one pole of the summed order."""
         lead = 1.0
         poles: list = []
-        for a1, a2 in dets or self._determinants():
+        for a1, a2 in (self.det2, self.det3):
             lead *= a2 if a2 != 0 else (a1 if a1 != 0 else 1.0)
             for rho, m in _quadratic_roots(a1, a2):
                 shared = [pole for pole in poles if pole[0] == rho]
@@ -256,14 +231,12 @@ class _Ss1333Kernel:
         num(rho) / (det2 det3)'(rho) * F(rho); a double root or a root
         shared by det2 and det3 adds the confluent F'(rho) term.
         """
-        dets = self._determinants()
-        num = self._numerator(dets[0])
-        lead, poles = self._poles(dets)
+        lead, poles = self._poles()
         total = 0j
         for rho, m in poles:
             # num and rest = det2 det3 / (k - rho)^m in powers of t = k - rho,
             # both to order m - 1
-            p = _taylor_shift(num, rho, m)
+            p = _taylor_shift(self.num, rho, m)
             rest = [lead] + [0.0] * (m - 1)
             for other, m_other in poles:
                 for _ in range(m_other if other != rho else 0):
@@ -289,11 +262,11 @@ def _checked_det(det: complex, order: int, k: float) -> complex:
     return det
 
 
-def _solve_at_k0(a: np.ndarray, rhs: np.ndarray, order: int) -> np.ndarray:
+def _solve_pair_block(a: np.ndarray, rhs: np.ndarray, order: int, k=0) -> np.ndarray:
     try:
         return np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError as exc:
-        raise SingularParameterError(f"singular order-{order} pair system at k=0") from exc
+        raise SingularParameterError(f"singular order-{order} pair system at k={k}") from exc
 
 
 # first- and second-order single-atom sources, in the order of x1 / x2 in
@@ -385,64 +358,30 @@ def _ss1333_kernel(ps: PairSystem, pc: PerturbativeCoefficients) -> _Ss1333Kerne
     # A2^-1 [-src2 | U2]
     rhs2 = _CASCADE.rhs2.copy()
     rhs2[:, 0] = [-v for v in src2]
-    sol2 = _solve_at_k0(ps.a0.take(_CASCADE.flat2), rhs2, 2)
+    sol2 = _solve_pair_block(ps.a0.take(_CASCADE.flat2), rhs2, 2)
     # A3^-1 [-src3 - F x2(0) | -F Z2 | U3]
     rhs3 = _CASCADE.rhs3.copy()
     rhs3[:, 0] = [-v for v in src3]
     rhs3[:, 0] -= _CASCADE.from_o2 @ sol2[:, 0]
     rhs3[:, 1:3] = _CASCADE.neg_from_o2 @ sol2[:, 1:]
-    sol3 = _solve_at_k0(ps.a0.take(_CASCADE.flat3), rhs3, 3)
+    sol3 = _solve_pair_block(ps.a0.take(_CASCADE.flat3), rhs3, 3)
 
     (p0, w00, w01), (p1, w10, w11) = sol2[_CASCADE.p2].tolist()
     (h0, z00, z01, v00, v01), (h1, z10, z11, v10, v11) = sol3[_CASCADE.p3].tolist()
-    return _Ss1333Kernel(
+    return _Ss1333Kernel.from_woodbury(
         d2=_CASCADE.d2, w2=(w00, w01, w10, w11), x2p=(p0, p1),
         h0=(h0, h1), hz=(z00, z01, z10, z11),
         d3=_CASCADE.d3, w3=(v00, v01, v10, v11),
     )
 
 
-@dataclass(frozen=True)
-class _CascadeTables:
-    """k = 0 blocks and sources of the order-2/3 pair systems for one
-    parameter set: what the full-solve references read."""
-
-    o2_a: np.ndarray
-    o2_kdiag: np.ndarray
-    o2_src: np.ndarray          # constant source vector built from sigma^(1)
-    o3_a: np.ndarray
-    o3_kdiag: np.ndarray
-    o3_src_single: np.ndarray   # source from sigma^(2)
-    o3_from_o2: np.ndarray      # coupling matrix applied to the order-2 solution
-
-
-def _cascade_tables(
-    params: AtomParams, pc: PerturbativeCoefficients
-) -> _CascadeTables:
-    """Order-2/3 pair systems at ``params``; ``pc`` is the single-atom
-    cascade at the same parameters, which supplies the sources."""
-    a0 = generate_pair_equations(params).a0
-    src2, src3 = _cascade_sources(pc)
-    return _CascadeTables(
-        o2_a=a0.take(_CASCADE.flat2), o2_kdiag=_CASCADE.kdiag2, o2_src=np.array(src2),
-        o3_a=a0.take(_CASCADE.flat3), o3_kdiag=_CASCADE.kdiag3, o3_src_single=np.array(src3),
-        o3_from_o2=_CASCADE.from_o2,
-    )
-
-
-def _order2(t: _CascadeTables, k: float) -> np.ndarray:
-    mat = t.o2_a + k * np.diag(t.o2_kdiag)
-    try:
-        return np.linalg.solve(mat, -t.o2_src)
-    except np.linalg.LinAlgError as exc:
-        raise SingularParameterError(f"singular order-2 pair system at k={k}") from exc
-
-
 def pair_correlators_order2(params: AtomParams, k: float) -> dict:
     """Reduced second-order two-body correlators at interaction strength k
     (full solve; the reference for the closed-form kernel)."""
-    t = _cascade_tables(params, perturbative_coefficients(params))
-    return dict(zip(ORDER2_LABELS, _order2(t, k)))
+    a2 = generate_pair_equations(params).a0.take(_CASCADE.flat2)
+    src2, _ = _cascade_sources(perturbative_coefficients(params))
+    x2 = _solve_pair_block(a2 + k * np.diag(_CASCADE.kdiag2), -np.array(src2), 2, k)
+    return dict(zip(ORDER2_LABELS, x2))
 
 
 def pair_correlators_order3(params: AtomParams, k: float) -> dict:
@@ -452,14 +391,13 @@ def pair_correlators_order3(params: AtomParams, k: float) -> dict:
     Returns the eight coefficients ss^(3)_{1b,mn} for 1b in {12, 13} and
     mn in {22, 33, 23, 32}.
     """
-    t = _cascade_tables(params, perturbative_coefficients(params))
-    src = t.o3_src_single + t.o3_from_o2 @ _order2(t, k)
-    mat = t.o3_a + k * np.diag(t.o3_kdiag)
-    try:
-        x = np.linalg.solve(mat, -src)
-    except np.linalg.LinAlgError as exc:
-        raise SingularParameterError(f"singular order-3 pair system at k={k}") from exc
-    return dict(zip(ORDER3_NETP1_LABELS, x))
+    a0 = generate_pair_equations(params).a0
+    src2, src3 = _cascade_sources(perturbative_coefficients(params))
+    mat2 = a0.take(_CASCADE.flat2) + k * np.diag(_CASCADE.kdiag2)
+    x2 = _solve_pair_block(mat2, -np.array(src2), 2, k)
+    src = np.array(src3) + _CASCADE.from_o2 @ x2
+    mat3 = a0.take(_CASCADE.flat3) + k * np.diag(_CASCADE.kdiag3)
+    return dict(zip(ORDER3_NETP1_LABELS, _solve_pair_block(mat3, -src, 3, k)))
 
 
 def ss1333_order3(params: AtomParams, k: float) -> complex:

@@ -377,9 +377,7 @@ def _figure2(tol: float):
     rows: list[ScanResultRow] = []
     slopes: list[float] = []
     for cfg in configs:
-        preset = StatePreset(cfg.state)
-        p0 = AtomParams(omega_p=0.0, omega_c=preset.omega_c, delta3=cfg.delta3)
-        slope = _s_slope_third_order(p0, InteractionParams(c6=preset.c6, eta=cfg.eta))
+        slope = _s_slope_third_order(*cfg.point_params(cfg.delta3, 0.0))
         new_rows = run_scan(cfg)
         rows.extend(new_rows)
         slopes.extend(1.0 + slope * r.omega_p2 for r in new_rows)
@@ -395,9 +393,7 @@ def _figure3(tol: float):
     rows = run_scan(cfg)
     trunc_re, trunc_im = [], []
     for r in rows:
-        p0 = AtomParams(omega_p=0.0, omega_c=r.omega_c, delta2=r.delta2,
-                        delta3=r.delta3, gamma13=r.gamma13)
-        pc = perturbative_coefficients(p0)
+        pc = perturbative_coefficients(cfg.point_params(r.delta3, 0.0)[0])
         chi_t = pc.s12_1 + r.omega_p2 * pc.s12_3
         trunc_re.append(chi_t.real)
         trunc_im.append(chi_t.imag)

@@ -3,6 +3,7 @@ import importlib.util
 import io
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -325,4 +326,28 @@ def test_weak_probe_benchmark_job_passes_the_reference_check():
     reference = (_BENCH / "reference" / "weak-probe-spectrum.csv").read_text()
     attempted, failures = checks.check_pass(buf.getvalue(), job, reference)
     assert attempted == 81
+    assert failures == []
+
+
+def test_sweep_benchmark_columns_pass_the_reference_check():
+    """The first column of each preset in the benchmark's seed-0 sweep job
+    (configs 0, 4, 8 and 12: 104 points; config 12 holds every row of the
+    pass that needs the Newton fallback), scanned in-process and held to
+    the benchmark's own correctness check against the same four blocks of
+    its stored reference."""
+    checks, workloads = _bench_module("checks"), _bench_module("workloads")
+    picked = (0, 4, 8, 12)
+    full_job = workloads.make_job("intensity-sweep", 0)
+    job = [full_job[i] for i in picked]
+    buf = io.StringIO()
+    for d in job:
+        with pytest.warns(FutureWarning, match="threads"):
+            cfg = ScanConfig.from_dict(d)
+        write_csv(run_scan(cfg), cfg.metadata_dict(), buf)
+    text = (_BENCH / "reference" / "intensity-sweep.csv").read_text()
+    blocks = re.split(r"(?m)^(?=# )", text)[1:]
+    assert len(blocks) == len(full_job)
+    attempted, failures = checks.check_pass(
+        buf.getvalue(), job, "".join(blocks[i] for i in picked))
+    assert attempted == 104
     assert failures == []
