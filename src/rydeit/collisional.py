@@ -59,6 +59,21 @@ _EIG_RESID = 1e-10
 
 _P_IDX = np.array([PAIR_INDEX[lab] for lab in P_LABELS])
 _Q_IDX = np.array([PAIR_INDEX[lab] for lab in Q_LABELS])
+
+
+def _block_positions(rows, cols):
+    """Flat positions of the (rows, cols) block in the raveled pair matrix."""
+    flat = np.ravel_multi_index(np.ix_(rows, cols), (len(PAIR_LABELS),) * 2)
+    flat.flags.writeable = False
+    return flat
+
+
+# a, b, c, d blocks of the P/Q partition, gathered by one ``take`` each
+_FLAT_PP = _block_positions(_P_IDX, _P_IDX)
+_FLAT_PQ = _block_positions(_P_IDX, _Q_IDX)
+_FLAT_QQ = _block_positions(_Q_IDX, _Q_IDX)
+_FLAT_QP = _block_positions(_Q_IDX, _P_IDX)
+
 # positions of the feedback correlators ss_{a3,33} = V_a3 in the P block
 _FEEDBACK_COLS = tuple(
     P_LABELS.index(canonical_pair(lab, (3, 3))) for lab in V_LABELS
@@ -143,17 +158,16 @@ def _assemble_PQ(params: AtomParams, wp: complex, wpc: complex) -> PQSystem:
     """``assemble_PQ`` at (wp, wpc); wp = wpc = a continues it to complex a."""
     ps = generate_pair_equations(params)
     sys8 = generate_single_atom_equations(params)
-    p_idx, q_idx = _P_IDX, _Q_IDX
     amat = ps.matrix(wp, wpc)
     # P row m reads 0 = (A ss)_m + kdiag_m k ss_m + src_m; divide by
     # -kdiag_m to isolate k ss_m on the left.
-    rowscale = -1.0 / ps.kdiag[p_idx]
+    rowscale = -1.0 / ps.kdiag[_P_IDX]
     return PQSystem(
         params=params,
-        a=rowscale[:, None] * amat[np.ix_(p_idx, p_idx)],
-        b=rowscale[:, None] * amat[np.ix_(p_idx, q_idx)],
-        c=amat[np.ix_(q_idx, q_idx)],
-        d=amat[np.ix_(q_idx, p_idx)],
+        a=rowscale[:, None] * amat.take(_FLAT_PP),
+        b=rowscale[:, None] * amat.take(_FLAT_PQ),
+        c=amat.take(_FLAT_QQ),
+        d=amat.take(_FLAT_QP),
         p_rowscale=rowscale,
         single_matrix=sys8.matrix(wp, wpc),
         single_source=sys8.source(wp, wpc),

@@ -57,13 +57,21 @@ def default_gamma23(gamma12: float, gamma13: float, gamma33: float) -> float:
     return gamma12 + gamma13 - gamma33 / 2.0
 
 
-def _require_finite(record) -> None:
-    for f in fields(record):
-        value = getattr(record, f.name)
-        if not isinstance(value, numbers.Number):
-            raise TypeError(f"{f.name} must be a number, got {value!r}")
+_BUILTIN_NUMBERS = (float, int, complex)
+
+
+def _require_finite(record, names: tuple[str, ...]) -> None:
+    """Reject a non-numeric or non-finite value of any field in ``names``.
+
+    The exact builtin types skip the slower ``numbers.Number`` ABC check;
+    every other type (bool, numpy scalars, Fraction, Decimal, ...) takes it.
+    """
+    for name in names:
+        value = getattr(record, name)
+        if type(value) not in _BUILTIN_NUMBERS and not isinstance(value, numbers.Number):
+            raise TypeError(f"{name} must be a number, got {value!r}")
         if not cmath.isfinite(value):
-            raise ValueError(f"{f.name} must be finite")
+            raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -95,7 +103,7 @@ class AtomParams:
             object.__setattr__(
                 self, "gamma23", default_gamma23(self.gamma12, self.gamma13, self.gamma33)
             )
-        _require_finite(self)
+        _require_finite(self, _ATOM_FIELDS)
         if self.omega_c < 0:
             raise ValueError("omega_c must be non-negative")
         for name in ("gamma12", "gamma13", "gamma23", "gamma22", "gamma33"):
@@ -118,6 +126,9 @@ class AtomParams:
         }[key]
 
 
+_ATOM_FIELDS = tuple(f.name for f in fields(AtomParams))
+
+
 @dataclass(frozen=True)
 class RelaxationConstants:
     """Complex relaxation constants Gamma_ab = gamma_ab - i(Delta_b - Delta_a)."""
@@ -135,9 +146,12 @@ class InteractionParams:
     eta: float = 0.04
 
     def __post_init__(self):
-        _require_finite(self)
+        _require_finite(self, _INTERACTION_FIELDS)
         if self.eta <= 0:
             raise ValueError("atomic density eta must be positive")
+
+
+_INTERACTION_FIELDS = tuple(f.name for f in fields(InteractionParams))
 
 
 @dataclass(frozen=True)

@@ -14,13 +14,19 @@ this to a flat integrand:
 which plateaus at the blockade core (u -> 0) and decays as u^-2. The far
 power-law tail beyond a cutoff U is integrated analytically from the first
 two Taylor terms of f around k = 0.
+
+Nothing on the production path calls this module: weak-probe rows take
+V13^(3) from the closed-form pole sum, and the nonlinear solve uses the
+closed-form F(lambda). It is the validation and reference path, so SciPy
+(``vdw_k_integral``) and mpmath (``vdw_k_integral_reference``) are
+imported inside the functions, on first use, and ``import rydeit`` loads
+only numpy.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 __all__ = [
     "RadialQuadratureResult",
@@ -64,6 +70,8 @@ def vdw_k_integral(fn, c6: float, eta: float, k_scale: float,
     ``k_scale`` sets the interaction strength at the blockade radius
     (typically |T| or |lambda|); it only conditions the substitution.
     """
+    from scipy import integrate
+
     if c6 == 0.0:
         return RadialQuadratureResult(0.0, 0.0, 0, True)
     if k_scale <= 0:

@@ -15,6 +15,9 @@ from rydeit.collisional import (
     F_lambda_quadrature,
     GAMMA33_REGULARIZATION,
     ConvergenceError,
+    _P_IDX,
+    _Q_IDX,
+    _assemble_PQ,
     _newton,
     assemble_PQ,
     regularize,
@@ -46,6 +49,33 @@ class TestSchurReduction:
         assert regularize(p).gamma33 == GAMMA33_REGULARIZATION
         p2 = AtomParams(gamma33=0.3)
         assert regularize(p2) is p2
+
+
+class TestAssemblePQ:
+    @pytest.mark.parametrize("state, gamma33, a", [
+        (50, 0.0, 0.3), (46, 0.05, 0.0), (61, 0.0, np.sqrt(0.5)),
+        (56, 0.01, 0.2 + 0.1j), (50, 1e-6, 0.05j),
+    ])
+    def test_blocks_match_ix_gather_bytewise(self, state, gamma33, a):
+        """The flat-position ``take`` gathers the same a, b, c, d bytes as
+        ``amat[np.ix_(rows, cols)]`` (with the P rows rescaled)."""
+        preset = StatePreset(state)
+        p = AtomParams(omega_p=a, omega_c=preset.omega_c, gamma33=gamma33)
+        for wp, wpc in ((a, np.conj(a)), (a, a)):
+            pq = _assemble_PQ(p, wp, wpc)
+            ps = collisional.generate_pair_equations(p)
+            amat = ps.matrix(wp, wpc)
+            rowscale = -1.0 / ps.kdiag[_P_IDX]
+            want = {
+                "a": rowscale[:, None] * amat[np.ix_(_P_IDX, _P_IDX)],
+                "b": rowscale[:, None] * amat[np.ix_(_P_IDX, _Q_IDX)],
+                "c": amat[np.ix_(_Q_IDX, _Q_IDX)],
+                "d": amat[np.ix_(_Q_IDX, _P_IDX)],
+            }
+            for name, block in want.items():
+                got = getattr(pq, name)
+                assert got.shape == block.shape and got.dtype == block.dtype
+                assert got.tobytes() == block.tobytes(), name
 
 
 class TestSpectralIntegrals:

@@ -1,6 +1,9 @@
 """Parameter records, unit conventions and derived constants."""
 import math
+from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -131,6 +134,53 @@ class TestPresets:
     def test_interaction_params_non_number_rejected(self):
         with pytest.raises(TypeError, match="c6 must be a number"):
             InteractionParams(c6="5000")
+
+
+class _Real(float):
+    """A float subclass: not a builtin type, still a ``numbers.Number``."""
+
+
+# (field, value, exception raised or None): the builtin types take the fast
+# identity check; bool, numpy scalars, Fraction, Decimal and subclasses the
+# ``numbers.Number`` check. Both must accept and reject exactly these.
+_FIELD_VALUES = [
+    ("delta3", 0.5, None), ("delta3", -2, None), ("omega_p", 0.3 + 0.1j, None),
+    ("omega_p", 0, None), ("delta3", True, None), ("delta3", np.float64(0.5), None),
+    ("delta3", np.float32(0.5), None), ("delta3", np.int64(-3), None),
+    ("omega_p", np.complex128(0.3 - 0.2j), None), ("delta3", Fraction(1, 3), None),
+    ("delta3", Decimal("0.25"), None), ("delta3", _Real(0.5), None),
+    ("c6", 5000, None), ("c6", np.float64(-36000.0), None), ("eta", Fraction(1, 25), None),
+    ("delta3", "0.5", TypeError), ("delta3", None, TypeError), ("delta3", [0.5], TypeError),
+    ("delta3", np.array(0.5), TypeError), ("omega_p", b"0", TypeError),
+    ("c6", "5000", TypeError), ("eta", None, TypeError),
+    ("delta3", math.nan, ValueError), ("delta3", -math.inf, ValueError),
+    ("omega_p", complex(0.0, math.inf), ValueError), ("delta3", np.float64(math.nan), ValueError),
+    ("omega_p", np.complex128(complex(math.nan, 0.0)), ValueError),
+    ("delta3", Decimal("Infinity"), ValueError), ("delta3", _Real(math.inf), ValueError),
+    ("c6", np.float32(math.inf), ValueError), ("eta", math.nan, ValueError),
+]
+
+
+class TestFieldValidation:
+    @pytest.mark.parametrize("name, value, error", _FIELD_VALUES,
+                             ids=[f"{n}-{type(v).__name__}-{v!r}" for n, v, _ in _FIELD_VALUES])
+    def test_accepted_and_rejected_values(self, name, value, error):
+        build = (lambda: InteractionParams(**{"c6": 5000.0, name: value})) \
+            if name in ("c6", "eta") else (lambda: AtomParams(**{name: value}))
+        if error is None:
+            assert getattr(build(), name) is value
+        else:
+            text = "must be a number" if error is TypeError else "must be finite"
+            with pytest.raises(error, match=f"^{name} {text}"):
+                build()
+
+    def test_with_omega_p_validates(self):
+        p = AtomParams()
+        assert p.with_omega_p(np.complex128(0.2j)).omega_p == 0.2j
+        with pytest.raises(TypeError, match="^omega_p must be a number"):
+            p.with_omega_p("0.2")
+        with pytest.raises(ValueError, match="^omega_p must be finite"):
+            p.with_omega_p(complex(math.inf, 0.0))
 
 
 class TestPotentialAndBlockade:
