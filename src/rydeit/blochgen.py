@@ -202,11 +202,43 @@ def _constant_parts(matrices, what: str):
 
 
 def _minus_gamma(p: AtomParams) -> np.ndarray:
-    """g(a, b) = -Gamma_ab of each single label. A zero rate gives +0.0, as the
-    loop's accumulation does, so omega_c = -0.0 stays byte-identical too."""
+    """g(a, b) = -Gamma_ab of each single label, shape (8,), or (n, 8) along
+    a ``delta3_column``. A zero rate gives +0.0, as the loop's accumulation
+    does, so omega_c = -0.0 stays byte-identical too."""
     delta = (0.0, p.delta2, p.delta3)
-    return np.array([complex(0.0 - getattr(p, rate), delta[b - 1] - delta[a - 1])
-                     for rate, (a, b) in zip(_RATE_FIELDS, SINGLE_LABELS)])
+    g = np.empty(np.shape(p.delta3) + (8,), dtype=complex)
+    g.real = [0.0 - getattr(p, rate) for rate in _RATE_FIELDS]
+    for j, (a, b) in enumerate(SINGLE_LABELS):
+        g.imag[..., j] = delta[b - 1] - delta[a - 1]
+    return g
+
+
+def _block_gather(k: np.ndarray, diag_of, row_sets):
+    """A function of a ``delta3_column`` that returns the (rows, rows)
+    blocks of omega_c k + diag(diag_of(g)), g = ``_minus_gamma``, one
+    (n, len(rows), len(rows)) array per index array in ``row_sets``. The
+    positions are worked out here, once; each call gathers every block in
+    one ``take`` and does the same elementwise operations as building the
+    full matrix, so it gives the same bytes without building it."""
+    flat = np.concatenate([np.ravel_multi_index(np.ix_(rows, rows), k.shape).ravel()
+                           for rows in row_sets])
+    rows, cols = np.unravel_index(flat, k.shape)
+    k_blocks = k.take(flat)
+    # each position's entry of diag_of(g), or of a trailing 0 off the diagonal
+    pick = np.where(rows == cols, rows, k.shape[0])
+    ends = np.cumsum([0] + [len(r) ** 2 for r in row_sets]).tolist()
+    parts = [(slice(a, b), (len(r), len(r))) for a, b, r in zip(ends, ends[1:], row_sets)]
+    for arr in (k_blocks, pick):
+        arr.flags.writeable = False
+
+    def blocks(params) -> tuple:
+        diag = diag_of(_minus_gamma(params))
+        diag = np.concatenate([diag, np.zeros(diag.shape[:-1] + (1,), dtype=complex)], -1)
+        values = params.omega_c * k_blocks + diag.take(pick, axis=-1)
+        return tuple(values[..., part].reshape(values.shape[:-1] + shape)
+                     for part, shape in parts)
+
+    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +299,13 @@ def _single_v_coupling():
 
 _K8, _CP, _CM, _S0, _SP, _SM = _constant_parts(_single_matrices, "constant source")
 _V_COUPLING = _single_v_coupling()
+
+
+def c0_blocks(*row_sets):
+    """``_block_gather`` of c0 = omega_c K8 + diag(g): its diagonal blocks
+    at each row of a ``delta3_column``, built from blocks of K8 without
+    forming c0."""
+    return _block_gather(_K8, lambda g: g, row_sets)
 
 
 def generate_single_atom_equations(params: AtomParams) -> SingleAtomSystem:
@@ -362,6 +401,12 @@ _KDIAG, _LADDER = _pair_interaction_structure()
 # single-label indices of the two factors of each pair label
 _L1 = np.array([SINGLE_INDEX[l1] for l1, _ in PAIR_LABELS])
 _L2 = np.array([SINGLE_INDEX[l2] for _, l2 in PAIR_LABELS])
+
+
+def a0_blocks(*row_sets):
+    """``_block_gather`` of a0 = omega_c K36 + diag(g[l1] + g[l2]), as
+    ``c0_blocks`` does for c0: no 36x36 a0 is formed."""
+    return _block_gather(_K36, lambda g: g[..., _L1] + g[..., _L2], row_sets)
 
 
 def generate_pair_equations(params: AtomParams) -> PairSystem:

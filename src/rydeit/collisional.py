@@ -25,6 +25,8 @@ from .blochgen import (
     PAIR_LABELS,
     Q_LABELS,
     V_LABELS,
+    PairSystem,
+    SingleAtomSystem,
     canonical_pair,
     generate_pair_equations,
     generate_single_atom_equations,
@@ -151,13 +153,21 @@ def regularize(params: AtomParams) -> AtomParams:
 def assemble_PQ(params: AtomParams) -> PQSystem:
     """Partition the generated 36-row system into the P/Q block form and
     evaluate the single-atom and pair source operands at the probe."""
-    return _assemble_PQ(params, params.omega_p, np.conj(params.omega_p))
+    return _assemble_PQ(params, params.omega_p, np.conj(params.omega_p),
+                        *_generate(params))
 
 
-def _assemble_PQ(params: AtomParams, wp: complex, wpc: complex) -> PQSystem:
-    """``assemble_PQ`` at (wp, wpc); wp = wpc = a continues it to complex a."""
-    ps = generate_pair_equations(params)
-    sys8 = generate_single_atom_equations(params)
+def _generate(params: AtomParams) -> tuple[PairSystem, SingleAtomSystem]:
+    """The generated pair and single-atom systems of ``params``. Only
+    c0/a0 depend on the parameters, and not on the probe, so one generation
+    serves every probe amplitude of a parameter set."""
+    return generate_pair_equations(params), generate_single_atom_equations(params)
+
+
+def _assemble_PQ(params: AtomParams, wp: complex, wpc: complex,
+                 ps: PairSystem, sys8: SingleAtomSystem) -> PQSystem:
+    """``assemble_PQ`` at (wp, wpc) from the generated systems ``ps`` and
+    ``sys8`` of ``params``; wp = wpc = a continues it to complex a."""
     amat = ps.matrix(wp, wpc)
     # P row m reads 0 = (A ss)_m + kdiag_m k ss_m + src_m; divide by
     # -kdiag_m to isolate k ss_m on the left.
@@ -364,11 +374,12 @@ def solve_collisional_integrals(
 
     The probe intensity is continued from 0 (V = 0, the non-interacting
     root) to its target in stages of at most a quarter, each warm-started
-    by a secant predictor and building G once. A stage runs damped
-    fixed-point iteration (``_DAMPING``, at most ``_MAX_ITER_PER_STAGE``
-    iterations), then finite-difference Newton; it is accepted on a
-    conjugation-symmetric, physical root, else the step halves. This pins
-    the physical root. ``ConvergenceError`` is raised when the step falls
+    by a secant predictor and building G once. The stages differ only in
+    the probe, so the equations are generated once per solve. A stage runs
+    damped fixed-point iteration (``_DAMPING``, at most
+    ``_MAX_ITER_PER_STAGE`` iterations), then finite-difference Newton; it
+    is accepted on a conjugation-symmetric, physical root, else the step
+    halves. This pins the physical root. ``ConvergenceError`` is raised when the step falls
     below ``_MIN_STEP`` = 1/(8*50^2) or after more than ``_MAX_STAGES`` =
     16*50 stages.
     """
@@ -376,11 +387,13 @@ def solve_collisional_integrals(
     if interaction.c6 == 0.0 or wp == 0:
         return CollisionalIntegrals(0j, 0j, 0j, 0j, 0, 0.0, 0, False)
     params = regularize(params)
+    systems = _generate(params)
 
     def stage_at(x):
         # x is the intensity fraction; amplitudes scale as sqrt(x)
         p = params.with_omega_p(wp * np.sqrt(x))
-        spec = spectral_decompose(schur_reduce(assemble_PQ(p)))
+        pq = _assemble_PQ(p, p.omega_p, np.conj(p.omega_p), *systems)
+        spec = spectral_decompose(schur_reduce(pq))
         return spec.feedback_map(interaction), spec.reduced.pq
 
     def root_ok(v, pq):

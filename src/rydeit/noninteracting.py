@@ -23,9 +23,15 @@ from .blochgen import (
     _SP,
     _V_COUPLING,
     SINGLE_INDEX,
+    c0_blocks,
     generate_single_atom_equations,
 )
-from .params import AtomParams, SingularParameterError, relaxation_constants
+from .params import (
+    AtomParams,
+    SingularParameterError,
+    delta3_column,
+    relaxation_constants,
+)
 
 __all__ = [
     "SingleAtomState",
@@ -33,6 +39,7 @@ __all__ = [
     "solve_single_system",
     "steady_state_two_level",
     "steady_state_three_level",
+    "perturbative_column",
     "perturbative_coefficients",
 ]
 
@@ -115,9 +122,12 @@ def solve_single_system(params: AtomParams, v4=None) -> SingleAtomState:
 
 
 def _singular_single_atom(params: AtomParams, exc) -> SingularParameterError:
+    delta3 = params.delta3
+    if np.ndim(delta3):  # a delta3_column
+        delta3 = delta3[0] if len(delta3) == 1 else f"one of {len(delta3)} values"
     return SingularParameterError(
         f"singular single-atom system at omega_c={params.omega_c}, "
-        f"delta2={params.delta2}, delta3={params.delta3}: {exc}"
+        f"delta2={params.delta2}, delta3={delta3}: {exc}"
     )
 
 
@@ -157,7 +167,8 @@ def steady_state_two_level(params: AtomParams) -> SingleAtomState:
 
 @dataclass(frozen=True)
 class PerturbativeCoefficients:
-    """Reduced weak-probe expansion coefficients of the single-atom averages."""
+    """Reduced weak-probe expansion coefficients of the single-atom averages:
+    Python complex numbers, or arrays along a column (``perturbative_column``)."""
 
     s12_1: complex
     s13_1: complex
@@ -182,18 +193,13 @@ _NET_0 = ((2, 2), (3, 3), (2, 3), (3, 2))
 
 def _cascade_constants():
     """Parameter-free parts of the single-atom cascade, from the generator's
-    constants: flat positions in c0 of the diagonal blocks of each order
-    ([net +1, net -1] stacked, then net 0), the order-1 right-hand sides
-    -sp, -sm, and the probe blocks that feed orders 2 and 3."""
-    p1, m1, n0 = ([SINGLE_INDEX[lab] for lab in labs]
+    constants: the rows of the diagonal blocks of each order (net +1, net
+    -1, net 0), the order-1 right-hand sides -sp, -sm, and the probe blocks
+    that feed orders 2 and 3."""
+    p1, m1, n0 = (np.array([SINGLE_INDEX[lab] for lab in labs])
                   for labs in (_NET_P1, _NET_M1, _NET_0))
-
-    def flat(rows):
-        return np.ravel_multi_index(np.ix_(rows, rows), (8, 8))
-
     parts = (
-        np.stack([flat(p1), flat(m1)]),
-        flat(n0),
+        p1, m1, n0,
         np.stack([-_SP[p1], -_SM[m1]])[..., None],
         _CP[np.ix_(n0, m1)],
         _CM[np.ix_(n0, p1)],
@@ -205,51 +211,55 @@ def _cascade_constants():
     return parts
 
 
-(_FLAT_O1, _FLAT_O2, _RHS_O1, _CP_0M, _CM_0P, _CP_P0,
+(_ROWS_P1, _ROWS_M1, _ROWS_0, _RHS_O1, _CP_0M, _CM_0P, _CP_P0,
  _V13_P1) = _cascade_constants()
+_C0_BLOCKS = c0_blocks(_ROWS_P1, _ROWS_M1, _ROWS_0)
+
+
+def perturbative_column(params, v13_3=0.0) -> PerturbativeCoefficients:
+    """The order-by-order cascade of the single-atom system at every row of
+    a ``delta3_column``: each field is an array along the column.
+
+    ``v13_3`` is the reduced third-order collisional integral, a scalar or
+    one value per row; pass ``perturbative.collisional_integral_V13_column``
+    (the closed-form pole sum, whose radial quadrature is its reference) to
+    obtain the interacting third-order susceptibility coefficient, or leave
+    0 for the non-interacting one. A singular block raises
+    ``SingularParameterError``.
+
+    Only the diagonal blocks of c0 depend on the parameters; they are
+    gathered from K8 (``blochgen.c0_blocks``), and every other block is an
+    import-time constant. Each order is one stacked solve over the column,
+    and the probe blocks hold only 0, +-i and +-2i, so every product is
+    exact and each row is byte-identical to solving it alone. The
+    label-by-label block construction it reproduces byte for byte is kept
+    in the tests.
+    """
+    return PerturbativeCoefficients(*np.ascontiguousarray(_cascade(params, v13_3).T))
+
+
+def _cascade(params, v13_3) -> np.ndarray:
+    """``perturbative_column`` as one row of the ten coefficients, in field
+    order, per row of the column."""
+    a_p1, a_m1, a_0 = _C0_BLOCKS(params)
+    try:
+        # order 1: net +1 and net -1, driven by the Wp and Wp* constant sources
+        x_1 = np.linalg.solve(np.stack([a_p1, a_m1], axis=1), _RHS_O1)[..., 0]
+        x_p1, x_m1 = x_1[:, 0, :, None], x_1[:, 1, :, None]
+        # order 2: net 0, sourced by order-1 coherences through the probe terms
+        x_0 = np.linalg.solve(a_0, -(_CP_0M @ x_m1 + _CM_0P @ x_p1))
+        # order 3: net +1, sourced by order-2 populations/Raman coherence,
+        # plus the third-order collisional integral in the sigma13 equation
+        src3 = _CP_P0 @ x_0 + _V13_P1[:, None] * np.asarray(v13_3)[..., None, None]
+        x_p3 = np.linalg.solve(a_p1, -src3)
+    except np.linalg.LinAlgError as exc:
+        raise _singular_single_atom(params, exc) from exc
+    return np.concatenate([x_1.reshape(-1, 4), x_0[..., 0], x_p3[..., 0]], axis=1)
 
 
 def perturbative_coefficients(
     params: AtomParams, v13_3: complex = 0.0
 ) -> PerturbativeCoefficients:
-    """Order-by-order cascade of the single-atom system.
-
-    ``v13_3`` is the reduced third-order collisional integral; pass
-    ``perturbative.collisional_integral_V13_order3`` (the closed-form pole
-    sum, whose radial quadrature is its reference) to obtain the interacting
-    third-order susceptibility coefficient, or leave 0 for the
-    non-interacting one. A singular block raises ``SingularParameterError``.
-
-    Only the diagonal blocks of c0 depend on the parameters; they are read
-    from the generated system at precomputed flat positions, and every
-    other block is an import-time constant. The label-by-label block
-    construction it reproduces byte for byte is kept in the tests.
-    """
-    c0 = generate_single_atom_equations(params).c0
-
-    def solve(a, rhs):
-        try:
-            return np.linalg.solve(a, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise _singular_single_atom(params, exc) from exc
-
-    # order 1: net +1 and net -1, driven by the Wp and Wp* constant sources
-    a_1 = c0.take(_FLAT_O1)
-    x_1 = solve(a_1, _RHS_O1)[..., 0]
-    x_p1, x_m1 = x_1
-
-    # order 2: net 0, sourced by order-1 coherences through the probe terms
-    x_0 = solve(c0.take(_FLAT_O2), -(_CP_0M @ x_m1 + _CM_0P @ x_p1))
-
-    # order 3: net +1, sourced by order-2 populations/Raman coherence,
-    # plus the third-order collisional integral in the sigma13 equation
-    x_p3 = solve(a_1[0], -(_CP_P0 @ x_0 + _V13_P1 * v13_3))
-
-    (s12_1, s13_1), (s21_1, s31_1) = x_1.tolist()
-    s22_2, s33_2, s23_2, s32_2 = x_0.tolist()
-    s12_3, s13_3 = x_p3.tolist()
-    return PerturbativeCoefficients(
-        s12_1=s12_1, s13_1=s13_1, s21_1=s21_1, s31_1=s31_1,
-        s22_2=s22_2, s33_2=s33_2, s23_2=s23_2, s32_2=s32_2,
-        s12_3=s12_3, s13_3=s13_3,
-    )
+    """``perturbative_column`` at the one parameter set ``params``, as
+    Python complex numbers."""
+    return PerturbativeCoefficients(*_cascade(delta3_column(params), v13_3)[0].tolist())

@@ -167,10 +167,12 @@ def nb_weak_probe(
     the exact third-order collisional coherence: n_b = V13^(3) Gamma12 /
     (i omega_c s33_2). Differs from the resolvent closed form by the ladder
     truncation error of the latter (about 6% at omega_c = 3, delta2 = -25).
-    ``pc`` is ``perturbative_coefficients(params)``.
+    ``pc`` is ``perturbative_coefficients(params)``; along a
+    ``delta3_column``, ``pc`` is its ``perturbative_column`` and ``v13_3``
+    one value per row, and the result is an array.
     """
     rc = relaxation_constants(params)
-    return complex(v13_3 * rc.Gamma12 / (1j * params.omega_c * pc.s33_2))
+    return v13_3 * rc.Gamma12 / (1j * params.omega_c * pc.s33_2)
 
 
 def nb_tilde_weak_probe(
@@ -179,7 +181,8 @@ def nb_tilde_weak_probe(
     """Weak-probe limit of nb_tilde from the V13/V31 deficit channel.
 
     Excludes the (sub-percent) Raman-integral channel and fifth-order
-    corrections. ``pc`` is ``perturbative_coefficients(params)``.
+    corrections. ``pc`` is ``perturbative_coefficients(params)``; it takes
+    a column as ``nb_weak_probe`` does.
     """
     rc = relaxation_constants(params)
     # Re[c n_b] with n_b eliminated in favor of V13^(3)
@@ -187,7 +190,7 @@ def nb_tilde_weak_probe(
         rc.Gamma12 * np.conj(rc.Gamma23) * 1j * v13_3
         / (params.gamma23 * params.omega_c * (rc.Gamma12 * rc.Gamma13 + params.omega_c**2))
     )
-    return float(-deficit / pc.s33_2.real**2)
+    return -deficit / pc.s33_2.real**2
 
 
 def nb_tilde_raman_contribution(params: AtomParams, v23: complex, sigma33: float) -> float:

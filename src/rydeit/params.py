@@ -15,6 +15,9 @@ from __future__ import annotations
 import cmath
 import numbers
 from dataclasses import dataclass, field, fields, replace
+from types import SimpleNamespace
+
+import numpy as np
 
 __all__ = [
     "AtomParams",
@@ -24,6 +27,7 @@ __all__ = [
     "SingularParameterError",
     "C6_PRESETS",
     "relaxation_constants",
+    "delta3_column",
     "effective_T",
     "effective_T_dispersive",
     "vdw_potential",
@@ -170,8 +174,24 @@ class StatePreset:
         object.__setattr__(self, "omega_c", omega_c_for_state(self.n))
 
 
+def delta3_column(params: AtomParams, delta3=None) -> SimpleNamespace:
+    """``params`` along a column of two-photon detunings: every field of
+    ``params``, with delta3 replaced by the 1-d float array ``delta3``
+    (default: the column of one row at ``params.delta3``).
+
+    The stacked weak-probe evaluation takes a column, since only delta3
+    varies along a scan's zero-probe column; ``relaxation_constants`` and
+    the weak-probe observables broadcast over it.
+    """
+    d3 = np.array(params.delta3 if delta3 is None else delta3, dtype=float, ndmin=1)
+    if d3.ndim != 1 or not np.isfinite(d3).all():
+        raise ValueError("delta3 must be a 1-d sequence of finite numbers")
+    return SimpleNamespace(**{**vars(params), "delta3": d3})
+
+
 def relaxation_constants(params: AtomParams) -> RelaxationConstants:
-    """Gamma_ab = gamma_ab - i(Delta_b - Delta_a), with Delta_1 = 0."""
+    """Gamma_ab = gamma_ab - i(Delta_b - Delta_a), with Delta_1 = 0; arrays
+    along a ``delta3_column``."""
     d1, d2, d3 = 0.0, params.delta2, params.delta3
     return RelaxationConstants(
         Gamma12=params.gamma12 - 1j * (d2 - d1),

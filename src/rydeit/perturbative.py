@@ -7,21 +7,27 @@ over the four poles of the rational kernel ss^(3)_{13,33}(k); the radial
 quadrature is its tested reference), and provides the closed-form blockade
 observables that follow from it.
 
-Production and references. Weak-probe rows and ``chi3_interacting`` call
-``collisional_integral_V13_order3``: ``_ss1333_kernel`` makes one solve per
-probe order on the k = 0 blocks of the generated pair system, read at
-precomputed flat positions, and turns the solutions into the kernel's
-rational coefficients (a cubic numerator over two quadratic
-determinants), which the pole sum integrates. Every parameter-free part
-(source terms, the order-2 to order-3 coupling, the unit columns of the
-right-hand sides) is an import-time constant. The references are tested
-against that path and never run on it: the full order-2/3 pair solves
-``pair_correlators_order2/3``, on the same k = 0 blocks and sources, check
-the coefficients pointwise (the kernel's ``__call__`` is a Horner
-evaluation of them), and the adaptive radial quadrature
-``collisional_integral_V13_order3_quadrature`` checks the pole sum. The
-label-by-label constructions the constants reproduce byte for byte are
-kept in the tests.
+Production and references. Weak-probe rows evaluate a scan's zero-probe
+points as one column over delta3 (``params.delta3_column``):
+``collisional_integral_V13_column`` builds the kernels of every row with
+one stacked solve per probe order on the k = 0 blocks of the pair system,
+built from blocks of the generator's K36 (``blochgen.a0_blocks``), and
+turns the solutions into the kernels' rational coefficients (a cubic
+numerator over two quadratic determinants) with elementwise array
+arithmetic. ``_pole_sum`` integrates them: rows whose four poles are
+simple and distinct are summed in arrays, and a row with coincident poles
+takes the Laurent sum of ``_Ss1333Kernel.radial_integral``.
+``collisional_integral_V13_order3`` and ``chi3_interacting`` are the
+column of one row. Every parameter-free part (source terms, the order-2
+to order-3 coupling, the unit columns of the right-hand sides) is an
+import-time constant. The references are tested against that path and
+never run on it: the full order-2/3 pair solves
+``pair_correlators_order2/3``, on the k = 0 blocks of the generated a0
+and the same sources, check the coefficients pointwise (the kernel's
+``__call__`` is a Horner evaluation of them), and the adaptive radial
+quadrature ``collisional_integral_V13_order3_quadrature`` checks the pole
+sum. The label-by-label constructions the constants reproduce byte for
+byte are kept in the tests.
 
 All correlator coefficients are reduced: the leading probe monomial
 Omega_p^a (Omega_p*)^b is divided out.
@@ -29,6 +35,7 @@ Omega_p^a (Omega_p*)^b is divided out.
 from __future__ import annotations
 
 import cmath
+import itertools
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -43,7 +50,7 @@ from .blochgen import (
     PAIR_INDEX,
     PAIR_LABELS,
     SINGLE_INDEX,
-    PairSystem,
+    a0_blocks,
     canonical_pair,
     generate_pair_equations,
     grade_order,
@@ -53,6 +60,7 @@ from .params import (
     AtomParams,
     InteractionParams,
     SingularParameterError,
+    delta3_column,
     effective_T,
     relaxation_constants,
 )
@@ -66,6 +74,7 @@ __all__ = [
     "pair_correlators_order3",
     "ss1333_ladder_approximation",
     "F_lambda",
+    "collisional_integral_V13_column",
     "collisional_integral_V13_order3",
     "collisional_integral_V13_order3_quadrature",
     "Chi3Result",
@@ -88,13 +97,14 @@ class BranchAmbiguityError(ValueError):
     """The square-root branch is ambiguous (resonant pair excitation)."""
 
 
+_BRANCH_MESSAGE = ("%s lies on the negative real axis: branch ambiguous "
+                   "(resonant pair-excitation regime)")
+
+
 def _principal_sqrt(z: complex, what: str) -> complex:
     z = complex(z)
     if z.imag == 0.0 and z.real < 0.0:
-        raise BranchAmbiguityError(
-            f"{what} lies on the negative real axis: branch ambiguous "
-            "(resonant pair-excitation regime)"
-        )
+        raise BranchAmbiguityError(_BRANCH_MESSAGE % what)
     return cmath.sqrt(z)
 
 
@@ -134,6 +144,11 @@ def _taylor_shift(coeffs: list, x: complex, n: int) -> list:
     return c[:n]
 
 
+def _components(x) -> np.ndarray:
+    """The components on the last axis of ``x`` as contiguous leading rows."""
+    return np.array(np.moveaxis(np.asarray(x, dtype=complex), -1, 0))
+
+
 @dataclass(frozen=True)
 class _Ss1333Kernel:
     """ss^(3)_{13,33}(k) = num(k) / (det2(k) det3(k)), a cubic over two
@@ -141,13 +156,16 @@ class _Ss1333Kernel:
 
     ``num`` holds the four coefficients of the numerator in ascending
     powers of k; ``det2`` and ``det3`` hold (a1, a2) of 1 + a1 k + a2 k^2.
-    Every kernel, production, reference or synthetic, is built by
-    ``from_woodbury``.
+    The coefficients sit on the last axis, so a kernel is one row (shapes
+    (4,), (2,), (2,)) or a column of them (a leading row axis); ``kernel[i]``
+    is row i. Every kernel, production, reference or synthetic, is built by
+    ``from_woodbury``; the pointwise ``__call__``, ``_poles`` and
+    ``radial_integral`` take one row.
     """
 
-    num: tuple
-    det2: tuple
-    det3: tuple
+    num: np.ndarray
+    det2: np.ndarray
+    det3: np.ndarray
 
     @classmethod
     def from_woodbury(cls, d2, w2, x2p, h0, hz, d3, w3) -> "_Ss1333Kernel":
@@ -168,42 +186,48 @@ class _Ss1333Kernel:
         correction through the order-3 source -F x2(k) into the P
         right-hand side. The first order-3 P column is ss_{13,33}.
 
-        The arguments are tuples of Python scalars (complex in production,
-        so no product is a numpy scalar op): ``d2``/``d3`` the kdiag
-        values of the two order-2/3 P columns (ss_{13,33} first), ``x2p`` =
-        x2_P(0), ``h0``, and the 2x2 matrices ``w2`` = W2, ``hz`` = HZ,
-        ``w3`` = W3 row-major. det2 = det(I + kD2 W2) and det3 = det(I + W3
-        kD3) are quadratic in k; det2 c(k) is quadratic, so is det2 y(k) =
-        h0 det2 - HZ (det2 c), and the numerator det3 ss = n11 y0 - n01 y1,
-        with n11, n01 the entries of I + W3 kD3, is cubic.
+        Each argument holds its components on the last axis, with any
+        leading (row) axes shared by all of them, so one call builds a whole
+        column elementwise: ``d2``/``d3`` the kdiag values of the two
+        order-2/3 P columns (ss_{13,33} first), ``x2p`` = x2_P(0), ``h0``,
+        and the 2x2 matrices ``w2`` = W2, ``hz`` = HZ, ``w3`` = W3
+        row-major. det2 = det(I + kD2 W2) and det3 = det(I + W3 kD3) are
+        quadratic in k; det2 c(k) is quadratic, so is det2 y(k) = h0 det2 -
+        HZ (det2 c), and the numerator det3 ss = n11 y0 - n01 y1, with n11,
+        n01 the entries of I + W3 kD3, is cubic.
         """
-        d0, d1 = d2
-        w00, w01, w10, w11 = w2
-        g0, g1 = d3
-        v00, v01, v10, v11 = w3
+        d0, d1 = _components(d2)
+        w00, w01, w10, w11 = _components(w2)
+        g0, g1 = _components(d3)
+        v00, v01, v10, v11 = _components(w3)
         det2 = (d0 * w00 + d1 * w11, d0 * d1 * (w00 * w11 - w01 * w10))
         det3 = (g0 * v00 + g1 * v11, g0 * g1 * (v00 * v11 - v01 * v10))
-        p0, p1 = x2p
-        z00, z01, z10, z11 = hz
+        p0, p1 = _components(x2p)
+        z00, z01, z10, z11 = _components(hz)
+        h00, h01 = _components(h0)
         e2 = (1.0, *det2)  # det2 in ascending powers of k
         c0 = (0.0, d0 * p0, d0 * d1 * (w11 * p0 - w01 * p1))
         c1 = (0.0, d1 * p1, d0 * d1 * (w00 * p1 - w10 * p0))
-        y0 = [h0[0] * e2[j] - (z00 * c0[j] + z01 * c1[j]) for j in range(3)]
-        y1 = [h0[1] * e2[j] - (z10 * c0[j] + z11 * c1[j]) for j in range(3)]
+        y0 = [h00 * e2[j] - (z00 * c0[j] + z01 * c1[j]) for j in range(3)]
+        y1 = [h01 * e2[j] - (z10 * c0[j] + z11 * c1[j]) for j in range(3)]
         num = (
             y0[0],
             y0[1] + g1 * (v11 * y0[0] - v01 * y1[0]),
             y0[2] + g1 * (v11 * y0[1] - v01 * y1[1]),
             g1 * (v11 * y0[2] - v01 * y1[2]),
         )
-        return cls(num=num, det2=det2, det3=det3)
+        return cls(*(np.stack(np.broadcast_arrays(*parts), axis=-1)
+                     for parts in (num, det2, det3)))
+
+    def __getitem__(self, i) -> "_Ss1333Kernel":
+        return _Ss1333Kernel(self.num[i], self.det2[i], self.det3[i])
 
     def __call__(self, k) -> complex:
-        k = float(k)  # a numpy float would make every product a numpy scalar op
-        (a1, a2), (b1, b2) = self.det2, self.det3
+        k = float(k)  # Python scalars throughout: the quadrature calls this per node
+        (a1, a2), (b1, b2) = self.det2.tolist(), self.det3.tolist()
         det2 = _checked_det(1.0 + k * (a1 + k * a2), 2, k)
         det3 = _checked_det(1.0 + k * (b1 + k * b2), 3, k)
-        n0, n1, n2, n3 = self.num
+        n0, n1, n2, n3 = self.num.tolist()
         return (n0 + k * (n1 + k * (n2 + k * n3))) / (det2 * det3)
 
     def _poles(self) -> tuple:
@@ -211,7 +235,7 @@ class _Ss1333Kernel:
         A root shared by det2 and det3 is one pole of the summed order."""
         lead = 1.0
         poles: list = []
-        for a1, a2 in (self.det2, self.det3):
+        for a1, a2 in (self.det2.tolist(), self.det3.tolist()):
             lead *= a2 if a2 != 0 else (a1 if a1 != 0 else 1.0)
             for rho, m in _quadratic_roots(a1, a2):
                 shared = [pole for pole in poles if pole[0] == rho]
@@ -230,13 +254,16 @@ class _Ss1333Kernel:
         turns each term into a closed form. A simple pole contributes
         num(rho) / (det2 det3)'(rho) * F(rho); a double root or a root
         shared by det2 and det3 adds the confluent F'(rho) term.
+        ``_pole_sum`` evaluates a column and leaves to this Laurent sum
+        only the rows whose poles are not four simple ones.
         """
         lead, poles = self._poles()
+        num = self.num.tolist()
         total = 0j
         for rho, m in poles:
             # num and rest = det2 det3 / (k - rho)^m in powers of t = k - rho,
             # both to order m - 1
-            p = _taylor_shift(self.num, rho, m)
+            p = _taylor_shift(num, rho, m)
             rest = [lead] + [0.0] * (m - 1)
             for other, m_other in poles:
                 for _ in range(m_other if other != rho else 0):
@@ -252,6 +279,51 @@ class _Ss1333Kernel:
             total += sum(g[j] * _HALF_BINOM[m - 1 - j] * f / rho ** (m - 1 - j)
                          for j in range(m))
         return total
+
+
+def _roots(a1: np.ndarray, a2: np.ndarray, s: np.ndarray) -> tuple:
+    """``_quadratic_roots`` of 1 + a1 k + a2 k^2 along a column, where a2 and
+    s = sqrt(a1^2 - 4 a2) are nonzero."""
+    plus, minus = a1 + s, a1 - s
+    q = -0.5 * np.where(np.abs(plus) >= np.abs(minus), plus, minus)
+    return q / a2, 1.0 / q
+
+
+def _pole_sum(kernel: _Ss1333Kernel, interaction: InteractionParams) -> np.ndarray:
+    """``radial_integral`` of every row of a kernel column, in arrays.
+
+    Where det2 and det3 are quadratics with four distinct roots, each pole
+    rho is simple and contributes num(rho) / (lead prod (rho - other)) *
+    F(rho), evaluated for all such rows at once. A row with a double root,
+    a root shared by det2 and det3, a determinant of lower degree or a
+    non-finite root takes the Laurent sum of ``radial_integral``.
+    """
+    (a1, a2), (b1, b2) = kernel.det2.T, kernel.det3.T
+    with np.errstate(all="ignore"):  # rows that fail the mask below are unused
+        s2, s3 = np.sqrt(a1 * a1 - 4.0 * a2), np.sqrt(b1 * b1 - 4.0 * b2)
+        rho = np.stack([*_roots(a1, a2, s2), *_roots(b1, b2, s3)], axis=-1)
+    simple = (a2 != 0) & (b2 != 0) & (s2 != 0) & (s3 != 0) & np.isfinite(rho).all(-1)
+    for i, j in itertools.combinations(range(4), 2):
+        simple &= rho[:, i] != rho[:, j]
+    total = np.empty(len(rho), dtype=complex)
+    rows = np.flatnonzero(simple)
+    rho, lead = rho[rows], a2[rows] * b2[rows]
+    n0, n1, n2, n3 = (c[:, None] for c in kernel.num[rows].T)
+    residue = n0 + rho * (n1 + rho * (n2 + rho * n3))
+    for j in range(4):
+        rest = lead
+        for i in range(4):
+            if i != j:
+                rest = rest * (rho[:, j] - rho[:, i])
+        residue[:, j] /= rest
+    ratio = interaction.c6 / rho
+    if np.any((ratio.imag == 0.0) & (ratio.real < 0.0)):
+        raise BranchAmbiguityError(_BRANCH_MESSAGE % "C6/lambda")
+    f = 2.0 * np.pi**2 * interaction.eta / 3.0 * np.sqrt(ratio)
+    total[rows] = (residue * f).sum(axis=1)
+    for i in np.flatnonzero(~simple):
+        total[i] = kernel[i].radial_integral(interaction)
+    return total
 
 
 def _checked_det(det: complex, order: int, k: float) -> complex:
@@ -285,12 +357,13 @@ def _cascade_constants():
     order-3 row i gains coeff * x2[j], coeff an entry of srcp. Terms are
     listed in the order they accumulate. ``from_o2`` couples the order-2 solution into the
     order-3 rows: ``ap`` on its net-0 columns, ``am`` on its net +2 ones.
-    ``flat2``/``flat3`` are the flat positions of the two k = 0 blocks in
-    a0, and ``rhs2``/``rhs3`` hold the unit columns U2/U3 of the kernel's
-    right-hand sides.
+    ``rows2``/``rows3`` are the pair rows of the two k = 0 blocks (which
+    ``blochgen.a0_blocks`` builds), ``flat2``/``flat3`` their flat positions
+    in a0 (which the full-solve references read), and ``rhs2``/``rhs3`` hold
+    the unit columns U2/U3 of the kernel's right-hand sides.
     """
-    o2 = [PAIR_INDEX[lab] for lab in ORDER2_LABELS]
-    o3 = [PAIR_INDEX[lab] for lab in ORDER3_NETP1_LABELS]
+    o2 = np.array([PAIR_INDEX[lab] for lab in ORDER2_LABELS])
+    o3 = np.array([PAIR_INDEX[lab] for lab in ORDER3_NETP1_LABELS])
     src2 = []
     for i, lab in enumerate(ORDER2_LABELS):
         nu = grade_order(lab)[0]
@@ -323,7 +396,8 @@ def _cascade_constants():
     def flat(rows):
         return np.ravel_multi_index(np.ix_(rows, rows), _KDIAG.shape * 2)
 
-    arrays = dict(from_o2=from_o2, neg_from_o2=-from_o2, flat2=flat(o2),
+    arrays = dict(from_o2=from_o2, neg_from_o2=-from_o2, rows2=o2, rows3=o3,
+                  flat2=flat(o2),
                   flat3=flat(o3), kdiag2=kdiag2, kdiag3=kdiag3, p2=p2, p3=p3,
                   rhs2=rhs2, rhs3=rhs3)
     for arr in arrays.values():
@@ -334,44 +408,50 @@ def _cascade_constants():
 
 
 _CASCADE = _cascade_constants()
+_A0_BLOCKS = a0_blocks(_CASCADE.rows2, _CASCADE.rows3)
 
 
 def _cascade_sources(pc: PerturbativeCoefficients) -> tuple:
-    """The order-2 source and the order-3 single-atom source (lists of
-    complex) built from the single-atom cascade ``pc``."""
-    x1 = (pc.s12_1, pc.s13_1, pc.s21_1, pc.s31_1)
-    x2 = (pc.s22_2, pc.s33_2, pc.s23_2, pc.s32_2)
-    src2 = [0j] * len(ORDER2_LABELS)
+    """The order-2 source and the order-3 single-atom source, shapes (10, n)
+    and (8, n), from the single-atom cascade ``pc`` of n rows (a
+    ``perturbative_column``, or one row of Python numbers). Each entry is
+    a sum of exact products (the coefficients are +-i and +-2i) in the
+    listed order, so every row gets the bytes it gets alone."""
+    x1 = np.array([pc.s12_1, pc.s13_1, pc.s21_1, pc.s31_1], dtype=complex)
+    x2 = np.array([pc.s22_2, pc.s33_2, pc.s23_2, pc.s32_2], dtype=complex)
+    x1, x2 = x1.reshape(4, -1), x2.reshape(4, -1)
+    src2 = np.zeros((len(ORDER2_LABELS), x1.shape[1]), dtype=complex)
     for i, coeff, j in _CASCADE.src2:
         src2[i] += coeff * x1[j]
-    src3 = [0j] * len(ORDER3_NETP1_LABELS)
+    src3 = np.zeros((len(ORDER3_NETP1_LABELS), x2.shape[1]), dtype=complex)
     for i, coeff, j in _CASCADE.src3:
         src3[i] += coeff * x2[j]
     return src2, src3
 
 
-def _ss1333_kernel(ps: PairSystem, pc: PerturbativeCoefficients) -> _Ss1333Kernel:
-    """The closed-form kernel at the parameters of ``ps`` (the generated
-    pair system) and ``pc`` (the single-atom cascade there): one solve per
-    order on the k = 0 blocks of ``ps.a0``; everything else is constant."""
+def _ss1333_kernel(params, pc: PerturbativeCoefficients) -> _Ss1333Kernel:
+    """The closed-form kernels along a ``delta3_column`` ``params``, with
+    ``pc`` its single-atom cascade: one stacked solve per order on the
+    k = 0 blocks of a0, built from blocks of K36 (``blochgen.a0_blocks``);
+    everything else is constant."""
     src2, src3 = _cascade_sources(pc)
+    a2, a3 = _A0_BLOCKS(params)
     # A2^-1 [-src2 | U2]
-    rhs2 = _CASCADE.rhs2.copy()
-    rhs2[:, 0] = [-v for v in src2]
-    sol2 = _solve_pair_block(ps.a0.take(_CASCADE.flat2), rhs2, 2)
+    rhs2 = np.array(np.broadcast_to(_CASCADE.rhs2, (len(a2), *_CASCADE.rhs2.shape)))
+    rhs2[..., 0] = -src2.T
+    sol2 = _solve_pair_block(a2, rhs2, 2)
     # A3^-1 [-src3 - F x2(0) | -F Z2 | U3]
-    rhs3 = _CASCADE.rhs3.copy()
-    rhs3[:, 0] = [-v for v in src3]
-    rhs3[:, 0] -= _CASCADE.from_o2 @ sol2[:, 0]
-    rhs3[:, 1:3] = _CASCADE.neg_from_o2 @ sol2[:, 1:]
-    sol3 = _solve_pair_block(ps.a0.take(_CASCADE.flat3), rhs3, 3)
+    rhs3 = np.array(np.broadcast_to(_CASCADE.rhs3, (len(a3), *_CASCADE.rhs3.shape)))
+    rhs3[..., 0] = -src3.T
+    rhs3[..., 0] -= sol2[..., 0] @ _CASCADE.from_o2.T
+    rhs3[..., 1:3] = _CASCADE.neg_from_o2 @ sol2[..., 1:]
+    sol3 = _solve_pair_block(a3, rhs3, 3)
 
-    (p0, w00, w01), (p1, w10, w11) = sol2[_CASCADE.p2].tolist()
-    (h0, z00, z01, v00, v01), (h1, z10, z11, v10, v11) = sol3[_CASCADE.p3].tolist()
+    x2p, w2 = sol2[:, _CASCADE.p2, 0], sol2[:, _CASCADE.p2, 1:]
+    h0, hz, w3 = (sol3[:, _CASCADE.p3, cols] for cols in (0, slice(1, 3), slice(3, 5)))
     return _Ss1333Kernel.from_woodbury(
-        d2=_CASCADE.d2, w2=(w00, w01, w10, w11), x2p=(p0, p1),
-        h0=(h0, h1), hz=(z00, z01, z10, z11),
-        d3=_CASCADE.d3, w3=(v00, v01, v10, v11),
+        d2=_CASCADE.d2, w2=w2.reshape(-1, 4), x2p=x2p, h0=h0,
+        hz=hz.reshape(-1, 4), d3=_CASCADE.d3, w3=w3.reshape(-1, 4),
     )
 
 
@@ -380,7 +460,7 @@ def pair_correlators_order2(params: AtomParams, k: float) -> dict:
     (full solve; the reference for the closed-form kernel)."""
     a2 = generate_pair_equations(params).a0.take(_CASCADE.flat2)
     src2, _ = _cascade_sources(perturbative_coefficients(params))
-    x2 = _solve_pair_block(a2 + k * np.diag(_CASCADE.kdiag2), -np.array(src2), 2, k)
+    x2 = _solve_pair_block(a2 + k * np.diag(_CASCADE.kdiag2), -src2[:, 0], 2, k)
     return dict(zip(ORDER2_LABELS, x2))
 
 
@@ -394,17 +474,21 @@ def pair_correlators_order3(params: AtomParams, k: float) -> dict:
     a0 = generate_pair_equations(params).a0
     src2, src3 = _cascade_sources(perturbative_coefficients(params))
     mat2 = a0.take(_CASCADE.flat2) + k * np.diag(_CASCADE.kdiag2)
-    x2 = _solve_pair_block(mat2, -np.array(src2), 2, k)
-    src = np.array(src3) + _CASCADE.from_o2 @ x2
+    x2 = _solve_pair_block(mat2, -src2[:, 0], 2, k)
+    src = src3[:, 0] + _CASCADE.from_o2 @ x2
     mat3 = a0.take(_CASCADE.flat3) + k * np.diag(_CASCADE.kdiag3)
     return dict(zip(ORDER3_NETP1_LABELS, _solve_pair_block(mat3, -src, 3, k)))
+
+
+def _one_kernel(params: AtomParams, pc: PerturbativeCoefficients) -> _Ss1333Kernel:
+    """The kernel at the one parameter set ``params`` (a column of one)."""
+    return _ss1333_kernel(delta3_column(params), pc)[0]
 
 
 def ss1333_order3(params: AtomParams, k: float) -> complex:
     """Reduced ss^(3)_{13,33} at interaction k, from the closed-form kernel
     (``pair_correlators_order3`` is the full-solve reference)."""
-    pc = perturbative_coefficients(params)
-    return _ss1333_kernel(generate_pair_equations(params), pc)(k)
+    return _one_kernel(params, perturbative_coefficients(params))(k)
 
 
 def ss1333_ladder_approximation(params: AtomParams, k: float) -> complex:
@@ -414,22 +498,32 @@ def ss1333_ladder_approximation(params: AtomParams, k: float) -> complex:
     return pc.s13_1 * pc.s33_2 * t / (t + 1j * k)
 
 
+def collisional_integral_V13_column(
+    params, pc: PerturbativeCoefficients, interaction: InteractionParams
+) -> np.ndarray:
+    """Reduced V13^(3) at every row of a ``delta3_column`` ``params``, with
+    ``pc = perturbative_column(params)``: the kernels of the column and
+    their pole sums (``_pole_sum``), each step stacked over the rows."""
+    if interaction.c6 == 0.0:
+        return np.zeros(len(params.delta3), dtype=complex)
+    return _pole_sum(_ss1333_kernel(params, pc), interaction)
+
+
 def collisional_integral_V13_order3(
     params: AtomParams,
     pc: PerturbativeCoefficients,
     interaction: InteractionParams,
 ) -> complex:
     """Reduced V13^(3) = eta Int d^3R k ss^(3)_{13,33}(k(R)) in closed form,
-    as a sum of F_lambda over the four poles of the kernel.
+    as a sum of F_lambda over the four poles of the kernel: the column of
+    one row of ``collisional_integral_V13_column``.
 
     ``pc`` is ``perturbative_coefficients(params)``, which callers usually
     need as well, so it is evaluated once per parameter set.
     ``collisional_integral_V13_order3_quadrature`` is the reference.
     """
-    if interaction.c6 == 0.0:
-        return 0.0
-    kernel = _ss1333_kernel(generate_pair_equations(params), pc)
-    return kernel.radial_integral(interaction)
+    return complex(collisional_integral_V13_column(
+        delta3_column(params), pc, interaction)[0])
 
 
 def collisional_integral_V13_order3_quadrature(
@@ -444,8 +538,8 @@ def collisional_integral_V13_order3_quadrature(
         return 0.0, RadialQuadratureResult(0.0, 0.0, 0, True)
     k_scale = abs(effective_T(params))
     res = vdw_k_integral(
-        _ss1333_kernel(generate_pair_equations(params), pc),
-        interaction.c6, interaction.eta, k_scale, rel_tol=rel_tol,
+        _one_kernel(params, pc), interaction.c6, interaction.eta, k_scale,
+        rel_tol=rel_tol,
     )
     return res.value, res
 

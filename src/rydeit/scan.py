@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 import numbers
+import operator
 import warnings
 from dataclasses import asdict, dataclass, fields
 from typing import Iterable
@@ -23,7 +24,7 @@ from typing import Iterable
 import numpy as np
 
 from .collisional import ConvergenceError, solve_interacting
-from .noninteracting import perturbative_coefficients
+from .noninteracting import perturbative_coefficients, perturbative_column
 from .observables import (
     DegenerateNormalizationError,
     nb_tilde_weak_probe,
@@ -36,12 +37,13 @@ from .params import (
     InteractionParams,
     SingularParameterError,
     StatePreset,
+    delta3_column,
     relaxation_constants,
 )
 from .perturbative import (
     BranchAmbiguityError,
     chi3_interacting,
-    collisional_integral_V13_order3,
+    collisional_integral_V13_column,
 )
 
 __all__ = [
@@ -254,20 +256,39 @@ class ScanResultRow:
         return [f.name for f in fields(cls)]
 
 
-def _weak_probe_row(inputs: dict, params: AtomParams,
-                    interaction: InteractionParams) -> ScanResultRow:
+def _weak_probe_values(config: ScanConfig, delta3s: list[float]) -> list:
+    """(chi, n_b, nb_tilde) at each zero-probe point (delta3, 0) of
+    ``config``, from one stacked evaluation of the column: the single-atom
+    cascade, the kernels and their pole sums, and the blockade counts.
+
+    A point error of the stacked evaluation takes the place of the values
+    of a column of one; a longer column is then evaluated point by point,
+    so each failing point gets the error it gets alone."""
+    params, interaction = config.point_params(delta3s[0], 0.0)
+    column = delta3_column(params, delta3s)
+    try:
+        pc = perturbative_column(column)
+        v13_3 = collisional_integral_V13_column(column, pc, interaction)
+    except _POINT_ERRORS as exc:
+        if len(delta3s) == 1:
+            return [exc]
+        return [_weak_probe_values(config, [d3])[0] for d3 in delta3s]
+    nb = nb_weak_probe(column, pc, v13_3)
+    nbt = nb_tilde_weak_probe(column, pc, v13_3)
+    return list(zip(pc.s12_1.tolist(), nb.tolist(), nbt.tolist()))
+
+
+def _weak_probe_row(inputs: dict, params: AtomParams, values) -> ScanResultRow:
     """Zero-probe row: interacting and non-interacting responses coincide;
     the blockade scalings are reported at their weak-probe limits."""
-    pc = perturbative_coefficients(params)
-    rc = relaxation_constants(params)
-    chi2 = -1j / rc.Gamma12
-    v13_3 = collisional_integral_V13_order3(params, pc, interaction)
-    nb = nb_weak_probe(params, pc, v13_3)
-    nbt = nb_tilde_weak_probe(params, pc, v13_3)
+    if isinstance(values, Exception):
+        raise values
+    chi, nb, nbt = values
+    chi2 = -1j / relaxation_constants(params).Gamma12
     return ScanResultRow(
         **inputs,
-        chi_re=pc.s12_1.real, chi_im=pc.s12_1.imag,
-        chi_3lev_re=pc.s12_1.real, chi_3lev_im=pc.s12_1.imag,
+        chi_re=chi.real, chi_im=chi.imag,
+        chi_3lev_re=chi.real, chi_3lev_im=chi.imag,
         chi_2lev_re=chi2.real, chi_2lev_im=chi2.imag,
         S=1.0, S_norm_re=1.0, S_norm_im=0.0,
         v13_re=0.0, v13_im=0.0, v31_re=0.0, v31_im=0.0,
@@ -278,8 +299,14 @@ def _weak_probe_row(inputs: dict, params: AtomParams,
     )
 
 
-def compute_row(config: ScanConfig, delta3: float, omega_p2: float) -> ScanResultRow:
-    """Solve one grid point of ``config``; failures are returned as flagged rows."""
+def compute_row(config: ScanConfig, delta3: float, omega_p2: float,
+                weak_probe=None) -> ScanResultRow:
+    """Solve one grid point of ``config``; failures are returned as flagged rows.
+
+    At zero probe, ``weak_probe`` is the point's entry of
+    ``_weak_probe_values`` when ``run_scan`` has evaluated its column;
+    otherwise the point is evaluated as a column of one.
+    """
     params, interaction = config.point_params(delta3, omega_p2)
     inputs = dict(
         state=config.state if config.state is not None else 0,
@@ -296,7 +323,9 @@ def compute_row(config: ScanConfig, delta3: float, omega_p2: float) -> ScanResul
     )
     try:
         if omega_p2 == 0.0:
-            return _weak_probe_row(inputs, params, interaction)
+            if weak_probe is None:
+                (weak_probe,) = _weak_probe_values(config, [delta3])
+            return _weak_probe_row(inputs, params, weak_probe)
         state, integrals = solve_interacting(params, interaction, tol=config.tol)
         obs = observable_set(params, state)
         return ScanResultRow(
@@ -319,13 +348,19 @@ def compute_row(config: ScanConfig, delta3: float, omega_p2: float) -> ScanResul
 
 
 def run_scan(config: ScanConfig) -> list[ScanResultRow]:
-    """Solve the configured grid, sorted by (delta3, |omega_p|^2)."""
+    """Solve the configured grid, sorted by (delta3, |omega_p|^2). The
+    zero-probe points are evaluated as one column (``_weak_probe_values``)."""
     grid = sorted(itertools.product(config.delta3_grid().tolist(),
                                     config.omega_p2_grid().tolist()))
-    return [compute_row(config, d3, wp2) for d3, wp2 in grid]
+    zero = [d3 for d3, wp2 in grid if wp2 == 0.0]
+    weak = iter(_weak_probe_values(config, zero) if zero else [])
+    return [compute_row(config, d3, wp2, next(weak) if wp2 == 0.0 else None)
+            for d3, wp2 in grid]
 
 
 def _fmt(x) -> str:
+    if type(x) is float:  # most cells
+        return "%.12g" % x
     if isinstance(x, str):
         return x.replace(",", ";")
     if isinstance(x, (int, np.integer)):
@@ -347,10 +382,11 @@ def write_csv(rows: Iterable[ScanResultRow], config_dict: dict, stream,
             raise ValueError(f"extra column {name} has {len(vals)} values "
                              f"for {len(rows)} rows")
     stream.write("# " + json.dumps(config_dict, sort_keys=True) + "\n")
-    cols = ScanResultRow.columns() + list(extra)
-    stream.write(",".join(cols) + "\n")
+    columns = ScanResultRow.columns()
+    stream.write(",".join(columns + list(extra)) + "\n")
+    cells = operator.attrgetter(*columns)
     for i, row in enumerate(rows):
-        vals = [_fmt(getattr(row, c)) for c in ScanResultRow.columns()]
+        vals = [_fmt(v) for v in cells(row)]
         vals += [_fmt(extra[name][i]) for name in extra]
         stream.write(",".join(vals) + "\n")
 
@@ -391,12 +427,10 @@ def _figure3(tol: float):
                      delta3_start=-2.0, delta3_stop=2.0, delta3_count=81,
                      tol=tol)
     rows = run_scan(cfg)
-    trunc_re, trunc_im = [], []
-    for r in rows:
-        pc = perturbative_coefficients(cfg.point_params(r.delta3, 0.0)[0])
-        chi_t = pc.s12_1 + r.omega_p2 * pc.s12_3
-        trunc_re.append(chi_t.real)
-        trunc_im.append(chi_t.imag)
+    pc = perturbative_column(delta3_column(cfg.point_params(rows[0].delta3, 0.0)[0],
+                                           [r.delta3 for r in rows]))
+    chi_t = pc.s12_1 + np.array([r.omega_p2 for r in rows]) * pc.s12_3
+    trunc_re, trunc_im = chi_t.real.tolist(), chi_t.imag.tolist()
     meta = {"figure": "fig3", "configs": [cfg.metadata_dict()]}
     return rows, meta, {"chi_trunc_re": trunc_re, "chi_trunc_im": trunc_im}
 

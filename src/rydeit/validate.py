@@ -23,6 +23,7 @@ from .collisional import (
     F_lambda,
     F_lambda_quadrature,
     _assemble_PQ,
+    _generate,
     _newton,
     assemble_PQ,
     regularize,
@@ -217,13 +218,14 @@ def _solver_contour(p, interaction):
     v_start = solve_collisional_integrals(p.with_omega_p(r), interaction).v4
     tol = 1e-12 * np.max(np.abs(v_start))
     a_now, v = complex(r), v_start
+    systems = _generate(p_reg)
 
     def f(a):
         nonlocal a_now, v
         step = (a / a_now) ** (1.0 / sub)
         for _ in range(sub):
             a_now *= step
-            pq = _assemble_PQ(p_reg, a_now, a_now)
+            pq = _assemble_PQ(p_reg, a_now, a_now, *systems)
             g = spectral_decompose(schur_reduce(pq)).feedback_map(interaction)
             v = _newton(g, v, 50, tol)[0]
         return [v[0], pq.single_state(v).sigma12]

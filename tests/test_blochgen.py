@@ -1,4 +1,6 @@
 """Equation generator: golden coefficients, grading, conjugation, P/Q split."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,8 @@ from rydeit.blochgen import (
     _pair_interaction_structure,
     _pair_matrices,
     _single_matrices,
+    a0_blocks,
+    c0_blocks,
     canonical_pair,
     classify_PQ,
     dump_equations,
@@ -23,6 +27,7 @@ from rydeit.blochgen import (
     grade_order,
 )
 from rydeit.collisional import solve_pair_at_k
+from rydeit.params import delta3_column
 
 WP = 0.37 + 0.11j
 
@@ -161,6 +166,24 @@ class TestClosedForm:
                 generate_single_atom_equations(p), _generic_single(p),
                 ("c0", "cp", "cm", "s0", "sp", "sm"), ("matrix", "source"),
             )
+
+    @pytest.mark.parametrize("gamma33", [0.0, 0.01])
+    def test_column_blocks_match_generated_matrices(self, gamma33):
+        """The block gathers along an 81-detuning column give, row by row,
+        the bytes of the blocks cut from the generated c0 and a0."""
+        rows = (np.array([0, 2, 7]), np.arange(3, 15))
+        d3 = np.linspace(-2.0, 2.0, 81)
+        for n in (46, 50, 56, 61):
+            p = AtomParams(omega_c=StatePreset(n).omega_c, gamma33=gamma33)
+            column = delta3_column(p, d3)
+            for gather, generate, name, sets in (
+                    (c0_blocks, generate_single_atom_equations, "c0", rows[:1]),
+                    (a0_blocks, generate_pair_equations, "a0", rows)):
+                got = gather(*sets)(column)
+                for i, delta3 in enumerate(d3.tolist()):
+                    full = getattr(generate(dataclasses.replace(p, delta3=delta3)), name)
+                    for r, blocks in zip(sets, got):
+                        assert blocks[i].tobytes() == full[np.ix_(r, r)].tobytes()
 
     @pytest.mark.parametrize("params", [
         pytest.param(_PRESET_GRID, id="presets-x-81-delta3"),

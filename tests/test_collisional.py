@@ -62,8 +62,8 @@ class TestAssemblePQ:
         preset = StatePreset(state)
         p = AtomParams(omega_p=a, omega_c=preset.omega_c, gamma33=gamma33)
         for wp, wpc in ((a, np.conj(a)), (a, a)):
-            pq = _assemble_PQ(p, wp, wpc)
             ps = collisional.generate_pair_equations(p)
+            pq = _assemble_PQ(p, wp, wpc, ps, collisional.generate_single_atom_equations(p))
             amat = ps.matrix(wp, wpc)
             rowscale = -1.0 / ps.kdiag[_P_IDX]
             want = {
@@ -111,7 +111,7 @@ class TestFeedbackMap:
 
     def test_work_counts_are_unchanged(self, preset50, monkeypatch):
         """Exact iteration and stage counts pin the solver trajectory, and
-        each continuation stage generates the single-atom system once."""
+        the solve generates the single-atom system once for all its stages."""
         calls = []
         generate = collisional.generate_single_atom_equations
 
@@ -127,7 +127,7 @@ class TestFeedbackMap:
         assert v.iterations == 97
         assert v.continuation_steps == 4
         assert v.used_newton is False
-        assert len(calls) == v.continuation_steps
+        assert len(calls) == 1
 
 
 class TestNonlinearSolve:

@@ -9,13 +9,15 @@ from rydeit import (
     AtomParams,
     SingleAtomState,
     SingularParameterError,
+    StatePreset,
     perturbative_coefficients,
     relaxation_constants,
     steady_state_three_level,
     steady_state_two_level,
 )
 from rydeit.blochgen import SINGLE_INDEX, generate_single_atom_equations
-from rydeit.noninteracting import PerturbativeCoefficients
+from rydeit.noninteracting import PerturbativeCoefficients, perturbative_column
+from rydeit.params import delta3_column
 from rydeit.oracle import _contour_coefficients, _jump_operators
 from test_blochgen import _PRESET_GRID, _random_params
 
@@ -187,3 +189,21 @@ class TestPerturbativeConstantBlocks:
                 assert np.array(a).tobytes() == np.array(b).tobytes(), f.name
             compared += 1
         assert compared >= len(params) // 2
+
+    @pytest.mark.parametrize("v13_3", [0.0, "per-row"])
+    @pytest.mark.parametrize("gamma33", [0.0, 0.01])
+    def test_column_rows_match_rows_alone(self, gamma33, v13_3):
+        """Each row of a stacked 81-detuning column has the bytes of its
+        parameter set solved alone, with one v13_3 per row too."""
+        d3 = np.linspace(-2.0, 2.0, 81)
+        v = 0.6 - 0.02j * d3 if v13_3 == "per-row" else np.zeros(81)
+        for n in (46, 50, 56, 61):
+            p = AtomParams(omega_c=StatePreset(n).omega_c, gamma33=gamma33)
+            column = perturbative_column(delta3_column(p, d3), v)
+            for i, delta3 in enumerate(d3.tolist()):
+                alone = perturbative_coefficients(
+                    dataclasses.replace(p, delta3=delta3), complex(v[i]))
+                for f in dataclasses.fields(PerturbativeCoefficients):
+                    got = getattr(column, f.name)[i]
+                    assert got.tobytes() == np.complex128(getattr(alone, f.name)).tobytes()
+

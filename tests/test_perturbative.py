@@ -36,9 +36,14 @@ from rydeit.perturbative import (
     ss1333_ladder_approximation,
     ss1333_order3,
 )
+from rydeit import perturbative as perturbative_module
+from rydeit.noninteracting import perturbative_column
+from rydeit.params import delta3_column
 from rydeit.perturbative import (
     _CASCADE,
     _cascade_sources,
+    _one_kernel,
+    _pole_sum,
     _quadratic_roots,
     _ss1333_kernel,
     _Ss1333Kernel,
@@ -125,15 +130,15 @@ class TestClosedFormKernel:
         with pytest.raises(SingularParameterError, match="order-2"):
             self._kernel()(k)
 
-    def test_singular_k0_block_fails_at_table_build(self, params50):
-        ps = generate_pair_equations(params50)
-        pc = perturbative_coefficients(params50)
-        order2_rows = np.zeros(36)
-        order2_rows[[PAIR_INDEX[lab] for lab in ORDER2_LABELS]] = 1.0
-        with pytest.raises(SingularParameterError, match="order-2 .* k=0"):
-            _ss1333_kernel(dataclasses.replace(ps, a0=np.zeros((36, 36))), pc)
-        with pytest.raises(SingularParameterError, match="order-3 .* k=0"):
-            _ss1333_kernel(dataclasses.replace(ps, a0=np.diag(order2_rows)), pc)
+    def test_singular_k0_block_fails_at_table_build(self, params50, monkeypatch):
+        column = delta3_column(params50)
+        pc = perturbative_column(column)
+        # a zero a0, then a0 = 1 on the order-2 rows only
+        for order, blocks in ((2, (np.zeros((1, 10, 10)), np.zeros((1, 8, 8)))),
+                              (3, (np.eye(10)[None], np.zeros((1, 8, 8))))):
+            monkeypatch.setattr(perturbative_module, "_A0_BLOCKS", lambda params: blocks)
+            with pytest.raises(SingularParameterError, match=f"order-{order} .* k=0"):
+                _ss1333_kernel(column, pc)
 
 
 class TestRationalStructure:
@@ -255,13 +260,13 @@ def _kernel_by_full_blocks(a2, kdiag2, src2, a3, kdiag3, src3, from_o2):
                             np.eye(len(src3))[:, p3]])
     sol3 = np.linalg.solve(a3, rhs3)[p3]
 
-    def scalars(arr):
-        return tuple(complex(v) for v in np.ravel(arr))
+    def row(arr):  # a column of one, as production passes it
+        return arr.reshape(1, -1)
 
     return _Ss1333Kernel.from_woodbury(
-        d2=scalars(kdiag2[p2]), w2=scalars(z2[p2]), x2p=scalars(x2[p2]),
-        h0=scalars(sol3[:, 0]), hz=scalars(sol3[:, 1:3]),
-        d3=scalars(kdiag3[p3]), w3=scalars(sol3[:, 3:]),
+        d2=kdiag2[p2], w2=row(z2[p2]), x2p=row(x2[p2]),
+        h0=row(sol3[:, 0]), hz=row(sol3[:, 1:3]),
+        d3=kdiag3[p3], w3=row(sol3[:, 3:]),
     )
 
 
@@ -368,9 +373,9 @@ class TestHoistedCascadeTables:
 
         def record(kernel, interaction):
             built.append(kernel)
-            return 0j
+            return np.zeros(1, dtype=complex)
 
-        monkeypatch.setattr(_Ss1333Kernel, "radial_integral", record)
+        monkeypatch.setattr(perturbative_module, "_pole_sum", record)
         inter = InteractionParams(c6=5000.0)
         compared = singular = 0
         for p in params:
@@ -389,8 +394,8 @@ class TestHoistedCascadeTables:
             got = built.pop()
             for f in dataclasses.fields(_Ss1333Kernel):
                 a, b = getattr(got, f.name), getattr(want, f.name)
-                assert all(type(v) is complex for v in a), f.name
-                assert np.array(a).tobytes() == np.array(b).tobytes(), f.name
+                assert a.shape == b.shape and a.shape[0] == 1, f.name
+                assert a.tobytes() == b.tobytes(), f.name
             compared += 1
         assert compared + singular >= len(params) // 2 and not built
 
@@ -409,8 +414,8 @@ class TestReferencesOffProductionPath:
                     monkeypatch.setattr(module, name, forbidden)
 
     @pytest.mark.parametrize("n,want", [
-        (50, 0.6262402430222824 - 0.023980372353187597j),
-        (61, 2.169429765835607 - 0.12505339715969077j),
+        (50, 0.6262402430222824 - 0.023980372353187555j),
+        (61, 2.169429765835607 - 0.1250533971596909j),
     ])
     def test_collisional_integral(self, n, want):
         preset = StatePreset(n)
@@ -425,8 +430,8 @@ class TestReferencesOffProductionPath:
         row = compute_row(cfg, -0.35, 0.0)
         assert row.flag == ""
         assert (row.chi_re, row.chi_im) == (-0.07248976938805651, -0.028859309536835232)
-        assert (row.nb_re, row.nb_im) == (36.0120553282002, -115.02855587536703)
-        assert row.nb_tilde == -126.34686554958662
+        assert (row.nb_re, row.nb_im) == (36.01205532820019, -115.02855587536703)
+        assert row.nb_tilde == -126.34686554958665
 
 
 def _synthetic_kernel(d2, w2, d3, w3):
@@ -469,8 +474,7 @@ class TestPoleSum:
         inter = InteractionParams(c6=preset.c6)
         pc = perturbative_coefficients(p)
         want = vdw_k_integral_reference(
-            _ss1333_kernel(generate_pair_equations(p), pc), inter.c6, inter.eta,
-            abs(effective_T(p)), prec_dps=30,
+            _one_kernel(p, pc), inter.c6, inter.eta, abs(effective_T(p)), prec_dps=30,
         ).value
         got = collisional_integral_V13_order3(p, pc, inter)
         assert abs(got - want) <= 1e-11 * abs(want)
@@ -488,6 +492,41 @@ class TestPoleSum:
         want = vdw_k_integral(kernel, inter.c6, inter.eta, 2.0, rel_tol=1e-11).value
         got = kernel.radial_integral(inter)
         assert abs(got - want) <= 1e-9 * abs(want)
+
+    def test_column_matches_radial_integral(self):
+        """The stacked pole sum of a column that mixes generic and confluent
+        kernels gives each kernel's ``radial_integral``: the confluent rows
+        through that Laurent sum itself, the generic ones in arrays."""
+        generic = [_synthetic_kernel(*_ROOTS_2_4, *_ROOTS_3_5),
+                   _synthetic_kernel(*_ROOTS_3_5, *_ROOTS_2_8)]
+        confluent = [_synthetic_kernel(*_DOUBLE_2, *_ROOTS_3_5),
+                     _synthetic_kernel(*_ROOTS_3_5, *_DOUBLE_2),
+                     _synthetic_kernel(*_ROOTS_2_4, *_ROOTS_2_8),
+                     _synthetic_kernel(*_DOUBLE_2, *_ROOTS_2_8)]
+        p = AtomParams(omega_c=StatePreset(50).omega_c)
+        column = delta3_column(p, [-1.0, 0.5])
+        production = _ss1333_kernel(column, perturbative_column(column))
+        kernels = [generic[0], *confluent[:2], production[0], generic[1],
+                   *confluent[2:], production[1]]
+        is_confluent = [any(k is c for c in confluent) for k in kernels]
+        stacked = _Ss1333Kernel(*(np.stack([getattr(k, f.name) for k in kernels])
+                                  for f in dataclasses.fields(_Ss1333Kernel)))
+        for inter in (InteractionParams(c6=5000.0), InteractionParams(c6=36000.0, eta=0.1)):
+            got = _pole_sum(stacked, inter)
+            for i, kernel in enumerate(kernels):
+                want = kernel.radial_integral(inter)
+                if is_confluent[i]:
+                    assert got[i] == want
+                else:
+                    assert abs(got[i] - want) <= 1e-13 * abs(want), i
+
+    def test_pole_on_the_radial_path_raises_in_a_column(self):
+        on_path = _synthetic_kernel((1.0, 1.0), (0.5, 0.3, 0.0, 0.25), *_ROOTS_2_8)
+        generic = _synthetic_kernel(*_ROOTS_2_4, *_ROOTS_3_5)
+        stacked = _Ss1333Kernel(*(np.stack([getattr(k, f.name) for k in (generic, on_path)])
+                                  for f in dataclasses.fields(_Ss1333Kernel)))
+        with pytest.raises(BranchAmbiguityError, match="C6/lambda"):
+            _pole_sum(stacked, InteractionParams(c6=5000.0))
 
     def test_pole_on_the_radial_path_raises(self):
         # det2 = 1 + 0.75k + 0.125k^2: poles at k = -2, -4, where k(R) runs

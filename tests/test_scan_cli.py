@@ -4,6 +4,7 @@ import io
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,11 +15,13 @@ from rydeit import scan as scan_module
 from rydeit import validate as validate_module
 from rydeit.cli import _parse_grid, main
 from rydeit.collisional import ConvergenceError
+from rydeit.params import SingularParameterError
 from rydeit.scan import (
     ConfigError,
     FIGURES,
     ScanConfig,
     ScanResultRow,
+    compute_row,
     run_scan,
     write_csv,
 )
@@ -93,8 +96,10 @@ class TestRowOrder:
 
     @staticmethod
     def _points(monkeypatch, **kw):
+        # the zero-probe column's values reach compute_row as its fourth
+        # argument; the order is that of the compute_row calls
         monkeypatch.setattr(scan_module, "compute_row",
-                            lambda config, delta3, omega_p2: (delta3, omega_p2))
+                            lambda config, delta3, omega_p2, weak_probe: (delta3, omega_p2))
         return run_scan(ScanConfig(state=50, **kw))
 
     def test_descending_delta3_grid(self, monkeypatch):
@@ -173,6 +178,70 @@ class TestPointFailures:
                          omega_p2_start=0.1, omega_p2_stop=0.1, omega_p2_count=1)
         (row,) = run_scan(cfg)
         assert row.flag.startswith("DegenerateNormalizationError")
+
+
+def _zero_probe_column(count, **kw):
+    return ScanConfig(omega_p2_start=0.0, omega_p2_stop=0.0, omega_p2_count=1,
+                      delta3_start=-2.0, delta3_stop=2.0, delta3_count=count, **kw)
+
+
+class TestWeakProbeColumn:
+    """run_scan evaluates the zero-probe points as one stacked column."""
+
+    @pytest.mark.parametrize("gamma33", [0.0, 0.01])
+    @pytest.mark.parametrize("state", [46, 50, 56, 61])
+    def test_column_matches_points_alone(self, state, gamma33):
+        cfg = _zero_probe_column(81, state=state, gamma33=gamma33)
+        worst = 0.0
+        for row in run_scan(cfg):
+            alone = compute_row(cfg, row.delta3, 0.0)
+            assert row.flag == alone.flag == ""
+            assert (row.chi_re, row.chi_im) == (alone.chi_re, alone.chi_im)
+            for got, want in ((complex(row.nb_re, row.nb_im), complex(alone.nb_re, alone.nb_im)),
+                              (row.nb_tilde, alone.nb_tilde)):
+                worst = max(worst, abs(got - want) / abs(want))
+        assert worst <= 1e-13
+
+    def test_one_failing_point_flags_only_itself(self, monkeypatch):
+        integral = scan_module.collisional_integral_V13_column
+
+        def failing(params, pc, interaction):
+            if 0.5 in params.delta3:
+                raise SingularParameterError("injected at delta3=0.5")
+            return integral(params, pc, interaction)
+
+        monkeypatch.setattr(scan_module, "collisional_integral_V13_column", failing)
+        cfg = ScanConfig(state=50, omega_p2_start=0.0, omega_p2_stop=0.1,
+                         omega_p2_count=2, delta3_start=-1.0, delta3_stop=1.0,
+                         delta3_count=5)
+        rows = run_scan(cfg)
+        flagged = [(r.delta3, r.omega_p2) for r in rows if r.flag]
+        assert flagged == [(0.5, 0.0)]
+        (row,) = [r for r in rows if r.flag]
+        assert row.flag == compute_row(cfg, 0.5, 0.0).flag
+        assert row.flag == "SingularParameterError: injected at delta3=0.5"
+        for r in rows:
+            if not r.flag and r.omega_p2 == 0.0:
+                assert r == compute_row(cfg, r.delta3, 0.0)
+
+    @pytest.mark.parametrize("count", [5, 81])
+    def test_linear_solves_do_not_grow_with_the_column(self, monkeypatch, count):
+        """Work-count guard: a zero-probe column makes three stacked solves
+        in the single-atom cascade and two in the kernels, however many
+        detunings it has (one per row of each would be 5 per point)."""
+        calls = []
+        solve = np.linalg.solve
+
+        def counted(*args, **kwargs):
+            if sys._getframe(1).f_globals["__name__"].startswith("rydeit."):
+                calls.append(args[0].shape)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        rows = run_scan(_zero_probe_column(count, state=61))
+        assert len(rows) == count and not any(r.flag for r in rows)
+        assert len(calls) == 5
+        assert all(shape[0] == count for shape in calls)
 
 
 class TestParseGrid:
