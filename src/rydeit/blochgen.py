@@ -60,6 +60,7 @@ __all__ = [
     "GeneratorError",
     "generate_single_atom_equations",
     "generate_pair_equations",
+    "ladder_source",
     "classify_PQ",
     "P_LABELS",
     "Q_LABELS",
@@ -351,16 +352,6 @@ class PairSystem:
     def single_source_matrix(self, wp: complex, wpc: complex) -> np.ndarray:
         return self.src0 + wp * self.srcp + wpc * self.srcm
 
-    def ladder_source(self, v4, sigma8) -> np.ndarray:
-        # Python complex scalars, not array multiplies: numpy's array
-        # complex multiply may use FMA and differ in the last bit.
-        vl = np.asarray(v4, dtype=complex).tolist()
-        sl = np.asarray(sigma8, dtype=complex).tolist()
-        out = [0j] * 36
-        for row, vi, si, coeff in self.ladder:
-            out[row] += coeff * vl[vi] * sl[si]
-        return np.array(out)
-
 
 def _pair_matrices(wp, wpc, p: AtomParams):
     a = np.zeros((36, 36), dtype=complex)
@@ -396,8 +387,27 @@ def _pair_interaction_structure():
     return kdiag, tuple(ladder)
 
 
+def _ladder_tables(ladder):
+    """The ladder terms as arrays: v and sigma indices, the coefficients
+    with a trailing 0 (a zero term), and ``pick``, where pick[j, r] is the
+    position of row r's j-th term, or of the zero term when it has fewer."""
+    rows, vi, si, coeff = (np.array(col) for col in zip(*ladder))
+    if not np.all(np.isin(coeff, (1j, -1j))):
+        raise GeneratorError("a ladder coefficient is not +/-i")
+    slots = max(np.bincount(rows))
+    pick = np.full((slots, 36), len(ladder))
+    for r in range(36):
+        terms = np.flatnonzero(rows == r)
+        pick[:len(terms), r] = terms
+    tables = (vi, si, np.append(coeff, 0j), pick)
+    for arr in tables:
+        arr.flags.writeable = False
+    return tables
+
+
 _K36, _AP, _AM, _SRC0, _SRCP, _SRCM = _constant_parts(_pair_matrices, "pair source")
 _KDIAG, _LADDER = _pair_interaction_structure()
+_LADDER_V, _LADDER_S, _LADDER_COEFF, _LADDER_PICK = _ladder_tables(_LADDER)
 # single-label indices of the two factors of each pair label
 _L1 = np.array([SINGLE_INDEX[l1] for l1, _ in PAIR_LABELS])
 _L2 = np.array([SINGLE_INDEX[l2] for _, l2 in PAIR_LABELS])
@@ -407,6 +417,32 @@ def a0_blocks(*row_sets):
     """``_block_gather`` of a0 = omega_c K36 + diag(g[l1] + g[l2]), as
     ``c0_blocks`` does for c0: no 36x36 a0 is formed."""
     return _block_gather(_K36, lambda g: g[..., _L1] + g[..., _L2], row_sets)
+
+
+def ladder_source(v4, sigma8) -> np.ndarray:
+    """The ladder closure sources of the 36 pair rows: for each row, the
+    sum of its terms coeff * V[v_index] * sigma[single_index] (``ladder``
+    of ``PairSystem``). Broadcasts over leading axes of ``v4`` and
+    ``sigma8``, one point per index.
+
+    Each value is the one Python's complex arithmetic gives, terms taken
+    in ladder order from 0j: V * sigma is formed as Python forms a complex
+    product, from four float64 products and one subtract and one add, with
+    no fused multiply-add (numpy's complex multiply may fuse them and
+    differ in the last bit). The coefficients are +/-i, so the product
+    with them is exact either way; it may differ only in the sign of a
+    zero term, which adding it to a sum that starts at 0j erases."""
+    a = np.asarray(v4, dtype=complex)[..., _LADDER_V]
+    b = np.asarray(sigma8, dtype=complex)[..., _LADDER_S]
+    prod = np.zeros(np.broadcast_shapes(a.shape, b.shape)[:-1] + (len(_LADDER_COEFF),),
+                    dtype=complex)
+    np.subtract(a.real * b.real, a.imag * b.imag, out=prod.real[..., :-1])
+    np.add(a.real * b.imag, a.imag * b.real, out=prod.imag[..., :-1])
+    slots = (prod * _LADDER_COEFF)[..., _LADDER_PICK]  # (..., slot, row)
+    out = 0.0 + slots[..., 0, :]
+    for j in range(1, len(_LADDER_PICK)):
+        out = out + slots[..., j, :]
+    return out
 
 
 def generate_pair_equations(params: AtomParams) -> PairSystem:

@@ -218,7 +218,6 @@ class ObservableSet:
     S_norm: complex
     nb: complex
     nb_tilde: float
-    p3: float
     p_r: float
 
 
@@ -240,7 +239,6 @@ def observable_set(params: AtomParams, state) -> ObservableSet:
     chi = susceptibility(state.sigma12, wp)
     chi3 = susceptibility(state_3lev.sigma12, wp)
     chi2 = susceptibility(state_2lev.sigma12, wp)
-    pc = perturbative_coefficients(params)
     s33 = float(state.sigma33.real)
     s33_3 = float(state_3lev.sigma33.real)
     return ObservableSet(
@@ -251,6 +249,5 @@ def observable_set(params: AtomParams, state) -> ObservableSet:
         S_norm=s_norm(state.sigma12, state_3lev.sigma12, state_2lev.sigma12),
         nb=nb_from_sigma(state.sigma12, state_3lev.sigma12, state_2lev.sigma12, s33),
         nb_tilde=nb_tilde_unblocked(s33, s33_3),
-        p3=float(abs(wp) ** 2 * pc.s33_2.real),
         p_r=s33,
     )

@@ -1,9 +1,11 @@
 """Parameter sweeps and deterministic CSV emission.
 
 A scan is a grid over probe intensity (and optionally two-photon detuning)
-at fixed atomic parameters. Grid points are independent and solved one after
-another, sorted by (delta3, |omega_p|^2), so the emitted CSV is
-byte-identical across runs.
+at fixed atomic parameters. Grid points are independent: the zero-probe
+points are evaluated as one stacked weak-probe column and the finite-probe
+points are solved in lockstep, each bit for bit as it is alone. Rows come
+sorted by (delta3, |omega_p|^2), so the emitted CSV is byte-identical
+across runs.
 
 The figure presets reproduce the three standard result sweeps:
 fig2 (normalized dispersive response vs intensity, four states),
@@ -23,8 +25,16 @@ from typing import Iterable
 
 import numpy as np
 
-from .collisional import ConvergenceError, solve_interacting
-from .noninteracting import perturbative_coefficients, perturbative_column
+from .collisional import (
+    CollisionalIntegrals,
+    ConvergenceError,
+    solve_collisional_column,
+)
+from .noninteracting import (
+    perturbative_coefficients,
+    perturbative_column,
+    solve_single_system,
+)
 from .observables import (
     DegenerateNormalizationError,
     nb_tilde_weak_probe,
@@ -256,15 +266,16 @@ class ScanResultRow:
         return [f.name for f in fields(cls)]
 
 
-def _weak_probe_values(config: ScanConfig, delta3s: list[float]) -> list:
-    """(chi, n_b, nb_tilde) at each zero-probe point (delta3, 0) of
-    ``config``, from one stacked evaluation of the column: the single-atom
-    cascade, the kernels and their pole sums, and the blockade counts.
+def _weak_probe_values(params: AtomParams, interaction: InteractionParams,
+                       delta3s: list[float]) -> list:
+    """(chi, n_b, nb_tilde) at each zero-probe point (delta3, 0) of the
+    column of ``params`` over ``delta3s``, from one stacked evaluation: the
+    single-atom cascade, the kernels and their pole sums, and the blockade
+    counts.
 
     A point error of the stacked evaluation takes the place of the values
     of a column of one; a longer column is then evaluated point by point,
     so each failing point gets the error it gets alone."""
-    params, interaction = config.point_params(delta3s[0], 0.0)
     column = delta3_column(params, delta3s)
     try:
         pc = perturbative_column(column)
@@ -272,17 +283,38 @@ def _weak_probe_values(config: ScanConfig, delta3s: list[float]) -> list:
     except _POINT_ERRORS as exc:
         if len(delta3s) == 1:
             return [exc]
-        return [_weak_probe_values(config, [d3])[0] for d3 in delta3s]
+        return [_weak_probe_values(params, interaction, [d3])[0] for d3 in delta3s]
     nb = nb_weak_probe(column, pc, v13_3)
     nbt = nb_tilde_weak_probe(column, pc, v13_3)
     return list(zip(pc.s12_1.tolist(), nb.tolist(), nbt.tolist()))
 
 
+def _solve_points(config: ScanConfig, points: list[tuple[float, float]]) -> list:
+    """(params, interaction, values) of each grid point (delta3, omega_p2)
+    of ``config``; the values may be the point's typed error.
+
+    The zero-probe points are one weak-probe column (``_weak_probe_values``)
+    and share its single parameter set, of which their rows read only the
+    delta3-independent fields. The finite-probe points are solved in
+    lockstep (``solve_collisional_column``); their values are their
+    collisional integrals."""
+    zero = [d3 for d3, wp2 in points if wp2 == 0.0]
+    finite = [config.point_params(d3, wp2) for d3, wp2 in points if wp2 != 0.0]
+    if zero:
+        column = config.point_params(zero[0], 0.0)
+        zero = [(*column, values) for values in _weak_probe_values(*column, zero)]
+    if finite:
+        interaction = finite[0][1]
+        solved = solve_collisional_column([p for p, _ in finite], interaction,
+                                          tol=config.tol)
+        finite = [(p, interaction, s) for (p, _), s in zip(finite, solved)]
+    zero, finite = iter(zero), iter(finite)
+    return [next(zero) if wp2 == 0.0 else next(finite) for _, wp2 in points]
+
+
 def _weak_probe_row(inputs: dict, params: AtomParams, values) -> ScanResultRow:
     """Zero-probe row: interacting and non-interacting responses coincide;
     the blockade scalings are reported at their weak-probe limits."""
-    if isinstance(values, Exception):
-        raise values
     chi, nb, nbt = values
     chi2 = -1j / relaxation_constants(params).Gamma12
     return ScanResultRow(
@@ -299,15 +331,37 @@ def _weak_probe_row(inputs: dict, params: AtomParams, values) -> ScanResultRow:
     )
 
 
+def _interacting_row(inputs: dict, params: AtomParams,
+                     integrals: CollisionalIntegrals) -> ScanResultRow:
+    """Finite-probe row from the point's solved collisional integrals."""
+    state = solve_single_system(params, v4=integrals.v4)
+    obs = observable_set(params, state)
+    return ScanResultRow(
+        **inputs,
+        chi_re=obs.chi.real, chi_im=obs.chi.imag,
+        chi_3lev_re=obs.chi_3lev.real, chi_3lev_im=obs.chi_3lev.imag,
+        chi_2lev_re=obs.chi_2lev.real, chi_2lev_im=obs.chi_2lev.imag,
+        S=obs.S, S_norm_re=obs.S_norm.real, S_norm_im=obs.S_norm.imag,
+        v13_re=integrals.v13.real, v13_im=integrals.v13.imag,
+        v31_re=integrals.v31.real, v31_im=integrals.v31.imag,
+        v23_re=integrals.v23.real, v23_im=integrals.v23.imag,
+        v32_re=integrals.v32.real, v32_im=integrals.v32.imag,
+        sigma22=state.sigma22.real, sigma33=state.sigma33.real,
+        nb_re=obs.nb.real, nb_im=obs.nb.imag, nb_tilde=obs.nb_tilde,
+        iterations=integrals.iterations, residual=integrals.residual,
+    )
+
+
 def compute_row(config: ScanConfig, delta3: float, omega_p2: float,
-                weak_probe=None) -> ScanResultRow:
+                solved=None) -> ScanResultRow:
     """Solve one grid point of ``config``; failures are returned as flagged rows.
 
-    At zero probe, ``weak_probe`` is the point's entry of
-    ``_weak_probe_values`` when ``run_scan`` has evaluated its column;
-    otherwise the point is evaluated as a column of one.
+    ``solved`` is the point's entry of ``_solve_points`` when ``run_scan``
+    has solved the whole grid; otherwise the point is solved alone.
     """
-    params, interaction = config.point_params(delta3, omega_p2)
+    if solved is None:
+        (solved,) = _solve_points(config, [(delta3, omega_p2)])
+    params, interaction, values = solved
     inputs = dict(
         state=config.state if config.state is not None else 0,
         c6=interaction.c6,
@@ -322,26 +376,11 @@ def compute_row(config: ScanConfig, delta3: float, omega_p2: float,
         omega_p2=omega_p2,
     )
     try:
+        if isinstance(values, Exception):
+            raise values
         if omega_p2 == 0.0:
-            if weak_probe is None:
-                (weak_probe,) = _weak_probe_values(config, [delta3])
-            return _weak_probe_row(inputs, params, weak_probe)
-        state, integrals = solve_interacting(params, interaction, tol=config.tol)
-        obs = observable_set(params, state)
-        return ScanResultRow(
-            **inputs,
-            chi_re=obs.chi.real, chi_im=obs.chi.imag,
-            chi_3lev_re=obs.chi_3lev.real, chi_3lev_im=obs.chi_3lev.imag,
-            chi_2lev_re=obs.chi_2lev.real, chi_2lev_im=obs.chi_2lev.imag,
-            S=obs.S, S_norm_re=obs.S_norm.real, S_norm_im=obs.S_norm.imag,
-            v13_re=integrals.v13.real, v13_im=integrals.v13.imag,
-            v31_re=integrals.v31.real, v31_im=integrals.v31.imag,
-            v23_re=integrals.v23.real, v23_im=integrals.v23.imag,
-            v32_re=integrals.v32.real, v32_im=integrals.v32.imag,
-            sigma22=state.sigma22.real, sigma33=state.sigma33.real,
-            nb_re=obs.nb.real, nb_im=obs.nb.imag, nb_tilde=obs.nb_tilde,
-            iterations=integrals.iterations, residual=integrals.residual,
-        )
+            return _weak_probe_row(inputs, params, values)
+        return _interacting_row(inputs, params, values)
     except _POINT_ERRORS as exc:
         msg = f"{type(exc).__name__}: {exc}".replace("\n", " ")[:200]
         return ScanResultRow(**inputs, flag=msg)
@@ -349,13 +388,12 @@ def compute_row(config: ScanConfig, delta3: float, omega_p2: float,
 
 def run_scan(config: ScanConfig) -> list[ScanResultRow]:
     """Solve the configured grid, sorted by (delta3, |omega_p|^2). The
-    zero-probe points are evaluated as one column (``_weak_probe_values``)."""
+    zero-probe points are evaluated as one column and the finite-probe
+    points are solved in lockstep (``_solve_points``)."""
     grid = sorted(itertools.product(config.delta3_grid().tolist(),
                                     config.omega_p2_grid().tolist()))
-    zero = [d3 for d3, wp2 in grid if wp2 == 0.0]
-    weak = iter(_weak_probe_values(config, zero) if zero else [])
-    return [compute_row(config, d3, wp2, next(weak) if wp2 == 0.0 else None)
-            for d3, wp2 in grid]
+    return [compute_row(config, d3, wp2, solved)
+            for (d3, wp2), solved in zip(grid, _solve_points(config, grid))]
 
 
 def _fmt(x) -> str:

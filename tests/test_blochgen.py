@@ -25,6 +25,7 @@ from rydeit.blochgen import (
     generate_pair_equations,
     generate_single_atom_equations,
     grade_order,
+    ladder_source,
 )
 from rydeit.collisional import solve_pair_at_k
 from rydeit.params import delta3_column
@@ -302,6 +303,36 @@ class TestFactorization:
         pair = solve_pair_at_k(p, k=0.0)
         for (l1, l2), val in pair.items():
             assert val == pytest.approx(single[l1] * single[l2], abs=1e-12)
+
+
+class TestLadderSource:
+    @staticmethod
+    def _python_loop(v4, sigma8):
+        """The ladder sums in Python complex arithmetic, term by term."""
+        vl, sl = np.asarray(v4).tolist(), np.asarray(sigma8).tolist()
+        out = [0j] * 36
+        for row, vi, si, coeff in generate_pair_equations(AtomParams()).ladder:
+            out[row] += coeff * vl[vi] * sl[si]
+        return np.array(out)
+
+    def test_stack_matches_python_complex_arithmetic_bytewise(self):
+        rng = np.random.default_rng(3)
+        n = 2000
+
+        def draws(shape):
+            z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            return z * 10.0 ** rng.uniform(-8, 2, shape)
+
+        v4, sigma8 = draws((n, 4)), draws((n, 8))
+        # exact zeros of either sign and real values, where the sign of a
+        # zero product could show
+        v4[::7, 2] = 0.0
+        v4[::11] = v4[::11].real
+        sigma8[::5, 3] = complex(-0.0, -0.0)
+        got = ladder_source(v4, sigma8)
+        for i in range(n):
+            assert got[i].tobytes() == self._python_loop(v4[i], sigma8[i]).tobytes()
+        assert ladder_source(v4[0], sigma8[0]).tobytes() == got[0].tobytes()
 
 
 class TestDump:

@@ -15,6 +15,7 @@ from rydeit.collisional import (
     F_lambda_quadrature,
     GAMMA33_REGULARIZATION,
     ConvergenceError,
+    _SOLVE_ERRORS,
     _P_IDX,
     _Q_IDX,
     _assemble_PQ,
@@ -23,8 +24,10 @@ from rydeit.collisional import (
     regularize,
     schur_reduce,
     solve_pair_at_k,
+    solve_collisional_column,
     spectral_decompose,
 )
+from rydeit.params import SingularParameterError
 
 
 class TestSchurReduction:
@@ -193,3 +196,111 @@ class TestNonlinearSolve:
         v, _, _, conv = _newton(g, root * (1.0 + 1e-3), 50, 1e-10)
         assert conv
         assert np.max(np.abs(v - root)) <= 1e-10 * np.max(np.abs(root))
+
+
+def _column(state, delta3, omega_p2s, gamma33=0.0):
+    preset = StatePreset(state)
+    points = [AtomParams(omega_p=np.sqrt(wp2), omega_c=preset.omega_c, delta3=delta3,
+                         gamma33=gamma33) for wp2 in omega_p2s]
+    return points, InteractionParams(c6=preset.c6)
+
+
+def _outcome(result):
+    """A solve's outcome, with every float as its bytes: the integrals and
+    all diagnostics, or the error's type and message."""
+    if isinstance(result, Exception):
+        return type(result).__name__, str(result)
+    return (np.array(result.v4).tobytes(), result.iterations,
+            np.float64(result.residual).tobytes(), result.continuation_steps,
+            result.used_newton)
+
+
+def _alone(params, interaction):
+    try:
+        return solve_collisional_integrals(params, interaction)
+    except _SOLVE_ERRORS as exc:
+        return exc
+
+
+# the seed-0 benchmark sweep's state-61 column whose upper 13 points need
+# the Newton fallback: delta3 = 0.2 + 0.45 * random.Random(0).random()
+_NEWTON_DELTA3 = 0.5799898331862716
+
+
+class TestLockstepColumn:
+    """solve_collisional_column solves a column's points in lockstep, each
+    bit for bit as it is solved alone."""
+
+    @pytest.mark.parametrize("gamma33", [0.0, 0.01])
+    @pytest.mark.parametrize("delta3", [1.0 / 3.0, 1.3])
+    @pytest.mark.parametrize("state", [46, 50, 56, 61])
+    def test_points_match_points_alone(self, state, delta3, gamma33):
+        points, inter = _column(state, delta3, np.linspace(0.02, 0.5, 5), gamma33)
+        for got, params in zip(solve_collisional_column(points, inter), points):
+            assert _outcome(got) == _outcome(_alone(params, inter))
+
+    @pytest.mark.parametrize("gamma33", [0.0, 0.01])
+    def test_newton_points_match_points_alone(self, gamma33):
+        points, inter = _column(61, _NEWTON_DELTA3, np.linspace(0.0, 0.5, 26)[1:], gamma33)
+        results = solve_collisional_column(points, inter)
+        assert sum(r.used_newton for r in results) == {0.0: 13, 0.01: 6}[gamma33]
+        for got, params in zip(results, points):
+            assert _outcome(got) == _outcome(_alone(params, inter))
+
+    def test_failing_point_gets_its_alone_error(self):
+        """The state-46 stall point fails in the column as it fails alone;
+        the column's other points are solved."""
+        points, inter = _column(46, -1.0676167235166836, [0.1, 0.3, 0.5])
+        results = solve_collisional_column(points, inter)
+        assert [type(r) for r in results[:2]] == [collisional.CollisionalIntegrals] * 2
+        assert isinstance(results[2], ConvergenceError)
+        assert "stalled at intensity fraction 0.9999" in str(results[2])
+        for got, params in zip(results, points):
+            assert _outcome(got) == _outcome(_alone(params, inter))
+
+    def test_stacked_step_error_is_evaluated_point_by_point(self, monkeypatch):
+        """A typed error in a stacked stage sends the round point by point:
+        only the point that raises it alone is flagged."""
+        decompose = collisional.spectral_decompose
+        points, inter = _column(50, 1.0 / 3.0, [0.1, 0.2, 0.3])
+
+        def failing(reduced):
+            if any(p.omega_p == points[1].omega_p for p in reduced.pq.params):
+                raise SingularParameterError("injected")
+            return decompose(reduced)
+
+        want = [_outcome(_alone(p, inter)) for p in points]
+        monkeypatch.setattr(collisional, "spectral_decompose", failing)
+        got = [_outcome(r) for r in solve_collisional_column(points, inter)]
+        assert got == [want[0], ("SingularParameterError", "injected"), want[2]]
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(lam, interaction):
+            raise TypeError("bug")
+
+        monkeypatch.setattr(collisional, "F_lambda", broken)
+        with pytest.raises(TypeError, match="bug"):
+            solve_collisional_column(*_column(50, 1.0 / 3.0, [0.1, 0.2]))
+
+    @pytest.mark.parametrize("count, evaluations", [(5, 147), (25, 153)])
+    def test_work_counts_do_not_grow_with_the_column(self, monkeypatch, count,
+                                                     evaluations):
+        """Work-count guard: a column generates each system once and
+        evaluates G about as often as its longest point alone needs (141
+        iterations), not once per iteration of every point; the stacks
+        evaluate each point once per iteration it makes, no more."""
+        generations, calls = [], []
+        for name in ("generate_pair_equations", "generate_single_atom_equations"):
+            generate = getattr(collisional, name)
+            monkeypatch.setattr(collisional, name,
+                                lambda p, g=generate: generations.append(p) or g(p))
+        call = collisional.FeedbackMap.__call__
+        monkeypatch.setattr(collisional.FeedbackMap, "__call__",
+                            lambda g, v: calls.append(len(v)) or call(g, v))
+        results = solve_collisional_column(
+            *_column(50, 1.0 / 3.0, np.linspace(0.0, 0.5, count + 1)[1:]))
+        assert len(generations) == 2
+        assert not any(r.used_newton for r in results)
+        assert max(r.iterations for r in results) == 141
+        assert len(calls) == evaluations
+        assert sum(calls) == sum(r.iterations for r in results)

@@ -159,7 +159,8 @@ class TestObservableSet:
         assert obs.S == pytest.approx(s_real(obs.chi, obs.chi_3lev, obs.chi_2lev))
         assert 0.0 < obs.S <= 1.0
         assert obs.p_r == pytest.approx(state.sigma33.real)
-        assert obs.p3 > obs.p_r  # blockade suppresses the excitation
+        # blockade suppresses the excitation
+        assert steady_state_three_level(p).sigma33.real > obs.p_r
 
     def test_zero_probe_raises(self, params50):
         s = steady_state_three_level(params50)

@@ -3,7 +3,6 @@ import importlib.util
 import io
 import json
 import math
-import re
 import sys
 from pathlib import Path
 
@@ -11,6 +10,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from rydeit import collisional
 from rydeit import scan as scan_module
 from rydeit import validate as validate_module
 from rydeit.cli import _parse_grid, main
@@ -147,10 +147,12 @@ class TestCsvDeterminism:
 class TestPointFailures:
     @staticmethod
     def _run_with_solver(monkeypatch, exc):
+        # raised in the lockstep solve's stacked stage build, and again when
+        # the round is evaluated point by point
         def fail(*args, **kwargs):
             raise exc
 
-        monkeypatch.setattr(scan_module, "solve_interacting", fail)
+        monkeypatch.setattr(collisional, "spectral_decompose", fail)
         return run_scan(ScanConfig(state=50, omega_p2_start=0.1,
                                    omega_p2_stop=0.1, omega_p2_count=1))
 
@@ -163,6 +165,20 @@ class TestPointFailures:
         for exc in (TypeError("bug"), np.linalg.LinAlgError("bug")):
             with pytest.raises(type(exc), match="bug"):
                 self._run_with_solver(monkeypatch, exc)
+
+    def test_stalled_point_flags_only_itself_in_its_column(self):
+        """The state-46 stall point, solved in lockstep with its column,
+        gets the flag it gets alone; the column's other rows are the rows
+        they are alone."""
+        d3 = -1.0676167235166836
+        cfg = ScanConfig(state=46, delta3=d3, omega_p2_start=0.1,
+                         omega_p2_stop=0.5, omega_p2_count=3)
+        rows = run_scan(cfg)
+        assert [r.omega_p2 for r in rows if r.flag] == [0.5]
+        assert rows[-1].flag.startswith(
+            "ConvergenceError: collisional solve stalled at intensity fraction 0.9999")
+        for row in rows:
+            assert row == compute_row(cfg, d3, row.omega_p2)
 
     def test_singular_weak_probe_row_is_typed(self):
         # omega_c = 0 leaves the weak-probe population block singular
@@ -223,6 +239,20 @@ class TestWeakProbeColumn:
         for r in rows:
             if not r.flag and r.omega_p2 == 0.0:
                 assert r == compute_row(cfg, r.delta3, 0.0)
+
+    def test_rows_share_the_column_parameter_set(self, monkeypatch):
+        """The zero-probe rows take their input cells from the column's one
+        parameter set, not one AtomParams per point."""
+        calls = []
+        point_params = ScanConfig.point_params
+        monkeypatch.setattr(ScanConfig, "point_params",
+                            lambda cfg, *a: calls.append(a) or point_params(cfg, *a))
+        cfg = _zero_probe_column(81, state=61)
+        calls.clear()
+        rows = run_scan(cfg)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert rows == [compute_row(cfg, r.delta3, 0.0) for r in rows]
 
     @pytest.mark.parametrize("count", [5, 81])
     def test_linear_solves_do_not_grow_with_the_column(self, monkeypatch, count):
@@ -399,24 +429,17 @@ def test_weak_probe_benchmark_job_passes_the_reference_check():
 
 
 def test_sweep_benchmark_columns_pass_the_reference_check():
-    """The first column of each preset in the benchmark's seed-0 sweep job
-    (configs 0, 4, 8 and 12: 104 points; config 12 holds every row of the
-    pass that needs the Newton fallback), scanned in-process and held to
-    the benchmark's own correctness check against the same four blocks of
-    its stored reference."""
+    """The benchmark's whole seed-0 sweep job (16 columns, 416 points, 13
+    of them through the Newton fallback), scanned in-process and held to
+    the benchmark's own correctness check against its stored reference."""
     checks, workloads = _bench_module("checks"), _bench_module("workloads")
-    picked = (0, 4, 8, 12)
-    full_job = workloads.make_job("intensity-sweep", 0)
-    job = [full_job[i] for i in picked]
+    job = workloads.make_job("intensity-sweep", 0)
     buf = io.StringIO()
     for d in job:
         with pytest.warns(FutureWarning, match="threads"):
             cfg = ScanConfig.from_dict(d)
         write_csv(run_scan(cfg), cfg.metadata_dict(), buf)
-    text = (_BENCH / "reference" / "intensity-sweep.csv").read_text()
-    blocks = re.split(r"(?m)^(?=# )", text)[1:]
-    assert len(blocks) == len(full_job)
-    attempted, failures = checks.check_pass(
-        buf.getvalue(), job, "".join(blocks[i] for i in picked))
-    assert attempted == 104
+    reference = (_BENCH / "reference" / "intensity-sweep.csv").read_text()
+    attempted, failures = checks.check_pass(buf.getvalue(), job, reference)
+    assert attempted == 416
     assert failures == []
