@@ -11,7 +11,9 @@ closed form F(lambda), leaving a 4-dimensional complex fixed-point problem
     V = select( U^-1 [F(lambda_m) * (U Rtilde(V))_m] )
 
 solved by damped iteration with probe-amplitude continuation and a Newton
-fallback.
+fallback. One function builds a stage's G, ``feedback_map``: the P/Q
+partition (``assemble_PQ``), the Schur complement (``schur_reduce``), the
+eigenrows of M^T (``spectral_decompose``), then the ``FeedbackMap``.
 
 A scan's finite-probe points are solved in lockstep
 (``solve_collisional_column``). Each point keeps its own continuation:
@@ -28,7 +30,7 @@ solve of one point.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -58,10 +60,11 @@ from .quadrature import vdw_k_integral
 
 __all__ = [
     "PQSystem",
-    "SpectralSystem",
+    "FeedbackMap",
     "CollisionalIntegrals",
     "ConvergenceError",
     "assemble_PQ",
+    "feedback_map",
     "schur_reduce",
     "spectral_decompose",
     "F_lambda",
@@ -122,22 +125,6 @@ def _matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return (mat @ vec[..., None])[..., 0]
 
 
-def _take(system, rows):
-    """A stacked system (a dataclass of this module) at ``rows`` (a slice,
-    or an index array): every array, the ``params`` tuple and every nested
-    system, at those rows. Indexing the leading axis keeps each matrix's
-    memory order, which BLAS picks its kernel, and so its rounding, by."""
-    def pick(value):
-        if isinstance(value, np.ndarray):
-            return value[rows]
-        if isinstance(value, tuple):
-            return value[rows] if isinstance(rows, slice) else tuple(value[i] for i in rows)
-        return _take(value, rows)
-
-    return replace(system, **{f.name: pick(getattr(system, f.name))
-                              for f in fields(system)})
-
-
 def _bad_row(bad) -> int | None:
     """The first row flagged in ``bad`` (a bool, or one per stacked row)."""
     hits = np.flatnonzero(bad)
@@ -145,61 +132,27 @@ def _bad_row(bad) -> int | None:
 
 
 @dataclass(frozen=True)
-class _Sources:
-    """The operands of the P/Q sources at a fixed probe amplitude,
-    evaluated once: the single-atom C and S, and the pair Ssrc (see
-    ``PQSystem``, which adds the blocks)."""
-
-    params: tuple
-    single_matrix: np.ndarray   # 8 x 8 C(wp, wpc)
-    single_source: np.ndarray   # 8 S(wp, wpc)
-    pair_source: np.ndarray     # 36 x 8 Ssrc(wp, wpc)
-
-    def _sigma(self, v4) -> np.ndarray:
-        """The 8 averages solving 0 = C sigma + S + B V at this V. A
-        singular C raises for the stack's first point; a stack is then
-        solved point by point (``solve_collisional_column``)."""
-        rhs = -(self.single_source + _matvec(_V_COUPLING, v4))
-        try:
-            return np.linalg.solve(self.single_matrix, rhs[..., None])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise _singular_single_atom(self.params[0], exc) from exc
-
-    def single_state(self, v4) -> SingleAtomState:
-        """``_sigma`` as a ``SingleAtomState``."""
-        return SingleAtomState(values=self._sigma(v4))
-
-    def sources(self, v4) -> tuple[np.ndarray, np.ndarray]:
-        """(R, Rn) source vectors; quadratic in the four components of v4."""
-        v4 = np.asarray(v4, dtype=complex)
-        sigma = self._sigma(v4)
-        full = _matvec(self.pair_source, sigma) + ladder_source(v4, sigma)
-        return _P_ROWSCALE * full[..., _P_IDX], full[..., _Q_IDX]
-
-
-@dataclass(frozen=True)
-class PQSystem(_Sources):
+class PQSystem:
     """Row-partitioned pair system at a fixed probe amplitude.
 
     P rows are rescaled so they read k P_m = a P + b Q + R_m; Q rows read
-    0 = c Q + d P + Rn. ``sources`` returns (R, Rn) for given V from the
-    operands fixed by the probe amplitude (``_Sources``). ``feedback_cols``
-    maps (V13, V31, V23, V32) onto P positions. The partition is
-    structural, so the labels and positions are constants.
+    0 = c Q + d P + Rn. The sources (R, Rn) are quadratic in V through the
+    single-atom C, S and the pair Ssrc, fixed by the probe amplitude
+    (``FeedbackMap.rtilde``).
 
     A stack of systems, one per point of a lockstep solve, has a leading
     axis on every array; ``params`` holds one parameter set per point
-    (a single one when unstacked), and the methods broadcast over points.
+    (a single one when unstacked).
     """
 
-    p_labels = P_LABELS
-    q_labels = Q_LABELS
-    feedback_cols = _FEEDBACK_COLS
-
-    a: np.ndarray  # 10 x 10
-    b: np.ndarray  # 10 x 26
-    c: np.ndarray  # 26 x 26
-    d: np.ndarray  # 26 x 10
+    params: tuple
+    a: np.ndarray               # 10 x 10
+    b: np.ndarray               # 10 x 26
+    c: np.ndarray               # 26 x 26
+    d: np.ndarray               # 26 x 10
+    single_matrix: np.ndarray   # 8 x 8 C(wp, wpc)
+    single_source: np.ndarray   # 8 S(wp, wpc)
+    pair_source: np.ndarray     # 36 x 8 Ssrc(wp, wpc)
 
 
 # At gamma33 = 0 the Q block is exactly singular: the {33,33} correlator
@@ -218,13 +171,6 @@ def regularize(params: AtomParams) -> AtomParams:
     return replace(params, gamma33=GAMMA33_REGULARIZATION)
 
 
-def assemble_PQ(params: AtomParams) -> PQSystem:
-    """Partition the generated 36-row system into the P/Q block form and
-    evaluate the single-atom and pair source operands at the probe."""
-    return _assemble_PQ(params, params.omega_p, np.conj(params.omega_p),
-                        *_generate(params))
-
-
 def _generate(params: AtomParams) -> tuple[PairSystem, SingleAtomSystem]:
     """The generated pair and single-atom systems of ``params``. Only
     c0/a0 depend on the parameters, and not on the probe, so one generation
@@ -232,9 +178,10 @@ def _generate(params: AtomParams) -> tuple[PairSystem, SingleAtomSystem]:
     return generate_pair_equations(params), generate_single_atom_equations(params)
 
 
-def _assemble_PQ(params, wp, wpc, ps: PairSystem, sys8: SingleAtomSystem) -> PQSystem:
-    """``assemble_PQ`` at (wp, wpc) from the generated systems ``ps`` and
-    ``sys8`` of ``params``; wp = wpc = a continues it to complex a.
+def assemble_PQ(params, wp, wpc, ps: PairSystem, sys8: SingleAtomSystem) -> PQSystem:
+    """Partition the generated 36-row system ``ps`` of ``params`` into the
+    P/Q block form at (wp, wpc), and evaluate the source operands of ``ps``
+    and ``sys8`` there; wp = wpc = a continues it to complex a.
 
     For a stack, ``params`` is a tuple with one parameter set per point,
     wp and wpc are arrays with one amplitude per point, and ``ps.a0`` and
@@ -262,27 +209,10 @@ def _assemble_PQ(params, wp, wpc, ps: PairSystem, sys8: SingleAtomSystem) -> PQS
     )
 
 
-@dataclass(frozen=True)
-class ReducedSystem:
-    """k P = M P + Rtilde(V) with Q eliminated."""
-
-    pq: PQSystem
-    m: np.ndarray        # 10 x 10 Schur complement a - b c^-1 d
-    alpha: np.ndarray    # -b c^-1
-
-    def rtilde(self, v4) -> np.ndarray:
-        return _rtilde(self.pq, self.alpha, v4)
-
-
-def _rtilde(sources: _Sources, alpha: np.ndarray, v4) -> np.ndarray:
-    """Rtilde(V) = R + alpha Rn, the one evaluation of the reduced source."""
-    r_p, r_q = sources.sources(v4)
-    return r_p + _matvec(alpha, r_q)
-
-
-def schur_reduce(pq: PQSystem) -> ReducedSystem:
-    """Eliminate the Q block: M = a - b c^-1 d. Over a stack, an
-    ill-conditioned Q block raises for its first point."""
+def schur_reduce(pq: PQSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Eliminate the Q block: (M, alpha) with M = a - b c^-1 d the Schur
+    complement and alpha = -b c^-1, so k P = M P + R + alpha Rn. Over a
+    stack, an ill-conditioned Q block raises for its first point."""
     cond = np.linalg.cond(pq.c)
     row = _bad_row(~np.isfinite(cond) | (cond > _COND_C_MAX))
     if row is not None:
@@ -295,58 +225,12 @@ def schur_reduce(pq: PQSystem) -> ReducedSystem:
     alpha = np.swapaxes(
         -np.linalg.solve(np.swapaxes(pq.c, -1, -2), np.swapaxes(pq.b, -1, -2)),
         -1, -2)
-    return ReducedSystem(pq=pq, m=pq.a + alpha @ pq.d, alpha=alpha)
+    return pq.a + alpha @ pq.d, alpha
 
 
-@dataclass(frozen=True)
-class SpectralSystem:
-    """Eigenrows of M^T and per-eigenvalue radial integrals."""
-
-    reduced: ReducedSystem
-    eigenvalues: np.ndarray  # 10
-    u: np.ndarray            # 10 x 10, rows are eigenvectors of M^T
-    cond_u: float            # one per point over a stack
-
-    def feedback_map(self, interaction: InteractionParams) -> FeedbackMap:
-        """G, the spectral prediction for the feedback V (``FeedbackMap``)."""
-        return _feedback_map(self, interaction)
-
-
-@dataclass(frozen=True)
-class FeedbackMap:
-    """G(v4) = lu @ (f * (u @ rtilde(v4))), with rtilde from the one
-    ``_rtilde``. It keeps the source operands of the P/Q system, not its
-    blocks. Over a stack, one call evaluates every point's G at its row of
-    v4."""
-
-    sources: _Sources
-    alpha: np.ndarray
-    u: np.ndarray
-    f: np.ndarray
-    lu: np.ndarray
-
-    def __call__(self, v4) -> np.ndarray:
-        rtilde = _rtilde(self.sources, self.alpha, v4)
-        return _matvec(self.lu, self.f * _matvec(self.u, rtilde))
-
-
-def _feedback_map(spectral: SpectralSystem, interaction: InteractionParams) -> FeedbackMap:
-    """``SpectralSystem.feedback_map``: f = F(lambda), one scalar
-    ``F_lambda`` per eigenvalue, and lu, the feedback rows of U^-1, are
-    built once per probe amplitude."""
-    w = spectral.eigenvalues
-    f = np.array([F_lambda(lam, interaction) for lam in w.ravel()]).reshape(w.shape)
-    lu = np.ascontiguousarray(np.linalg.inv(spectral.u)[..., _FEEDBACK_COLS, :])
-    pq = spectral.reduced.pq
-    return FeedbackMap(
-        sources=_Sources(**{fld.name: getattr(pq, fld.name) for fld in fields(_Sources)}),
-        alpha=spectral.reduced.alpha, u=spectral.u, f=f, lu=lu)
-
-
-def spectral_decompose(reduced: ReducedSystem) -> SpectralSystem:
-    """Eigendecompose M^T; over a stack, a failed check raises for its
-    first point."""
-    m = reduced.m
+def spectral_decompose(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecompose M^T: (eigenvalues, U), U's rows its eigenvectors.
+    Over a stack, a failed check raises for its first point."""
     m_t = np.swapaxes(m, -1, -2)
     w, vecs = np.linalg.eig(m_t)
     u = np.swapaxes(vecs, -1, -2)
@@ -368,7 +252,74 @@ def spectral_decompose(reduced: ReducedSystem) -> SpectralSystem:
             f"eigenvector matrix near-defective (cond={np.ravel(cond_u)[row]:.3g}); "
             "perturb detunings or decay rates slightly"
         )
-    return SpectralSystem(reduced=reduced, eigenvalues=w, u=u, cond_u=cond_u)
+    return w, u
+
+
+@dataclass(frozen=True)
+class FeedbackMap:
+    """G(v4) = lu @ (f * (u @ rtilde(v4))), the spectral prediction for
+    the feedback V. It keeps the source operands of the P/Q system (params,
+    C, S, Ssrc), not its blocks. Over a stack, one call evaluates every
+    point's G at its row of v4."""
+
+    params: tuple
+    single_matrix: np.ndarray
+    single_source: np.ndarray
+    pair_source: np.ndarray
+    alpha: np.ndarray
+    u: np.ndarray
+    f: np.ndarray
+    lu: np.ndarray
+
+    def sigma(self, v4) -> np.ndarray:
+        """The 8 averages solving 0 = C sigma + S + B V at this V. A
+        singular C raises for the stack's first point; a stack is then
+        solved point by point (``solve_collisional_column``)."""
+        rhs = -(self.single_source + _matvec(_V_COUPLING, v4))
+        try:
+            return np.linalg.solve(self.single_matrix, rhs[..., None])[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise _singular_single_atom(self.params[0], exc) from exc
+
+    def rtilde(self, v4) -> np.ndarray:
+        """Rtilde(V) = R + alpha Rn, the reduced source; the sources R, Rn
+        are quadratic in the four components of v4."""
+        v4 = np.asarray(v4, dtype=complex)
+        sigma = self.sigma(v4)
+        full = _matvec(self.pair_source, sigma) + ladder_source(v4, sigma)
+        return _P_ROWSCALE * full[..., _P_IDX] + _matvec(self.alpha, full[..., _Q_IDX])
+
+    def __call__(self, v4) -> np.ndarray:
+        return _matvec(self.lu, self.f * _matvec(self.u, self.rtilde(v4)))
+
+    def rows(self, idx) -> FeedbackMap:
+        """The stacked map at ``idx`` (a slice, or an index array) of its
+        leading axis. Indexing the leading axis keeps each matrix's memory
+        order, which BLAS picks its kernel, and so its rounding, by."""
+        params = (self.params[idx] if isinstance(idx, slice)
+                  else tuple(self.params[i] for i in idx))
+        return FeedbackMap(
+            params=params, single_matrix=self.single_matrix[idx],
+            single_source=self.single_source[idx], pair_source=self.pair_source[idx],
+            alpha=self.alpha[idx], u=self.u[idx], f=self.f[idx], lu=self.lu[idx])
+
+
+def feedback_map(params, wp, wpc, systems: tuple[PairSystem, SingleAtomSystem],
+                 interaction: InteractionParams) -> FeedbackMap:
+    """The stage's G at (wp, wpc) from the generated ``systems`` of
+    ``params`` (stacked as for ``assemble_PQ``): ``assemble_PQ`` ->
+    ``schur_reduce`` -> ``spectral_decompose``, then f = F(lambda), one
+    scalar ``F_lambda`` per eigenvalue, and lu, the feedback rows of
+    U^-1, once per probe amplitude."""
+    pq = assemble_PQ(params, wp, wpc, *systems)
+    m, alpha = schur_reduce(pq)
+    w, u = spectral_decompose(m)
+    f = np.array([F_lambda(lam, interaction) for lam in w.ravel()]).reshape(w.shape)
+    lu = np.ascontiguousarray(np.linalg.inv(u)[..., _FEEDBACK_COLS, :])
+    return FeedbackMap(
+        params=pq.params, single_matrix=pq.single_matrix,
+        single_source=pq.single_source, pair_source=pq.pair_source,
+        alpha=alpha, u=u, f=f, lu=lu)
 
 
 def F_lambda_quadrature(lam: complex, interaction: InteractionParams,
@@ -438,7 +389,7 @@ def _damped_iterate(g: FeedbackMap, v0, tol):
                 live = live[go]
                 if not len(live):
                     break
-                g_live = _take(g, live)
+                g_live = g.rows(live)
     return v, iters, resid, converged
 
 
@@ -493,9 +444,9 @@ def _newton(g, v0, max_iter, tol):
     return to_complex(x), max_iter, float(np.max(np.abs(r)) / scale), False
 
 
-def _physical_root(v, sources: _Sources) -> bool:
-    """Whether v is on the physical branch at the stage of ``sources`` (a
-    stack of one). That branch is conjugation-symmetric: V31 = conj(V13),
+def _physical_root(v, g: FeedbackMap) -> bool:
+    """Whether v is on the physical branch at the stage of ``g`` (a stack
+    of one). That branch is conjugation-symmetric: V31 = conj(V13),
     V32 = conj(V23); spurious polynomial roots are not, and they typically
     reconstruct unphysical populations."""
     scale = max(np.max(np.abs(v)), 1e-300)
@@ -503,7 +454,7 @@ def _physical_root(v, sources: _Sources) -> bool:
     if dev > max(1e-3 * scale, 1e-13):
         return False
     try:
-        SingleAtomState(values=sources._sigma(v[None])[0]).check_physical(tol=1e-6)
+        SingleAtomState(values=g.sigma(v[None])[0]).check_physical(tol=1e-6)
     except ValueError:
         return False
     return True
@@ -550,7 +501,7 @@ class _Continuation:
             self.used_newton = True
         self.steps += 1
         self.resid = resid
-        if conv and _physical_root(v_new, g.sources):
+        if conv and _physical_root(v_new, g):
             self.x = x_try
             self.solved = [self.solved[-1], (x_try, v_new)]
             if it <= 12:
@@ -590,14 +541,11 @@ def _stage(points: list, plans: list, interaction: InteractionParams, tol) -> li
     if any(systems is not points[0][1] for _, systems in points):
         ps = replace(ps, a0=np.stack([p.a0 for _, (p, _) in points]))
         sys8 = replace(sys8, c0=np.stack([s.c0 for _, (_, s) in points]))
-    pq = _assemble_PQ(tuple(cont.params for cont in conts), np.array(amps, dtype=complex),
-                      np.array([np.conj(a) for a in amps], dtype=complex), ps, sys8)
-    # _feedback_map, not the method: perfbench's tracer wraps the method's
-    # result in a plain function, which has no rows to take
-    g = _feedback_map(spectral_decompose(schur_reduce(pq)), interaction)
-    del pq  # frees the P/Q blocks; G keeps only its own operands
+    g = feedback_map(tuple(cont.params for cont in conts), np.array(amps, dtype=complex),
+                     np.array([np.conj(a) for a in amps], dtype=complex), (ps, sys8),
+                     interaction)
     v, iters, resid, conv = _damped_iterate(g, [v_pred for _, v_pred in plans], tol)
-    return [(_take(g, slice(r, r + 1)), (v[r], int(iters[r]), resid[r], bool(conv[r])))
+    return [(g.rows(slice(r, r + 1)), (v[r], int(iters[r]), resid[r], bool(conv[r])))
             for r in range(len(conts))]
 
 

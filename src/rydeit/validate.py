@@ -22,18 +22,19 @@ from .blochgen import (
 from .collisional import (
     F_lambda,
     F_lambda_quadrature,
-    _assemble_PQ,
     _generate,
     _newton,
-    assemble_PQ,
+    feedback_map,
     regularize,
-    schur_reduce,
     solve_collisional_integrals,
     solve_interacting,
     solve_pair_at_k,
-    spectral_decompose,
 )
-from .noninteracting import perturbative_coefficients, steady_state_three_level
+from .noninteracting import (
+    SingleAtomState,
+    perturbative_coefficients,
+    steady_state_three_level,
+)
 from .observables import observable_set
 from .oracle import (
     _contour_coefficients,
@@ -134,9 +135,9 @@ def check_f_lambda_closed_form():
 def check_schur_vs_direct():
     # nonzero gamma33 so the Q block is regular without regularization
     p = _params(wp=0.3, gamma33=0.05)
-    spec = spectral_decompose(schur_reduce(assemble_PQ(p)))
     v4 = np.zeros(4, dtype=complex)
-    lhs = spec.feedback_map(InteractionParams(c6=_P50.c6))(v4)
+    lhs = feedback_map(p, p.omega_p, np.conj(p.omega_p), _generate(p),
+                       InteractionParams(c6=_P50.c6))(v4)
     t_scale = abs(effective_T(p))
     labels = (((1, 3), (3, 3)), ((3, 1), (3, 3)), ((2, 3), (3, 3)), ((3, 2), (3, 3)))
     worst = 0.0
@@ -225,10 +226,9 @@ def _solver_contour(p, interaction):
         step = (a / a_now) ** (1.0 / sub)
         for _ in range(sub):
             a_now *= step
-            pq = _assemble_PQ(p_reg, a_now, a_now, *systems)
-            g = spectral_decompose(schur_reduce(pq)).feedback_map(interaction)
+            g = feedback_map(p_reg, a_now, a_now, systems, interaction)
             v = _newton(g, v, 50, tol)[0]
-        return [v[0], pq.single_state(v).sigma12]
+        return [v[0], SingleAtomState(values=g.sigma(v)).sigma12]
 
     c, wrong = _contour_coefficients(f, (3, 1), r, nodes)
     f(complex(r))

@@ -10,6 +10,7 @@ from rydeit import (
     solve_interacting,
 )
 from rydeit import collisional, noninteracting
+from rydeit.blochgen import P_LABELS, V_LABELS, canonical_pair
 from rydeit.collisional import (
     F_lambda,
     F_lambda_quadrature,
@@ -18,9 +19,10 @@ from rydeit.collisional import (
     _SOLVE_ERRORS,
     _P_IDX,
     _Q_IDX,
-    _assemble_PQ,
+    _generate,
     _newton,
     assemble_PQ,
+    feedback_map,
     regularize,
     schur_reduce,
     solve_pair_at_k,
@@ -30,20 +32,32 @@ from rydeit.collisional import (
 from rydeit.params import SingularParameterError
 
 
+def _pq(p):
+    """The P/Q system of ``p`` at its probe."""
+    return assemble_PQ(p, p.omega_p, np.conj(p.omega_p), *_generate(p))
+
+
+def _g(p, interaction):
+    """The stage's G of ``p`` at its probe."""
+    return feedback_map(p, p.omega_p, np.conj(p.omega_p), _generate(p), interaction)
+
+
 class TestSchurReduction:
     @pytest.mark.parametrize("k", [-0.05, -1.3, -40.0, -2000.0])
-    def test_reduced_solve_matches_full_36x36(self, k):
+    def test_reduced_solve_matches_full_36x36(self, k, inter50):
         """(k - M) P = Rtilde must reproduce the P components of the direct
         36-dimensional solve at fixed interaction strength."""
         p = AtomParams(omega_p=0.3, omega_c=3.0, gamma33=0.05)
-        red = schur_reduce(assemble_PQ(p))
+        m, alpha = schur_reduce(_pq(p))
+        g = _g(p, inter50)
+        assert np.array_equal(g.alpha, alpha)
         v4 = np.array([0.01 - 0.002j, 0.01 + 0.002j, 1e-4, 1e-4])
-        rhs = red.rtilde(v4)
-        p_sol = np.linalg.solve(k * np.eye(10) - red.m, rhs)
+        rhs = g.rtilde(v4)
+        p_sol = np.linalg.solve(k * np.eye(10) - m, rhs)
         full = solve_pair_at_k(p, k, v4=v4)
         worst = max(
             abs(p_sol[i] - full[lab]) / max(abs(full[lab]), 1e-300)
-            for i, lab in enumerate(red.pq.p_labels)
+            for i, lab in enumerate(P_LABELS)
         )
         assert worst < 1e-8
 
@@ -66,7 +80,7 @@ class TestAssemblePQ:
         p = AtomParams(omega_p=a, omega_c=preset.omega_c, gamma33=gamma33)
         for wp, wpc in ((a, np.conj(a)), (a, a)):
             ps = collisional.generate_pair_equations(p)
-            pq = _assemble_PQ(p, wp, wpc, ps, collisional.generate_single_atom_equations(p))
+            pq = assemble_PQ(p, wp, wpc, ps, collisional.generate_single_atom_equations(p))
             amat = ps.matrix(wp, wpc)
             rowscale = -1.0 / ps.kdiag[_P_IDX]
             want = {
@@ -97,11 +111,11 @@ class TestFeedbackMap:
         preset = StatePreset(state)
         inter = InteractionParams(c6=preset.c6)
         p = regularize(AtomParams(omega_p=np.sqrt(0.3), omega_c=preset.omega_c))
-        spec = spectral_decompose(schur_reduce(assemble_PQ(p)))
-        f = np.array([F_lambda(lam, inter) for lam in spec.eigenvalues])
-        sel = np.array(spec.reduced.pq.feedback_cols)
-        lu = np.linalg.inv(spec.u)[sel, :]
-        g = spec.feedback_map(inter)
+        eigenvalues, u = spectral_decompose(schur_reduce(_pq(p))[0])
+        f = np.array([F_lambda(lam, inter) for lam in eigenvalues])
+        sel = [P_LABELS.index(canonical_pair(lab, (3, 3))) for lab in V_LABELS]
+        lu = np.linalg.inv(u)[sel, :]
+        g = _g(p, inter)
         rng = np.random.default_rng(state)
         vs = [np.zeros(4, dtype=complex)] + [
             (rng.standard_normal(4) + 1j * rng.standard_normal(4))
@@ -109,7 +123,7 @@ class TestFeedbackMap:
             for _ in range(8)
         ]
         for v in vs:
-            want = lu @ (f * (spec.u @ spec.reduced.rtilde(v)))
+            want = lu @ (f * (u @ g.rtilde(v)))
             assert np.array_equal(g(v), want)
 
     def test_work_counts_are_unchanged(self, preset50, monkeypatch):
@@ -189,7 +203,7 @@ class TestNonlinearSolve:
         1 + 1e-3, Newton at tol = 1e-10 must return to it within tol of max|V|."""
         inter = InteractionParams(c6=preset50.c6)
         p = AtomParams(omega_p=0.05, omega_c=preset50.omega_c)
-        g = spectral_decompose(schur_reduce(assemble_PQ(regularize(p)))).feedback_map(inter)
+        g = _g(regularize(p), inter)
         v0 = solve_collisional_integrals(p, inter).v4
         root, _, _, conv = _newton(g, v0, 50, 1e-14 * np.max(np.abs(v0)))
         assert conv
@@ -261,16 +275,16 @@ class TestLockstepColumn:
     def test_stacked_step_error_is_evaluated_point_by_point(self, monkeypatch):
         """A typed error in a stacked stage sends the round point by point:
         only the point that raises it alone is flagged."""
-        decompose = collisional.spectral_decompose
+        reduce = collisional.schur_reduce
         points, inter = _column(50, 1.0 / 3.0, [0.1, 0.2, 0.3])
 
-        def failing(reduced):
-            if any(p.omega_p == points[1].omega_p for p in reduced.pq.params):
+        def failing(pq):
+            if any(p.omega_p == points[1].omega_p for p in pq.params):
                 raise SingularParameterError("injected")
-            return decompose(reduced)
+            return reduce(pq)
 
         want = [_outcome(_alone(p, inter)) for p in points]
-        monkeypatch.setattr(collisional, "spectral_decompose", failing)
+        monkeypatch.setattr(collisional, "schur_reduce", failing)
         got = [_outcome(r) for r in solve_collisional_column(points, inter)]
         assert got == [want[0], ("SingularParameterError", "injected"), want[2]]
 
@@ -285,21 +299,27 @@ class TestLockstepColumn:
     @pytest.mark.parametrize("count, evaluations", [(5, 147), (25, 153)])
     def test_work_counts_do_not_grow_with_the_column(self, monkeypatch, count,
                                                      evaluations):
-        """Work-count guard: a column generates each system once and
-        evaluates G about as often as its longest point alone needs (141
-        iterations), not once per iteration of every point; the stacks
+        """Work-count guard: a column generates each system once, builds
+        one stacked stage per round (4 rounds, every point taking 4 stages)
+        and evaluates G about as often as its longest point alone needs
+        (141 iterations), not once per iteration of every point; the stacks
         evaluate each point once per iteration it makes, no more."""
-        generations, calls = [], []
+        generations, builds, calls = [], [], []
         for name in ("generate_pair_equations", "generate_single_atom_equations"):
             generate = getattr(collisional, name)
             monkeypatch.setattr(collisional, name,
                                 lambda p, g=generate: generations.append(p) or g(p))
+        assemble = collisional.assemble_PQ
+        monkeypatch.setattr(collisional, "assemble_PQ",
+                            lambda p, *args: builds.append(len(p)) or assemble(p, *args))
         call = collisional.FeedbackMap.__call__
         monkeypatch.setattr(collisional.FeedbackMap, "__call__",
                             lambda g, v: calls.append(len(v)) or call(g, v))
         results = solve_collisional_column(
             *_column(50, 1.0 / 3.0, np.linspace(0.0, 0.5, count + 1)[1:]))
         assert len(generations) == 2
+        assert builds == [count] * 4
+        assert sum(r.continuation_steps for r in results) == 4 * count
         assert not any(r.used_newton for r in results)
         assert max(r.iterations for r in results) == 141
         assert len(calls) == evaluations

@@ -1,4 +1,5 @@
 """Scan configuration, CSV determinism and the command-line interface."""
+import hashlib
 import importlib.util
 import io
 import json
@@ -412,9 +413,14 @@ def _bench_module(name):
     return module
 
 
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_weak_probe_benchmark_job_passes_the_reference_check():
     """The benchmark's seed-0 weak-probe job, scanned in-process and held to
-    the benchmark's own correctness check against its stored reference."""
+    the benchmark's own correctness check against its stored reference,
+    and to the SHA-256 of the CSV it emits, byte for byte."""
     checks, workloads = _bench_module("checks"), _bench_module("workloads")
     job = workloads.make_job("weak-probe-spectrum", 0)
     buf = io.StringIO()
@@ -426,12 +432,15 @@ def test_weak_probe_benchmark_job_passes_the_reference_check():
     attempted, failures = checks.check_pass(buf.getvalue(), job, reference)
     assert attempted == 81
     assert failures == []
+    assert _sha256(buf.getvalue()) == (
+        "78977bb802885bce341f654d349667e02f4e824476dc2b8bfc2fb644cf3c74d6")
 
 
 def test_sweep_benchmark_columns_pass_the_reference_check():
     """The benchmark's whole seed-0 sweep job (16 columns, 416 points, 13
     of them through the Newton fallback), scanned in-process and held to
-    the benchmark's own correctness check against its stored reference."""
+    the benchmark's own correctness check against its stored reference,
+    and to the SHA-256 of the CSV it emits, byte for byte."""
     checks, workloads = _bench_module("checks"), _bench_module("workloads")
     job = workloads.make_job("intensity-sweep", 0)
     buf = io.StringIO()
@@ -443,3 +452,5 @@ def test_sweep_benchmark_columns_pass_the_reference_check():
     attempted, failures = checks.check_pass(buf.getvalue(), job, reference)
     assert attempted == 416
     assert failures == []
+    assert _sha256(buf.getvalue()) == (
+        "70a49c7022a867b07692e854e6c0905b28ad786e2827047c659f0a97b81ba284")
