@@ -214,28 +214,29 @@ def _minus_gamma(p: AtomParams) -> np.ndarray:
     return g
 
 
-def _block_gather(k: np.ndarray, diag_of, row_sets):
-    """A function of a ``delta3_column`` that returns the (rows, rows)
+def _block_gather(k: np.ndarray, diag_of, blocks):
+    """A function of a ``delta3_column`` that returns the (rows, cols)
     blocks of omega_c k + diag(diag_of(g)), g = ``_minus_gamma``, one
-    (n, len(rows), len(rows)) array per index array in ``row_sets``. The
-    positions are worked out here, once; each call gathers every block in
-    one ``take`` and does the same elementwise operations as building the
-    full matrix, so it gives the same bytes without building it."""
-    flat = np.concatenate([np.ravel_multi_index(np.ix_(rows, rows), k.shape).ravel()
-                           for rows in row_sets])
+    (n, len(rows), len(cols)) array per index-array pair in ``blocks``. The
+    positions are worked out here, once; each call does the same
+    elementwise sums as building the full matrix, so it gives the same
+    bytes. Only the diagonal entries differ between rows of a column."""
+    flat = np.concatenate([np.ravel_multi_index(np.ix_(rows, cols), k.shape).ravel()
+                           for rows, cols in blocks])
     rows, cols = np.unravel_index(flat, k.shape)
     k_blocks = k.take(flat)
-    # each position's entry of diag_of(g), or of a trailing 0 off the diagonal
-    pick = np.where(rows == cols, rows, k.shape[0])
-    ends = np.cumsum([0] + [len(r) ** 2 for r in row_sets]).tolist()
-    parts = [(slice(a, b), (len(r), len(r))) for a, b, r in zip(ends, ends[1:], row_sets)]
-    for arr in (k_blocks, pick):
+    on_diag = np.flatnonzero(rows == cols)
+    diag_at = rows[on_diag]
+    ends = np.cumsum([0] + [len(r) * len(c) for r, c in blocks]).tolist()
+    parts = [(slice(a, b), (len(r), len(c))) for a, b, (r, c) in zip(ends, ends[1:], blocks)]
+    for arr in (k_blocks, on_diag, diag_at):
         arr.flags.writeable = False
 
     def blocks(params) -> tuple:
-        diag = diag_of(_minus_gamma(params))
-        diag = np.concatenate([diag, np.zeros(diag.shape[:-1] + (1,), dtype=complex)], -1)
-        values = params.omega_c * k_blocks + diag.take(pick, axis=-1)
+        base = params.omega_c * k_blocks
+        values = np.empty(np.shape(params.delta3) + base.shape, dtype=complex)
+        values[...] = base + 0.0  # off the diagonal, diag(g) adds a zero
+        values[..., on_diag] = base[on_diag] + diag_of(_minus_gamma(params))[..., diag_at]
         return tuple(values[..., part].reshape(values.shape[:-1] + shape)
                      for part, shape in parts)
 
@@ -306,7 +307,7 @@ def c0_blocks(*row_sets):
     """``_block_gather`` of c0 = omega_c K8 + diag(g): its diagonal blocks
     at each row of a ``delta3_column``, built from blocks of K8 without
     forming c0."""
-    return _block_gather(_K8, lambda g: g, row_sets)
+    return _block_gather(_K8, lambda g: g, [(rows, rows) for rows in row_sets])
 
 
 def generate_single_atom_equations(params: AtomParams) -> SingleAtomSystem:
@@ -413,10 +414,15 @@ _L1 = np.array([SINGLE_INDEX[l1] for l1, _ in PAIR_LABELS])
 _L2 = np.array([SINGLE_INDEX[l2] for _, l2 in PAIR_LABELS])
 
 
+def _pair_diag(g: np.ndarray) -> np.ndarray:
+    """The diagonal g[l1] + g[l2] of a0, one entry per pair label."""
+    return g[..., _L1] + g[..., _L2]
+
+
 def a0_blocks(*row_sets):
     """``_block_gather`` of a0 = omega_c K36 + diag(g[l1] + g[l2]), as
     ``c0_blocks`` does for c0: no 36x36 a0 is formed."""
-    return _block_gather(_K36, lambda g: g[..., _L1] + g[..., _L2], row_sets)
+    return _block_gather(_K36, _pair_diag, [(rows, rows) for rows in row_sets])
 
 
 def ladder_source(v4, sigma8) -> np.ndarray:
@@ -450,10 +456,9 @@ def generate_pair_equations(params: AtomParams) -> PairSystem:
     V_{a3} * sigma_mn). Only a0 = omega_c K36 + diag(-Gamma_l1 - Gamma_l2)
     depends on the parameters; all other parts, ``kdiag`` and ``ladder``
     among them, are shared read-only constants."""
-    g = _minus_gamma(params)
     return PairSystem(
         pair_labels=PAIR_LABELS,
-        a0=params.omega_c * _K36 + np.diag(g[_L1] + g[_L2]),
+        a0=params.omega_c * _K36 + np.diag(_pair_diag(_minus_gamma(params))),
         ap=_AP, am=_AM,
         src0=_SRC0, srcp=_SRCP, srcm=_SRCM,
         kdiag=_KDIAG, ladder=_LADDER,

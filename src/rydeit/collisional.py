@@ -19,7 +19,8 @@ A scan's finite-probe points are solved in lockstep
 (``solve_collisional_column``). Each point keeps its own continuation:
 intensity fraction, step, secant history and counts. A round advances
 every unfinished point by one stage. The stage operators of all those
-points are built as one stack, with a leading axis over points, and their
+points are built as one stack over their ``params.delta3_column``, a0
+and c0 gathered from K36 and K8 as on the weak-probe path, and their
 damped iterations share one stacked evaluation of G per iteration. Newton,
 the root test and the step control run point by point. Each stacked
 operation treats a point's slice as it treats that point alone: the same
@@ -35,18 +36,29 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .blochgen import (
+    _AM,
+    _AP,
+    _CM,
+    _CP,
+    _K36,
     _KDIAG,
+    _S0,
+    _SM,
+    _SP,
+    _SRC0,
+    _SRCM,
+    _SRCP,
     _V_COUPLING,
     P_LABELS,
     PAIR_INDEX,
     PAIR_LABELS,
     Q_LABELS,
     V_LABELS,
-    PairSystem,
-    SingleAtomSystem,
+    _block_gather,
+    _pair_diag,
+    c0_blocks,
     canonical_pair,
     generate_pair_equations,
-    generate_single_atom_equations,
     ladder_source,
 )
 from .noninteracting import (
@@ -54,7 +66,7 @@ from .noninteracting import (
     _singular_single_atom,
     solve_single_system,
 )
-from .params import AtomParams, InteractionParams, SingularParameterError
+from .params import AtomParams, InteractionParams, SingularParameterError, delta3_column
 from .perturbative import BranchAmbiguityError, F_lambda
 from .quadrature import vdw_k_integral
 
@@ -85,19 +97,12 @@ _Q_IDX = np.array([PAIR_INDEX[lab] for lab in Q_LABELS])
 # -kdiag_m isolates k ss_m on the left
 _P_ROWSCALE = -1.0 / _KDIAG[_P_IDX]
 
-
-def _block_positions(rows, cols):
-    """Flat positions of the (rows, cols) block in the raveled pair matrix."""
-    flat = np.ravel_multi_index(np.ix_(rows, cols), (len(PAIR_LABELS),) * 2)
-    flat.flags.writeable = False
-    return flat
-
-
-# a, b, c, d blocks of the P/Q partition, gathered by one ``take`` each
-_FLAT_PP = _block_positions(_P_IDX, _P_IDX)
-_FLAT_PQ = _block_positions(_P_IDX, _Q_IDX)
-_FLAT_QQ = _block_positions(_Q_IDX, _Q_IDX)
-_FLAT_QP = _block_positions(_Q_IDX, _P_IDX)
+# a, b, c, d blocks of the P/Q partition: ap's and am's as constants, a0's
+# gathered from K36 in one call
+_PQ_BLOCKS = ((_P_IDX, _P_IDX), (_P_IDX, _Q_IDX), (_Q_IDX, _Q_IDX), (_Q_IDX, _P_IDX))
+_PROBE_PQ_BLOCKS = tuple((_AP[np.ix_(*rc)], _AM[np.ix_(*rc)]) for rc in _PQ_BLOCKS)
+_A0_PQ_BLOCKS = _block_gather(_K36, _pair_diag, _PQ_BLOCKS)
+_C0 = c0_blocks(np.arange(len(_CP)))
 
 # positions of the feedback correlators ss_{a3,33} = V_a3 in the P block
 _FEEDBACK_COLS = tuple(
@@ -112,11 +117,6 @@ class ConvergenceError(RuntimeError):
 # the typed failures of one point's solve; anything else is a programming
 # error and propagates
 _SOLVE_ERRORS = (ConvergenceError, SingularParameterError, BranchAmbiguityError)
-
-
-def _gather(mat: np.ndarray, flat: np.ndarray) -> np.ndarray:
-    """The block at flat positions ``flat`` of each trailing matrix of ``mat``."""
-    return mat.reshape(mat.shape[:-2] + (-1,)).take(flat, axis=-1)
 
 
 def _matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -141,11 +141,10 @@ class PQSystem:
     (``FeedbackMap.rtilde``).
 
     A stack of systems, one per point of a lockstep solve, has a leading
-    axis on every array; ``params`` holds one parameter set per point
-    (a single one when unstacked).
+    axis on every array; ``params`` is then their ``delta3_column``.
     """
 
-    params: tuple
+    params: object
     a: np.ndarray               # 10 x 10
     b: np.ndarray               # 10 x 26
     c: np.ndarray               # 26 x 26
@@ -171,41 +170,33 @@ def regularize(params: AtomParams) -> AtomParams:
     return replace(params, gamma33=GAMMA33_REGULARIZATION)
 
 
-def _generate(params: AtomParams) -> tuple[PairSystem, SingleAtomSystem]:
-    """The generated pair and single-atom systems of ``params``. Only
-    c0/a0 depend on the parameters, and not on the probe, so one generation
-    serves every probe amplitude of a parameter set."""
-    return generate_pair_equations(params), generate_single_atom_equations(params)
+def assemble_PQ(params, wp, wpc) -> PQSystem:
+    """The P/Q block form of the pair system of ``params`` at (wp, wpc),
+    and the source operands there; wp = wpc = a continues it to complex a.
+    Only a0 and c0 depend on ``params``; they are gathered from K36 and K8
+    (``blochgen``), and every probe part is a read-only constant.
 
-
-def assemble_PQ(params, wp, wpc, ps: PairSystem, sys8: SingleAtomSystem) -> PQSystem:
-    """Partition the generated 36-row system ``ps`` of ``params`` into the
-    P/Q block form at (wp, wpc), and evaluate the source operands of ``ps``
-    and ``sys8`` there; wp = wpc = a continues it to complex a.
-
-    For a stack, ``params`` is a tuple with one parameter set per point,
-    wp and wpc are arrays with one amplitude per point, and ``ps.a0`` and
-    ``sys8.c0`` hold one matrix per point, or one for all."""
+    For a stack, ``params`` is a ``delta3_column``, and wp and wpc are
+    arrays with one amplitude per row."""
     w = np.asarray(wp)[..., None, None]
     wc = np.asarray(wpc)[..., None, None]
 
-    def block(flat):
-        # the block of ps.matrix(w, wc) = (a0 + w ap) + wc am, from the same
-        # block of each part, summed in place
-        out = w * ps.ap.take(flat)
-        out += _gather(ps.a0, flat)
-        out += wc * ps.am.take(flat)
+    def block(probe, a0):
+        # the block of a0 + w ap + wc am, from the same block of each part,
+        # summed in place
+        ap, am = probe
+        out = w * ap
+        out += a0
+        out += wc * am
         return out
 
+    a, b, c, d = map(block, _PROBE_PQ_BLOCKS, _A0_PQ_BLOCKS(params))
+    (c0,) = _C0(params)
     return PQSystem(
-        params=params if isinstance(params, tuple) else (params,),
-        a=_P_ROWSCALE[:, None] * block(_FLAT_PP),
-        b=_P_ROWSCALE[:, None] * block(_FLAT_PQ),
-        c=block(_FLAT_QQ),
-        d=block(_FLAT_QP),
-        single_matrix=sys8.matrix(w, wc),
-        single_source=sys8.source(w[..., 0], wc[..., 0]),
-        pair_source=ps.single_source_matrix(w, wc),
+        params=params, a=_P_ROWSCALE[:, None] * a, b=_P_ROWSCALE[:, None] * b, c=c, d=d,
+        single_matrix=c0 + w * _CP + wc * _CM,
+        single_source=_S0 + w[..., 0] * _SP + wc[..., 0] * _SM,
+        pair_source=_SRC0 + w * _SRCP + wc * _SRCM,
     )
 
 
@@ -216,10 +207,10 @@ def schur_reduce(pq: PQSystem) -> tuple[np.ndarray, np.ndarray]:
     cond = np.linalg.cond(pq.c)
     row = _bad_row(~np.isfinite(cond) | (cond > _COND_C_MAX))
     if row is not None:
-        p = pq.params[row]
+        p = pq.params
         raise SingularParameterError(
             f"Q block ill-conditioned (cond={np.ravel(cond)[row]:.3g}) at "
-            f"omega_c={p.omega_c}, delta2={p.delta2}, delta3={p.delta3}"
+            f"omega_c={p.omega_c}, delta2={p.delta2}, delta3={np.ravel(p.delta3).tolist()[row]}"
         )
     # -b c^-1 as the transpose of a C-ordered solve, as each point alone has it
     alpha = np.swapaxes(
@@ -234,10 +225,8 @@ def spectral_decompose(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m_t = np.swapaxes(m, -1, -2)
     w, vecs = np.linalg.eig(m_t)
     u = np.swapaxes(vecs, -1, -2)
-    # residual of M^T v = lambda v per eigenpair, scaled by ||M||, one
-    # matrix norm per point as numpy takes it of a single matrix
-    norm = np.reshape([np.linalg.norm(mi) for mi in m.reshape(-1, *m.shape[-2:])],
-                      m.shape[:-2])
+    # residual of M^T v = lambda v per eigenpair, scaled by ||M||
+    norm = np.linalg.norm(m, axis=(-2, -1))
     resid = np.abs(m_t @ vecs - vecs * w[..., None, :]).max(axis=(-2, -1)) / np.maximum(
         norm, 1e-300)
     row = _bad_row(resid > _EIG_RESID)
@@ -262,7 +251,7 @@ class FeedbackMap:
     C, S, Ssrc), not its blocks. Over a stack, one call evaluates every
     point's G at its row of v4."""
 
-    params: tuple
+    params: object
     single_matrix: np.ndarray
     single_source: np.ndarray
     pair_source: np.ndarray
@@ -273,13 +262,13 @@ class FeedbackMap:
 
     def sigma(self, v4) -> np.ndarray:
         """The 8 averages solving 0 = C sigma + S + B V at this V. A
-        singular C raises for the stack's first point; a stack is then
-        solved point by point (``solve_collisional_column``)."""
+        singular C raises; a stack is then solved point by point
+        (``solve_collisional_column``)."""
         rhs = -(self.single_source + _matvec(_V_COUPLING, v4))
         try:
             return np.linalg.solve(self.single_matrix, rhs[..., None])[..., 0]
         except np.linalg.LinAlgError as exc:
-            raise _singular_single_atom(self.params[0], exc) from exc
+            raise _singular_single_atom(self.params, exc) from exc
 
     def rtilde(self, v4) -> np.ndarray:
         """Rtilde(V) = R + alpha Rn, the reduced source; the sources R, Rn
@@ -296,22 +285,20 @@ class FeedbackMap:
         """The stacked map at ``idx`` (a slice, or an index array) of its
         leading axis. Indexing the leading axis keeps each matrix's memory
         order, which BLAS picks its kernel, and so its rounding, by."""
-        params = (self.params[idx] if isinstance(idx, slice)
-                  else tuple(self.params[i] for i in idx))
         return FeedbackMap(
-            params=params, single_matrix=self.single_matrix[idx],
+            params=delta3_column(self.params, self.params.delta3[idx]),
+            single_matrix=self.single_matrix[idx],
             single_source=self.single_source[idx], pair_source=self.pair_source[idx],
             alpha=self.alpha[idx], u=self.u[idx], f=self.f[idx], lu=self.lu[idx])
 
 
-def feedback_map(params, wp, wpc, systems: tuple[PairSystem, SingleAtomSystem],
-                 interaction: InteractionParams) -> FeedbackMap:
-    """The stage's G at (wp, wpc) from the generated ``systems`` of
-    ``params`` (stacked as for ``assemble_PQ``): ``assemble_PQ`` ->
-    ``schur_reduce`` -> ``spectral_decompose``, then f = F(lambda), one
-    scalar ``F_lambda`` per eigenvalue, and lu, the feedback rows of
-    U^-1, once per probe amplitude."""
-    pq = assemble_PQ(params, wp, wpc, *systems)
+def feedback_map(params, wp, wpc, interaction: InteractionParams) -> FeedbackMap:
+    """The stage's G of ``params`` at (wp, wpc) (stacked as for
+    ``assemble_PQ``): ``assemble_PQ`` -> ``schur_reduce`` ->
+    ``spectral_decompose``, then f = F(lambda), one scalar ``F_lambda`` per
+    eigenvalue, and lu, the feedback rows of U^-1, once per probe
+    amplitude."""
+    pq = assemble_PQ(params, wp, wpc)
     m, alpha = schur_reduce(pq)
     w, u = spectral_decompose(m)
     f = np.array([F_lambda(lam, interaction) for lam in w.ravel()]).reshape(w.shape)
@@ -530,32 +517,28 @@ class _Continuation:
         )
 
 
-def _stage(points: list, plans: list, interaction: InteractionParams, tol) -> list:
-    """Build the next stage of every (continuation, generated systems) in
-    ``points`` at its planned intensity as one stack, and run their damped
-    iterations. Per point: its G, a stack of one, and its damped result."""
-    conts = [cont for cont, _ in points]
+def _stage(conts: list, plans: list, interaction: InteractionParams, tol) -> list:
+    """Build the next stage of every continuation in ``conts`` at its
+    planned intensity as one stack, over the ``delta3_column`` of their
+    detunings, and run their damped iterations. Per point: its G, a stack
+    of one, and its damped result."""
     # amplitudes scale as sqrt(x), x the intensity fraction
     amps = [cont.params.omega_p * np.sqrt(x) for cont, (x, _) in zip(conts, plans)]
-    ps, sys8 = points[0][1]
-    if any(systems is not points[0][1] for _, systems in points):
-        ps = replace(ps, a0=np.stack([p.a0 for _, (p, _) in points]))
-        sys8 = replace(sys8, c0=np.stack([s.c0 for _, (_, s) in points]))
-    g = feedback_map(tuple(cont.params for cont in conts), np.array(amps, dtype=complex),
-                     np.array([np.conj(a) for a in amps], dtype=complex), (ps, sys8),
-                     interaction)
+    g = feedback_map(delta3_column(conts[0].params, [cont.params.delta3 for cont in conts]),
+                     np.array(amps, dtype=complex),
+                     np.array([np.conj(a) for a in amps], dtype=complex), interaction)
     v, iters, resid, conv = _damped_iterate(g, [v_pred for _, v_pred in plans], tol)
     return [(g.rows(slice(r, r + 1)), (v[r], int(iters[r]), resid[r], bool(conv[r])))
             for r in range(len(conts))]
 
 
 def _round(live: dict, interaction: InteractionParams, tol) -> dict:
-    """Take every point of ``live`` (index: (continuation, generated
-    systems)) one stage further; returns the points that finished, each
-    with its result or typed error. A typed error of the stacked stage
-    sends it to point-by-point evaluation."""
+    """Take every continuation of ``live`` (index: continuation) one stage
+    further; returns the points that finished, each with its result or
+    typed error. A typed error of the stacked stage sends it to
+    point-by-point evaluation."""
     order = list(live)
-    plans = [live[i][0].plan() for i in order]
+    plans = [live[i].plan() for i in order]
     try:
         stages = _stage([live[i] for i in order], plans, interaction, tol)
     except _SOLVE_ERRORS:
@@ -567,7 +550,7 @@ def _round(live: dict, interaction: InteractionParams, tol) -> dict:
                 stages.append(exc)
     finished = {}
     for i, plan, stage in zip(order, plans, stages):
-        cont = live[i][0]
+        cont = live[i]
         try:
             if isinstance(stage, Exception):
                 raise stage
@@ -594,21 +577,20 @@ def solve_collisional_column(points, interaction: InteractionParams,
     stacked G per iteration (``_damped_iterate``). Newton, the root test
     and the step control then run point by point. A typed error in a
     stacked step sends the round to point-by-point evaluation, so only the
-    failing point fails, with its own error. The pair and single-atom
-    systems are generated once per parameter set, whatever the probes.
+    failing point fails, with its own error. Every stage is built over one
+    ``delta3_column``, so the points may differ only in omega_p and delta3;
+    other differences raise ``ValueError``.
     """
+    shared = [{**vars(params), "omega_p": 0, "delta3": 0} for params in points]
+    if any(fields != shared[0] for fields in shared):
+        raise ValueError("points of a column may differ only in omega_p and delta3")
     out = [None] * len(points)
-    systems = {}
     live = {}
     for i, params in enumerate(points):
         if interaction.c6 == 0.0 or params.omega_p == 0:
             out[i] = CollisionalIntegrals(0j, 0j, 0j, 0j, 0, 0.0, 0, False)
             continue
-        params = regularize(params)
-        key = params.with_omega_p(0.0)
-        if key not in systems:
-            systems[key] = _generate(params)
-        live[i] = (_Continuation(params), systems[key])
+        live[i] = _Continuation(regularize(params))
     while live:
         for i, result in _round(live, interaction, tol).items():
             out[i] = result
@@ -625,12 +607,11 @@ def solve_collisional_integrals(
 
     The probe intensity is continued from 0 (V = 0, the non-interacting
     root) to its target in stages of at most a quarter, each warm-started
-    by a secant predictor and building G once. The stages differ only in
-    the probe, so the equations are generated once per solve. A stage runs
-    damped fixed-point iteration (``_DAMPING``, at most
-    ``_MAX_ITER_PER_STAGE`` iterations), then finite-difference Newton; it
-    is accepted on a conjugation-symmetric, physical root, else the step
-    halves. This pins the physical root. ``ConvergenceError`` is raised when the step falls
+    by a secant predictor and building G once. A stage runs damped
+    fixed-point iteration (``_DAMPING``, at most ``_MAX_ITER_PER_STAGE``
+    iterations), then finite-difference Newton; it is accepted on a
+    conjugation-symmetric, physical root, else the step halves. This pins
+    the physical root. ``ConvergenceError`` is raised when the step falls
     below ``_MIN_STEP`` = 1/(8*50^2) or after more than ``_MAX_STAGES`` =
     16*50 stages. This is ``solve_collisional_column`` on one point.
     """

@@ -43,7 +43,7 @@ _DEGEN_TOL = 1e-300
 
 
 class DegenerateNormalizationError(ValueError):
-    """The two- and three-level references coincide (no control field)."""
+    """A 0/0 normalization: no control field, or no Rydberg excitation."""
 
 
 def susceptibility(sigma12: complex, omega_p: complex) -> complex:
@@ -96,7 +96,7 @@ def nb_from_sigma(
     with p_r = sigma33.
     """
     if sigma33 <= 0:
-        raise ValueError("n_b is undefined without Rydberg excitation")
+        raise DegenerateNormalizationError("n_b is undefined without Rydberg excitation")
     den = sigma33 * (sigma12_2lev - sigma12_3lev)
     if abs(den) <= _DEGEN_TOL:
         raise DegenerateNormalizationError(
@@ -114,7 +114,7 @@ def nb_tilde(sigma33: float, sigma33_3lev: float) -> float:
     probe power goes to zero.
     """
     if sigma33 <= 0:
-        raise ValueError("nb_tilde is undefined without Rydberg excitation")
+        raise DegenerateNormalizationError("nb_tilde is undefined without Rydberg excitation")
     return float((sigma33_3lev - sigma33) / sigma33**2)
 
 
@@ -128,7 +128,7 @@ def nb_tilde_unblocked(sigma33: float, sigma33_3lev: float) -> float:
     reported in intensity sweeps.
     """
     if sigma33_3lev <= 0:
-        raise ValueError("nb_tilde is undefined without Rydberg excitation")
+        raise DegenerateNormalizationError("nb_tilde is undefined without Rydberg excitation")
     return float((sigma33_3lev - sigma33) / sigma33_3lev**2)
 
 
@@ -201,7 +201,7 @@ def nb_tilde_raman_contribution(params: AtomParams, v23: complex, sigma33: float
     the V13/V31 channel at low probe intensity.
     """
     if sigma33 <= 0:
-        raise ValueError("undefined without Rydberg excitation")
+        raise DegenerateNormalizationError("undefined without Rydberg excitation")
     rc = relaxation_constants(params)
     deficit = np.real(np.conj(rc.Gamma23) * v23 / (params.gamma23 * params.omega_c))
     return float(-deficit / sigma33**2)

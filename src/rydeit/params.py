@@ -179,9 +179,10 @@ def delta3_column(params: AtomParams, delta3=None) -> SimpleNamespace:
     ``params``, with delta3 replaced by the 1-d float array ``delta3``
     (default: the column of one row at ``params.delta3``).
 
-    The stacked weak-probe evaluation takes a column, since only delta3
-    varies along a scan's zero-probe column; ``relaxation_constants`` and
-    the weak-probe observables broadcast over it.
+    Both stacked paths take a column: a scan's zero-probe points, and each
+    round of its lockstep finite-probe solve (points differing only in
+    omega_p and delta3). ``relaxation_constants``, the weak-probe
+    observables and ``blochgen``'s block gathers broadcast over it.
     """
     d3 = np.array(params.delta3 if delta3 is None else delta3, dtype=float, ndmin=1)
     if d3.ndim != 1 or not np.isfinite(d3).all():

@@ -22,7 +22,6 @@ from .blochgen import (
 from .collisional import (
     F_lambda,
     F_lambda_quadrature,
-    _generate,
     _newton,
     feedback_map,
     regularize,
@@ -136,8 +135,7 @@ def check_schur_vs_direct():
     # nonzero gamma33 so the Q block is regular without regularization
     p = _params(wp=0.3, gamma33=0.05)
     v4 = np.zeros(4, dtype=complex)
-    lhs = feedback_map(p, p.omega_p, np.conj(p.omega_p), _generate(p),
-                       InteractionParams(c6=_P50.c6))(v4)
+    lhs = feedback_map(p, p.omega_p, np.conj(p.omega_p), InteractionParams(c6=_P50.c6))(v4)
     t_scale = abs(effective_T(p))
     labels = (((1, 3), (3, 3)), ((3, 1), (3, 3)), ((2, 3), (3, 3)), ((3, 2), (3, 3)))
     worst = 0.0
@@ -219,14 +217,13 @@ def _solver_contour(p, interaction):
     v_start = solve_collisional_integrals(p.with_omega_p(r), interaction).v4
     tol = 1e-12 * np.max(np.abs(v_start))
     a_now, v = complex(r), v_start
-    systems = _generate(p_reg)
 
     def f(a):
         nonlocal a_now, v
         step = (a / a_now) ** (1.0 / sub)
         for _ in range(sub):
             a_now *= step
-            g = feedback_map(p_reg, a_now, a_now, systems, interaction)
+            g = feedback_map(p_reg, a_now, a_now, interaction)
             v = _newton(g, v, 50, tol)[0]
         return [v[0], SingleAtomState(values=g.sigma(v)).sigma12]
 

@@ -1,4 +1,6 @@
 """Nonlinear feedback solver: Schur reduction, spectral integrals, roots."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,8 @@ from rydeit import (
     solve_collisional_integrals,
     solve_interacting,
 )
-from rydeit import collisional, noninteracting
-from rydeit.blochgen import P_LABELS, V_LABELS, canonical_pair
+from rydeit import blochgen, collisional, noninteracting
+from rydeit.blochgen import P_LABELS, V_LABELS, canonical_pair, generate_pair_equations
 from rydeit.collisional import (
     F_lambda,
     F_lambda_quadrature,
@@ -19,7 +21,6 @@ from rydeit.collisional import (
     _SOLVE_ERRORS,
     _P_IDX,
     _Q_IDX,
-    _generate,
     _newton,
     assemble_PQ,
     feedback_map,
@@ -34,12 +35,12 @@ from rydeit.params import SingularParameterError
 
 def _pq(p):
     """The P/Q system of ``p`` at its probe."""
-    return assemble_PQ(p, p.omega_p, np.conj(p.omega_p), *_generate(p))
+    return assemble_PQ(p, p.omega_p, np.conj(p.omega_p))
 
 
 def _g(p, interaction):
     """The stage's G of ``p`` at its probe."""
-    return feedback_map(p, p.omega_p, np.conj(p.omega_p), _generate(p), interaction)
+    return feedback_map(p, p.omega_p, np.conj(p.omega_p), interaction)
 
 
 class TestSchurReduction:
@@ -74,13 +75,14 @@ class TestAssemblePQ:
         (56, 0.01, 0.2 + 0.1j), (50, 1e-6, 0.05j),
     ])
     def test_blocks_match_ix_gather_bytewise(self, state, gamma33, a):
-        """The flat-position ``take`` gathers the same a, b, c, d bytes as
-        ``amat[np.ix_(rows, cols)]`` (with the P rows rescaled)."""
+        """The blocks gathered from K36 and the probe parts are the same
+        a, b, c, d bytes as ``amat[np.ix_(rows, cols)]`` of the generated
+        matrix (with the P rows rescaled)."""
         preset = StatePreset(state)
         p = AtomParams(omega_p=a, omega_c=preset.omega_c, gamma33=gamma33)
+        ps = generate_pair_equations(p)
         for wp, wpc in ((a, np.conj(a)), (a, a)):
-            ps = collisional.generate_pair_equations(p)
-            pq = assemble_PQ(p, wp, wpc, ps, collisional.generate_single_atom_equations(p))
+            pq = assemble_PQ(p, wp, wpc)
             amat = ps.matrix(wp, wpc)
             rowscale = -1.0 / ps.kdiag[_P_IDX]
             want = {
@@ -128,15 +130,16 @@ class TestFeedbackMap:
 
     def test_work_counts_are_unchanged(self, preset50, monkeypatch):
         """Exact iteration and stage counts pin the solver trajectory, and
-        the solve generates the single-atom system once for all its stages."""
+        the solve generates no single-atom system: its stages gather c0
+        from K8."""
         calls = []
-        generate = collisional.generate_single_atom_equations
+        generate = blochgen.generate_single_atom_equations
 
         def counted(params):
             calls.append(params)
             return generate(params)
 
-        for module in (collisional, noninteracting):
+        for module in (blochgen, noninteracting):
             monkeypatch.setattr(module, "generate_single_atom_equations", counted)
         p = AtomParams(omega_p=np.sqrt(0.3), omega_c=preset50.omega_c,
                        delta3=1.0 / 3.0)
@@ -144,7 +147,7 @@ class TestFeedbackMap:
         assert v.iterations == 97
         assert v.continuation_steps == 4
         assert v.used_newton is False
-        assert len(calls) == 1
+        assert len(calls) == 0
 
 
 class TestNonlinearSolve:
@@ -277,9 +280,10 @@ class TestLockstepColumn:
         only the point that raises it alone is flagged."""
         reduce = collisional.schur_reduce
         points, inter = _column(50, 1.0 / 3.0, [0.1, 0.2, 0.3])
+        points[1] = replace(points[1], delta3=0.5)  # the detuning the failure keys on
 
         def failing(pq):
-            if any(p.omega_p == points[1].omega_p for p in pq.params):
+            if points[1].delta3 in pq.params.delta3:
                 raise SingularParameterError("injected")
             return reduce(pq)
 
@@ -287,6 +291,40 @@ class TestLockstepColumn:
         monkeypatch.setattr(collisional, "schur_reduce", failing)
         got = [_outcome(r) for r in solve_collisional_column(points, inter)]
         assert got == [want[0], ("SingularParameterError", "injected"), want[2]]
+
+    @pytest.mark.parametrize("gamma33", [0.0, 0.01])
+    def test_points_at_distinct_detunings_match_points_alone(self, gamma33):
+        """A column whose points differ in delta3, as a detuning spectrum's
+        are, stacks a different a0 and c0 per row; each point still gets
+        the bytes, counts and errors it gets alone."""
+        preset = StatePreset(61)
+        inter = InteractionParams(c6=preset.c6)
+        points = [AtomParams(omega_p=np.sqrt(0.5), omega_c=preset.omega_c, delta3=d3,
+                             gamma33=gamma33)
+                  for d3 in (-1.5, -0.9, -0.3, 0.25, 1.0, 1.75)]
+        results = solve_collisional_column(points, inter)
+        assert sum(r.used_newton for r in results) == 4
+        for got, params in zip(results, points):
+            assert _outcome(got) == _outcome(_alone(params, inter))
+
+    @pytest.mark.parametrize("field, value", [
+        ("omega_c", 2.9), ("delta2", -20.0), ("gamma13", 0.2), ("gamma33", 0.01),
+        ("gamma23", 1.0), ("gamma22", 2.5),
+    ])
+    def test_points_differing_beyond_probe_and_detuning_are_rejected(self, field, value):
+        """A column's stages share every rate but delta3, so a point that
+        differs in any other field is an error, not a silent use of the
+        first point's rates."""
+        points, inter = _column(50, 1.0 / 3.0, [0.1, 0.2])
+        points[1] = replace(points[1], **{field: value})
+        with pytest.raises(ValueError, match="only in omega_p and delta3"):
+            solve_collisional_column(points, inter)
+
+    def test_points_differing_in_probe_and_detuning_are_accepted(self):
+        points, inter = _column(50, 1.0 / 3.0, [0.1, 0.2])
+        points.append(replace(points[0], omega_p=0.0, delta3=-0.5))
+        results = solve_collisional_column(points, inter)
+        assert all(isinstance(r, collisional.CollisionalIntegrals) for r in results)
 
     def test_programming_error_propagates(self, monkeypatch):
         def broken(lam, interaction):
@@ -299,25 +337,28 @@ class TestLockstepColumn:
     @pytest.mark.parametrize("count, evaluations", [(5, 147), (25, 153)])
     def test_work_counts_do_not_grow_with_the_column(self, monkeypatch, count,
                                                      evaluations):
-        """Work-count guard: a column generates each system once, builds
-        one stacked stage per round (4 rounds, every point taking 4 stages)
-        and evaluates G about as often as its longest point alone needs
-        (141 iterations), not once per iteration of every point; the stacks
-        evaluate each point once per iteration it makes, no more."""
+        """Work-count guard: a column generates no system (its stages
+        gather a0 and c0 from K36 and K8), builds one stacked stage per
+        round (4 rounds, every point taking 4 stages) and evaluates G about
+        as often as its longest point alone needs (141 iterations), not
+        once per iteration of every point; the stacks evaluate each point
+        once per iteration it makes, no more."""
         generations, builds, calls = [], [], []
-        for name in ("generate_pair_equations", "generate_single_atom_equations"):
-            generate = getattr(collisional, name)
-            monkeypatch.setattr(collisional, name,
-                                lambda p, g=generate: generations.append(p) or g(p))
+        for module in (blochgen, collisional, noninteracting):
+            for name in ("generate_pair_equations", "generate_single_atom_equations"):
+                if hasattr(module, name):
+                    generate = getattr(module, name)
+                    monkeypatch.setattr(module, name,
+                                        lambda p, g=generate: generations.append(p) or g(p))
         assemble = collisional.assemble_PQ
         monkeypatch.setattr(collisional, "assemble_PQ",
-                            lambda p, *args: builds.append(len(p)) or assemble(p, *args))
+                            lambda p, *args: builds.append(len(p.delta3)) or assemble(p, *args))
         call = collisional.FeedbackMap.__call__
         monkeypatch.setattr(collisional.FeedbackMap, "__call__",
                             lambda g, v: calls.append(len(v)) or call(g, v))
         results = solve_collisional_column(
             *_column(50, 1.0 / 3.0, np.linspace(0.0, 0.5, count + 1)[1:]))
-        assert len(generations) == 2
+        assert len(generations) == 0
         assert builds == [count] * 4
         assert sum(r.continuation_steps for r in results) == 4 * count
         assert not any(r.used_newton for r in results)

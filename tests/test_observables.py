@@ -54,7 +54,9 @@ class TestNbFromSigma:
         assert nb_from_sigma(sigma12, s3, s2, p_r) == pytest.approx(nb, rel=1e-12)
 
     def test_requires_excitation(self):
-        with pytest.raises(ValueError, match="Rydberg excitation"):
+        # a typed point failure, so a scan flags the row (a subnormal probe
+        # underflows sigma33 to 0)
+        with pytest.raises(DegenerateNormalizationError, match="Rydberg excitation"):
             nb_from_sigma(0.0, -0.01, -0.02, 0.0)
 
 
@@ -71,10 +73,12 @@ class TestNbTildeVariants:
         assert nb_tilde(0.01, 0.04) > 0
 
     def test_requires_excitation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DegenerateNormalizationError):
             nb_tilde(0.0, 0.01)
-        with pytest.raises(ValueError):
+        with pytest.raises(DegenerateNormalizationError):
             nb_tilde_unblocked(0.01, 0.0)
+        with pytest.raises(DegenerateNormalizationError):
+            nb_tilde_raman_contribution(AtomParams(), 1e-4j, 0.0)
 
 
 class TestScalingCoefficients:

@@ -354,6 +354,17 @@ class TestCli:
             assert res.exit_code == 2, key
             assert f"config error: {key} must be a number" in res.output
 
+    def test_subnormal_probe_gives_flagged_row(self, tmp_path):
+        # a positive subnormal |omega_p|^2 is a valid config, but sigma33
+        # underflows to 0, leaving n_b a 0/0
+        out = tmp_path / "out.csv"
+        res = CliRunner().invoke(
+            main, ["point", "--state", "50", "--omega-p2", "5e-324", "--out", str(out)])
+        assert res.exit_code == 1
+        row = out.read_text().splitlines()[2]
+        assert row.endswith(
+            ",DegenerateNormalizationError: n_b is undefined without Rydberg excitation")
+
     def test_bad_state_exits_2(self):
         res = CliRunner().invoke(main, ["point", "--state", "99"])
         assert res.exit_code == 2
