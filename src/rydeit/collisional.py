@@ -21,13 +21,13 @@ intensity fraction, step, secant history and counts. A round advances
 every unfinished point by one stage. The stage operators of all those
 points are built as one stack over their ``params.delta3_column``, a0
 and c0 gathered from K36 and K8 as on the weak-probe path, and their
-damped iterations share one stacked evaluation of G per iteration. Newton,
-the root test and the step control run point by point. Each stacked
-operation treats a point's slice as it treats that point alone: the same
-BLAS kernel on the same memory order, the same scalar arithmetic. So a
-point's trajectory, and every digit it outputs, does not depend on the
-other points of its stack. ``solve_collisional_integrals`` is the column
-solve of one point.
+damped iterations share one stacked evaluation of G per iteration. Newton
+runs on a point's row of that G, and one stacked root test covers the
+round. Each stacked operation treats a point's slice as it treats that
+point alone: the same BLAS kernel on the same memory order, the same
+scalar arithmetic. So a point's trajectory, and every digit it outputs,
+does not depend on the other points of its stack.
+``solve_collisional_integrals`` is the column solve of one point.
 """
 from __future__ import annotations
 
@@ -56,15 +56,16 @@ from .blochgen import (
     V_LABELS,
     _block_gather,
     _pair_diag,
-    c0_blocks,
     canonical_pair,
     generate_pair_equations,
     ladder_source,
 )
 from .noninteracting import (
+    _C0,
     SingleAtomState,
     _singular_single_atom,
     solve_single_system,
+    unphysical,
 )
 from .params import AtomParams, InteractionParams, SingularParameterError, delta3_column
 from .perturbative import BranchAmbiguityError, F_lambda
@@ -102,7 +103,6 @@ _P_ROWSCALE = -1.0 / _KDIAG[_P_IDX]
 _PQ_BLOCKS = ((_P_IDX, _P_IDX), (_P_IDX, _Q_IDX), (_Q_IDX, _Q_IDX), (_Q_IDX, _P_IDX))
 _PROBE_PQ_BLOCKS = tuple((_AP[np.ix_(*rc)], _AM[np.ix_(*rc)]) for rc in _PQ_BLOCKS)
 _A0_PQ_BLOCKS = _block_gather(_K36, _pair_diag, _PQ_BLOCKS)
-_C0 = c0_blocks(np.arange(len(_CP)))
 
 # positions of the feedback correlators ss_{a3,33} = V_a3 in the P block
 _FEEDBACK_COLS = tuple(
@@ -249,7 +249,7 @@ class FeedbackMap:
     """G(v4) = lu @ (f * (u @ rtilde(v4))), the spectral prediction for
     the feedback V. It keeps the source operands of the P/Q system (params,
     C, S, Ssrc), not its blocks. Over a stack, one call evaluates every
-    point's G at its row of v4."""
+    point's G at its row of v4; a leading batch of v4 broadcasts."""
 
     params: object
     single_matrix: np.ndarray
@@ -260,13 +260,13 @@ class FeedbackMap:
     f: np.ndarray
     lu: np.ndarray
 
-    def sigma(self, v4) -> np.ndarray:
-        """The 8 averages solving 0 = C sigma + S + B V at this V. A
-        singular C raises; a stack is then solved point by point
-        (``solve_collisional_column``)."""
-        rhs = -(self.single_source + _matvec(_V_COUPLING, v4))
+    def sigma(self, v4, rows=...) -> np.ndarray:
+        """The 8 averages solving 0 = C sigma + S + B V at this V, at the
+        points ``rows`` of a stack (default: all). A singular C raises; a
+        stack is then solved point by point (``solve_collisional_column``)."""
+        rhs = -(self.single_source[rows] + _matvec(_V_COUPLING, v4))
         try:
-            return np.linalg.solve(self.single_matrix, rhs[..., None])[..., 0]
+            return np.linalg.solve(self.single_matrix[rows], rhs[..., None])[..., 0]
         except np.linalg.LinAlgError as exc:
             raise _singular_single_atom(self.params, exc) from exc
 
@@ -282,9 +282,9 @@ class FeedbackMap:
         return _matvec(self.lu, self.f * _matvec(self.u, self.rtilde(v4)))
 
     def rows(self, idx) -> FeedbackMap:
-        """The stacked map at ``idx`` (a slice, or an index array) of its
-        leading axis. Indexing the leading axis keeps each matrix's memory
-        order, which BLAS picks its kernel, and so its rounding, by."""
+        """The stacked map at ``idx`` (a slice, an index array, or one index)
+        of its leading axis. Indexing the leading axis keeps each matrix's
+        memory order, which BLAS picks its kernel, and so its rounding, by."""
         return FeedbackMap(
             params=delta3_column(self.params, self.params.delta3[idx]),
             single_matrix=self.single_matrix[idx],
@@ -295,13 +295,13 @@ class FeedbackMap:
 def feedback_map(params, wp, wpc, interaction: InteractionParams) -> FeedbackMap:
     """The stage's G of ``params`` at (wp, wpc) (stacked as for
     ``assemble_PQ``): ``assemble_PQ`` -> ``schur_reduce`` ->
-    ``spectral_decompose``, then f = F(lambda), one scalar ``F_lambda`` per
-    eigenvalue, and lu, the feedback rows of U^-1, once per probe
+    ``spectral_decompose``, then f = F(lambda), one ``F_lambda`` over the
+    eigenvalues, and lu, the feedback rows of U^-1, once per probe
     amplitude."""
     pq = assemble_PQ(params, wp, wpc)
     m, alpha = schur_reduce(pq)
     w, u = spectral_decompose(m)
-    f = np.array([F_lambda(lam, interaction) for lam in w.ravel()]).reshape(w.shape)
+    f = F_lambda(w, interaction)
     lu = np.ascontiguousarray(np.linalg.inv(u)[..., _FEEDBACK_COLS, :])
     return FeedbackMap(
         params=pq.params, single_matrix=pq.single_matrix,
@@ -348,12 +348,11 @@ def _damped_iterate(g: FeedbackMap, v0, tol):
     from its row of ``v0``, with one stacked G evaluation per iteration.
     A point stops when it converges, diverges or its G goes non-finite,
     and stopped points leave the stack. Returns (v, iters, resid,
-    converged), one row or entry per point."""
+    converged = resid < tol), one row or entry per point."""
     v = np.array(v0, dtype=complex)
     n = len(v)
     iters = np.full(n, _MAX_ITER_PER_STAGE)
     resid = np.full(n, np.inf)  # the smallest residual yet, until a point stops
-    converged = np.zeros(n, dtype=bool)
     live = np.arange(n)
     g_live = g
     keep = 1.0 - _DAMPING
@@ -371,17 +370,17 @@ def _damped_iterate(g: FeedbackMap, v0, tol):
             v[live[go]] = keep * v_live[go] + _DAMPING * gv[go]
             resid[live] = np.where(stop, r, np.minimum(resid[live], r))
             iters[live[stop]] = it
-            converged[live[conv]] = True
             if stop.any():
                 live = live[go]
                 if not len(live):
                     break
                 g_live = g.rows(live)
-    return v, iters, resid, converged
+    return v, iters, resid, resid < tol
 
 
 def _newton(g, v0, max_iter, tol):
-    """Guarded Newton on the 8 real unknowns of V - G(V) = 0, FD Jacobian.
+    """Guarded Newton on the 8 real unknowns of V - G(V) = 0 of an
+    unstacked G, FD Jacobian from one G call at the 8 perturbed vectors.
 
     Steps are backtracked until the residual norm decreases, which keeps
     the iteration on the root branch it was warm-started on instead of
@@ -389,10 +388,10 @@ def _newton(g, v0, max_iter, tol):
     """
 
     def to_real(v):
-        return np.concatenate([v.real, v.imag])
+        return np.concatenate([v.real, v.imag], axis=-1)
 
     def to_complex(x):
-        return x[:4] + 1j * x[4:]
+        return x[..., :4] + 1j * x[..., 4:]
 
     def res(x):
         v = to_complex(x)
@@ -407,12 +406,10 @@ def _newton(g, v0, max_iter, tol):
         rnorm = np.linalg.norm(r)
         if np.max(np.abs(r)) < tol * scale:
             return to_complex(x), it, float(np.max(np.abs(r)) / scale), True
-        jac = np.empty((8, 8))
-        for j in range(8):
-            h = 1e-7 * max(abs(x[j]), 1e-3)
-            xp = x.copy()
-            xp[j] += h
-            jac[:, j] = (res(xp) - r) / h
+        h = 1e-7 * np.maximum(np.abs(x), 1e-3)
+        xp = np.tile(x, (8, 1))  # row j: x with x_j + h_j
+        np.fill_diagonal(xp, x + h)
+        jac = ((res(xp) - r) / h[:, None]).T
         try:
             dx = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError:
@@ -431,20 +428,25 @@ def _newton(g, v0, max_iter, tol):
     return to_complex(x), max_iter, float(np.max(np.abs(r)) / scale), False
 
 
-def _physical_root(v, g: FeedbackMap) -> bool:
-    """Whether v is on the physical branch at the stage of ``g`` (a stack
-    of one). That branch is conjugation-symmetric: V31 = conj(V13),
-    V32 = conj(V23); spurious polynomial roots are not, and they typically
-    reconstruct unphysical populations."""
-    scale = max(np.max(np.abs(v)), 1e-300)
-    dev = max(abs(v[1] - np.conj(v[0])), abs(v[3] - np.conj(v[2])))
-    if dev > max(1e-3 * scale, 1e-13):
-        return False
+def _physical_roots(v, conv, g: FeedbackMap) -> np.ndarray:
+    """Whether each row of ``v``, converged where ``conv``, is on the
+    physical branch at its stage of the stacked ``g``. That branch is
+    conjugation-symmetric: V31 = conj(V13), V32 = conj(V23); spurious
+    polynomial roots are not, and they typically reconstruct unphysical
+    populations. Only finite, symmetric rows enter the one σ solve; if it
+    fails, a stack raises (``_round`` goes point by point) and one point
+    is no root."""
+    scale = np.maximum(np.abs(v).max(axis=-1), 1e-300)
+    dev = np.maximum(np.abs(v[:, 1] - np.conj(v[:, 0])), np.abs(v[:, 3] - np.conj(v[:, 2])))
+    ok = conv & np.isfinite(v).all(axis=-1) & ~(dev > np.maximum(1e-3 * scale, 1e-13))
+    at = np.flatnonzero(ok)
     try:
-        SingleAtomState(values=g.sigma(v[None])[0]).check_physical(tol=1e-6)
-    except ValueError:
-        return False
-    return True
+        ok[at] = ~unphysical(g.sigma(v[at], at), tol=1e-6).any(axis=-1)
+    except SingularParameterError:
+        if len(v) > 1:
+            raise
+        ok[:] = False
+    return ok
 
 
 @dataclass
@@ -475,23 +477,18 @@ class _Continuation:
         (x0, v0), (x1, v1) = self.solved
         return x_try, v1 + (v1 - v0) * (x_try - x1) / (x1 - x0)
 
-    def advance(self, x_try, v_pred, g: FeedbackMap, damped, tol) -> None:
-        """Finish the stage at ``x_try``, given this point's G (a stack of
-        one) and its damped-iteration result: Newton from the prediction if
-        that failed, then accept a physical root or halve the step."""
-        v_new, it, resid, conv = damped
-        self.iterations += it
-        if not conv:
-            v_new, it, resid, conv = _newton(lambda v: g(v[None])[0], v_pred,
-                                             max_iter=50, tol=tol)
-            self.iterations += it
-            self.used_newton = True
+    def advance(self, x_try, v_new, its, resid, accepted) -> None:
+        """Finish the stage at ``x_try``: count the iterations of its phases
+        (``its``: damped iteration, then Newton if that failed), then accept
+        ``v_new`` if it is a converged physical root, else halve the step."""
+        self.iterations += sum(its)
+        self.used_newton |= len(its) > 1
         self.steps += 1
         self.resid = resid
-        if conv and _physical_root(v_new, g):
+        if accepted:
             self.x = x_try
             self.solved = [self.solved[-1], (x_try, v_new)]
-            if it <= 12:
+            if its[-1] <= 12:
                 self.dx = min(2.0 * self.dx, 0.25)
         else:
             self.dx *= 0.5
@@ -517,47 +514,45 @@ class _Continuation:
         )
 
 
-def _stage(conts: list, plans: list, interaction: InteractionParams, tol) -> list:
+def _stage(conts: list, plans: list, interaction: InteractionParams, tol) -> tuple:
     """Build the next stage of every continuation in ``conts`` at its
     planned intensity as one stack, over the ``delta3_column`` of their
-    detunings, and run their damped iterations. Per point: its G, a stack
-    of one, and its damped result."""
+    detunings, and run their damped iterations: the stacked G and the
+    damped arrays (v, iters, resid, converged)."""
     # amplitudes scale as sqrt(x), x the intensity fraction
     amps = [cont.params.omega_p * np.sqrt(x) for cont, (x, _) in zip(conts, plans)]
     g = feedback_map(delta3_column(conts[0].params, [cont.params.delta3 for cont in conts]),
                      np.array(amps, dtype=complex),
                      np.array([np.conj(a) for a in amps], dtype=complex), interaction)
-    v, iters, resid, conv = _damped_iterate(g, [v_pred for _, v_pred in plans], tol)
-    return [(g.rows(slice(r, r + 1)), (v[r], int(iters[r]), resid[r], bool(conv[r])))
-            for r in range(len(conts))]
+    return g, _damped_iterate(g, [v_pred for _, v_pred in plans], tol)
 
 
 def _round(live: dict, interaction: InteractionParams, tol) -> dict:
     """Take every continuation of ``live`` (index: continuation) one stage
     further; returns the points that finished, each with its result or
-    typed error. A typed error of the stacked stage sends it to
-    point-by-point evaluation."""
+    typed error. A typed error before the step control changes no
+    continuation and sends the round point by point."""
     order = list(live)
-    plans = [live[i].plan() for i in order]
+    conts = [live[i] for i in order]
+    plans = [cont.plan() for cont in conts]
     try:
-        stages = _stage([live[i] for i in order], plans, interaction, tol)
-    except _SOLVE_ERRORS:
-        stages = []
-        for i, plan in zip(order, plans):
-            try:
-                stages += _stage([live[i]], [plan], interaction, tol)
-            except _SOLVE_ERRORS as exc:
-                stages.append(exc)
+        g, (v, iters, resid, conv) = _stage(conts, plans, interaction, tol)
+        its = [[int(it)] for it in iters]
+        for r in np.flatnonzero(~conv):
+            v[r], it, resid[r], conv[r] = _newton(g.rows(r), plans[r][1], max_iter=50, tol=tol)
+            its[r].append(it)
+        accepted = _physical_roots(v, conv, g)
+    except _SOLVE_ERRORS as exc:
+        if len(order) == 1:
+            return {order[0]: exc}
+        return {j: out for i in order for j, out in _round({i: live[i]}, interaction, tol).items()}
     finished = {}
-    for i, plan, stage in zip(order, plans, stages):
-        cont = live[i]
+    for r, (i, cont) in enumerate(zip(order, conts)):
         try:
-            if isinstance(stage, Exception):
-                raise stage
-            cont.advance(*plan, *stage, tol)
+            cont.advance(plans[r][0], v[r], its[r], resid[r], accepted[r])
             if not cont.running:
                 finished[i] = cont.result()
-        except _SOLVE_ERRORS as exc:
+        except ConvergenceError as exc:
             finished[i] = exc
     return finished
 
@@ -574,10 +569,10 @@ def solve_collisional_column(points, interaction: InteractionParams,
     Each point runs the continuation of ``solve_collisional_integrals``.
     A round takes every unfinished point one stage further. It builds their
     stage operators as one stack and runs their damped iterations with one
-    stacked G per iteration (``_damped_iterate``). Newton, the root test
-    and the step control then run point by point. A typed error in a
-    stacked step sends the round to point-by-point evaluation, so only the
-    failing point fails, with its own error. Every stage is built over one
+    stacked G per iteration (``_damped_iterate``), runs Newton on the rows
+    where that failed and one stacked root test. A typed error in a stacked
+    step sends the round to point-by-point evaluation, so only the failing
+    point fails, with its own error. Every stage is built over one
     ``delta3_column``, so the points may differ only in omega_p and delta3;
     other differences raise ``ValueError``.
     """

@@ -19,12 +19,12 @@ import numpy as np
 from .blochgen import (
     _CM,
     _CP,
+    _S0,
     _SM,
     _SP,
     _V_COUPLING,
     SINGLE_INDEX,
     c0_blocks,
-    generate_single_atom_equations,
 )
 from .params import (
     AtomParams,
@@ -41,9 +41,26 @@ __all__ = [
     "steady_state_three_level",
     "perturbative_column",
     "perturbative_coefficients",
+    "unphysical",
 ]
 
 _POP_TOL = 1e-10
+_HERMITIAN_PAIRS = ((1, 2), (1, 3), (2, 3))
+_UNPHYSICAL = (*(f"hermiticity violated for sigma{a}{b}" for a, b in _HERMITIAN_PAIRS),
+               "negative population", "populations exceed unity")
+_C0 = c0_blocks(np.arange(len(_CP)))
+
+
+def unphysical(values, tol: float = _POP_TOL) -> np.ndarray:
+    """The physical conditions the 8 averages along the trailing axis of
+    ``values`` fail, one bool per message of ``_UNPHYSICAL``: hermiticity
+    of each coherence pair to 1e-8, sigma22 and sigma33 >= -tol, and
+    sigma22 + sigma33 <= 1 + tol."""
+    v = np.asarray(values)
+    at = {lab: v[..., i] for lab, i in SINGLE_INDEX.items()}
+    hermitian = [np.abs(at[(a, b)] - np.conj(at[(b, a)])) > 1e-8 for a, b in _HERMITIAN_PAIRS]
+    p22, p33 = at[(2, 2)].real, at[(3, 3)].real
+    return np.stack([*hermitian, (p22 < -tol) | (p33 < -tol), p22 + p33 > 1.0 + tol], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -60,24 +77,8 @@ class SingleAtomState:
         return self[(1, 2)]
 
     @property
-    def sigma21(self):
-        return self[(2, 1)]
-
-    @property
     def sigma13(self):
         return self[(1, 3)]
-
-    @property
-    def sigma31(self):
-        return self[(3, 1)]
-
-    @property
-    def sigma23(self):
-        return self[(2, 3)]
-
-    @property
-    def sigma32(self):
-        return self[(3, 2)]
 
     @property
     def sigma22(self):
@@ -92,28 +93,23 @@ class SingleAtomState:
         return 1.0 - self.sigma22 - self.sigma33
 
     def check_physical(self, tol: float = _POP_TOL):
-        """Hermiticity and population bounds (valid for conjugate-consistent V)."""
-        v = self.values
-        for lab in ((1, 2), (1, 3), (2, 3)):
-            a, b = lab
-            if abs(v[SINGLE_INDEX[lab]] - np.conj(v[SINGLE_INDEX[(b, a)]])) > 1e-8:
-                raise ValueError(f"hermiticity violated for sigma{a}{b}")
-        for pop in (self.sigma22.real, self.sigma33.real):
-            if pop < -tol:
-                raise ValueError("negative population")
-        if self.sigma22.real + self.sigma33.real > 1.0 + tol:
-            raise ValueError("populations exceed unity")
+        """Hermiticity and population bounds: raises ``ValueError`` with the
+        message of the first condition of ``unphysical`` that fails."""
+        failed = np.flatnonzero(unphysical(self.values, tol))
+        if len(failed):
+            raise ValueError(_UNPHYSICAL[failed[0]])
         return self
 
 
 def solve_single_system(params: AtomParams, v4=None) -> SingleAtomState:
-    """Solve 0 = C(wp) sigma + S(wp) + B V for the 8 averages."""
-    sys8 = generate_single_atom_equations(params)
-    wp = params.omega_p
-    rhs = sys8.source(wp, np.conj(wp)).copy()
+    """Solve 0 = C(wp) sigma + S(wp) + B V for the 8 averages, from c0
+    gathered from K8 and blochgen's read-only constants."""
+    (c0,) = _C0(delta3_column(params))
+    wp, wpc = params.omega_p, np.conj(params.omega_p)
+    rhs = _S0 + wp * _SP + wpc * _SM
     if v4 is not None:
-        rhs = rhs + sys8.v_coupling @ np.asarray(v4, dtype=complex)
-    mat = sys8.matrix(wp, np.conj(wp))
+        rhs = rhs + _V_COUPLING @ np.asarray(v4, dtype=complex)
+    mat = c0[0] + wp * _CP + wpc * _CM
     try:
         sol = np.linalg.solve(mat, -rhs)
     except np.linalg.LinAlgError as exc:

@@ -43,7 +43,17 @@ _DEGEN_TOL = 1e-300
 
 
 class DegenerateNormalizationError(ValueError):
-    """A 0/0 normalization: no control field, or no Rydberg excitation."""
+    """A 0/0 normalization (no control field or Rydberg excitation), or a
+    deficit lost to cancellation."""
+
+
+def _checked_deficit(deficit, reference, rel: float, what: str):
+    """``deficit`` of an average from its non-interacting ``reference``;
+    nonzero but below ``rel`` of |reference|, it is roundoff and raises."""
+    if deficit != 0 and abs(deficit) < rel * abs(reference):
+        raise DegenerateNormalizationError(
+            f"{what} is lost to cancellation (relative deficit {abs(deficit / reference):.2g})")
+    return deficit
 
 
 def susceptibility(sigma12: complex, omega_p: complex) -> complex:
@@ -102,7 +112,7 @@ def nb_from_sigma(
         raise DegenerateNormalizationError(
             "two- and three-level coherences coincide (zero control field?)"
         )
-    return (complex(sigma12) - sigma12_3lev) / den
+    return _checked_deficit(complex(sigma12) - sigma12_3lev, sigma12_3lev, 1e-12, "n_b") / den
 
 
 def nb_tilde(sigma33: float, sigma33_3lev: float) -> float:
@@ -115,7 +125,8 @@ def nb_tilde(sigma33: float, sigma33_3lev: float) -> float:
     """
     if sigma33 <= 0:
         raise DegenerateNormalizationError("nb_tilde is undefined without Rydberg excitation")
-    return float((sigma33_3lev - sigma33) / sigma33**2)
+    deficit = _checked_deficit(sigma33_3lev - sigma33, sigma33_3lev, 1e-7, "nb_tilde")
+    return float(deficit / sigma33**2)
 
 
 def nb_tilde_unblocked(sigma33: float, sigma33_3lev: float) -> float:
@@ -129,7 +140,8 @@ def nb_tilde_unblocked(sigma33: float, sigma33_3lev: float) -> float:
     """
     if sigma33_3lev <= 0:
         raise DegenerateNormalizationError("nb_tilde is undefined without Rydberg excitation")
-    return float((sigma33_3lev - sigma33) / sigma33_3lev**2)
+    deficit = _checked_deficit(sigma33_3lev - sigma33, sigma33_3lev, 1e-7, "nb_tilde")
+    return float(deficit / sigma33_3lev**2)
 
 
 def _population_transfer_coefficient(params: AtomParams) -> complex:

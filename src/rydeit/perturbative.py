@@ -97,24 +97,24 @@ class BranchAmbiguityError(ValueError):
     """The square-root branch is ambiguous (resonant pair excitation)."""
 
 
-_BRANCH_MESSAGE = ("%s lies on the negative real axis: branch ambiguous "
-                   "(resonant pair-excitation regime)")
+def _principal_sqrt(z, what: str):
+    """np.sqrt(z), elementwise; z on the negative real axis, its branch
+    cut, raises."""
+    if np.any((np.imag(z) == 0.0) & (np.real(z) < 0.0)):
+        raise BranchAmbiguityError(f"{what} lies on the negative real axis: branch "
+                                   "ambiguous (resonant pair-excitation regime)")
+    return np.sqrt(z)
 
 
-def _principal_sqrt(z: complex, what: str) -> complex:
-    z = complex(z)
-    if z.imag == 0.0 and z.real < 0.0:
-        raise BranchAmbiguityError(_BRANCH_MESSAGE % what)
-    return cmath.sqrt(z)
-
-
-def F_lambda(lam: complex, interaction: InteractionParams) -> complex:
+def F_lambda(lam, interaction: InteractionParams):
     """Radial resolvent integral eta Int d^3R k/(k - lambda), closed form
-    (2 pi^2 eta / 3) sqrt(C6/lambda) for k = -C6/R^6, principal branch."""
+    (2 pi^2 eta / 3) sqrt(C6/lambda) for k = -C6/R^6, principal branch;
+    elementwise over an array of eigenvalues. A Python scalar ``lam`` keeps
+    Python's complex division."""
     if interaction.c6 == 0.0:
-        return 0.0
-    root = _principal_sqrt(interaction.c6 / lam, "C6/lambda")
-    return 2.0 * np.pi**2 * interaction.eta / 3.0 * root
+        return np.zeros_like(lam, dtype=complex)
+    return 2.0 * np.pi**2 * interaction.eta / 3.0 * _principal_sqrt(interaction.c6 / lam,
+                                                                    "C6/lambda")
 
 
 # binom(-1/2, n): F^(n)(lambda) / n! = binom(-1/2, n) F(lambda) / lambda^n,
@@ -316,11 +316,7 @@ def _pole_sum(kernel: _Ss1333Kernel, interaction: InteractionParams) -> np.ndarr
             if i != j:
                 rest = rest * (rho[:, j] - rho[:, i])
         residue[:, j] /= rest
-    ratio = interaction.c6 / rho
-    if np.any((ratio.imag == 0.0) & (ratio.real < 0.0)):
-        raise BranchAmbiguityError(_BRANCH_MESSAGE % "C6/lambda")
-    f = 2.0 * np.pi**2 * interaction.eta / 3.0 * np.sqrt(ratio)
-    total[rows] = (residue * f).sum(axis=1)
+    total[rows] = (residue * F_lambda(rho, interaction)).sum(axis=1)
     for i in np.flatnonzero(~simple):
         total[i] = kernel[i].radial_integral(interaction)
     return total
@@ -580,14 +576,14 @@ def chi3_interacting(params: AtomParams, interaction: InteractionParams) -> Chi3
 def nb_closed_form(params: AtomParams, interaction: InteractionParams) -> complex:
     """Blockade count n_b = 2 pi^2 eta / (3 sqrt(iT / c6)), principal branch."""
     t = effective_T(params)
-    root = _principal_sqrt(1j * t / interaction.c6, "iT/C6")
+    root = complex(_principal_sqrt(1j * t / interaction.c6, "iT/C6"))
     return 2.0 * np.pi**2 * interaction.eta / (3.0 * root)
 
 
 def nb_closed_form_dispersive(params: AtomParams, interaction: InteractionParams) -> complex:
     """Dispersive-regime n_b with T replaced by its real detuning part."""
     eff_det = params.delta3 - params.omega_c**2 / params.delta2
-    root = _principal_sqrt(eff_det / interaction.c6, "effective detuning / C6")
+    root = complex(_principal_sqrt(eff_det / interaction.c6, "effective detuning / C6"))
     return 2.0 * np.pi**2 * interaction.eta / (3.0 * root)
 
 

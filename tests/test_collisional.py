@@ -22,6 +22,7 @@ from rydeit.collisional import (
     _P_IDX,
     _Q_IDX,
     _newton,
+    _physical_roots,
     assemble_PQ,
     feedback_map,
     regularize,
@@ -30,7 +31,7 @@ from rydeit.collisional import (
     solve_collisional_column,
     spectral_decompose,
 )
-from rydeit.params import SingularParameterError
+from rydeit.params import SingularParameterError, delta3_column
 
 
 def _pq(p):
@@ -139,8 +140,9 @@ class TestFeedbackMap:
             calls.append(params)
             return generate(params)
 
-        for module in (blochgen, noninteracting):
-            monkeypatch.setattr(module, "generate_single_atom_equations", counted)
+        for module in (blochgen, collisional, noninteracting):
+            if hasattr(module, "generate_single_atom_equations"):
+                monkeypatch.setattr(module, "generate_single_atom_equations", counted)
         p = AtomParams(omega_p=np.sqrt(0.3), omega_c=preset50.omega_c,
                        delta3=1.0 / 3.0)
         v = solve_collisional_integrals(p, InteractionParams(c6=preset50.c6))
@@ -264,6 +266,28 @@ class TestLockstepColumn:
         for got, params in zip(results, points):
             assert _outcome(got) == _outcome(_alone(params, inter))
 
+    def test_newton_column_work_counts(self, monkeypatch):
+        """Work-count pins on the seed-0 Newton column (25 points, 13 of them
+        through Newton): Newton evaluates its Jacobian as one G call at the
+        8 perturbed vectors of its row, and each round makes one stacked
+        root test, with no per-point view of the stacked G. Evaluating them
+        point by point took 603 single-row G calls, 1 081 solves and 156
+        views."""
+        single, solves, views = [], [], []
+        call = collisional.FeedbackMap.__call__
+        monkeypatch.setattr(collisional.FeedbackMap, "__call__",
+                            lambda g, v: single.append(np.ndim(v) == 1 or len(v) == 1)
+                            or call(g, v))
+        rows = collisional.FeedbackMap.rows
+        monkeypatch.setattr(collisional.FeedbackMap, "rows",
+                            lambda g, idx: views.append(idx) or rows(g, idx))
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda *a, **k: solves.append(1) or solve(*a, **k))
+        points, inter = _column(61, _NEWTON_DELTA3, np.linspace(0.0, 0.5, 26)[1:])
+        results = solve_collisional_column(points, inter)
+        assert sum(r.used_newton for r in results) == 13
+        assert (sum(single), len(solves), len(views)) == (99, 544, 77)
+
     def test_failing_point_gets_its_alone_error(self):
         """The state-46 stall point fails in the column as it fails alone;
         the column's other points are solved."""
@@ -291,6 +315,45 @@ class TestLockstepColumn:
         monkeypatch.setattr(collisional, "schur_reduce", failing)
         got = [_outcome(r) for r in solve_collisional_column(points, inter)]
         assert got == [want[0], ("SingularParameterError", "injected"), want[2]]
+
+    def test_stacked_root_test_matches_rows_alone(self):
+        """The root test of a stack gives each row what it gives that row
+        alone: a non-finite V is no root and never enters the σ solve (whose
+        invalid-operation flag would raise for the whole stack), nor does an
+        unconverged or conjugation-asymmetric one."""
+        points, inter = _column(50, 1.0 / 3.0, [0.1, 0.2, 0.3, 0.4, 0.5], gamma33=0.01)
+        column = delta3_column(points[0], [p.delta3 for p in points])
+        amps = np.array([p.omega_p for p in points], dtype=complex)
+        g = feedback_map(column, amps, amps.conj(), inter)
+        v = np.zeros((5, 4), dtype=complex)
+        v[1] = [np.inf, np.inf, 0, 0]
+        v[3] = [1e-3, 2e-3, 0, 0]  # V31 != conj(V13)
+        conv = np.array([True, True, False, True, True])
+        with np.errstate(invalid="ignore"):  # the conjugation test of the inf row
+            got = _physical_roots(v, conv, g)
+            alone = [_physical_roots(v[r:r + 1], conv[r:r + 1], g.rows(slice(r, r + 1)))[0]
+                     for r in range(5)]
+        assert got.tolist() == alone == [True, False, False, False, True]
+
+    def test_root_test_error_is_evaluated_point_by_point(self, monkeypatch):
+        """A typed error in the stacked root test's solve sends the round
+        point by point. Alone, the point whose solve fails finds no root, so
+        its step halves until it stalls; the other points are as alone."""
+        sigma = collisional.FeedbackMap.sigma
+        points, inter = _column(50, 1.0 / 3.0, [0.1, 0.2, 0.3])
+        points[1] = replace(points[1], delta3=0.5)  # the detuning the failure keys on
+
+        def failing(g, v, rows=...):
+            if rows is not ... and points[1].delta3 in g.params.delta3[rows]:
+                raise SingularParameterError("injected")
+            return sigma(g, v, rows)
+
+        want = [_outcome(_alone(p, inter)) for p in points]
+        monkeypatch.setattr(collisional.FeedbackMap, "sigma", failing)
+        stalled = _outcome(_alone(points[1], inter))
+        assert stalled[0] == "ConvergenceError" and "stalled" in stalled[1]
+        got = [_outcome(r) for r in solve_collisional_column(points, inter)]
+        assert got == [want[0], stalled, want[2]]
 
     @pytest.mark.parametrize("gamma33", [0.0, 0.01])
     def test_points_at_distinct_detunings_match_points_alone(self, gamma33):
@@ -356,10 +419,19 @@ class TestLockstepColumn:
         call = collisional.FeedbackMap.__call__
         monkeypatch.setattr(collisional.FeedbackMap, "__call__",
                             lambda g, v: calls.append(len(v)) or call(g, v))
+        sigma, root_tests = collisional.FeedbackMap.sigma, []
+
+        def counted_sigma(g, v, rows=...):
+            if rows is not ...:  # the root test's solve, at its rows
+                root_tests.append(len(v))
+            return sigma(g, v, rows)
+
+        monkeypatch.setattr(collisional.FeedbackMap, "sigma", counted_sigma)
         results = solve_collisional_column(
             *_column(50, 1.0 / 3.0, np.linspace(0.0, 0.5, count + 1)[1:]))
         assert len(generations) == 0
         assert builds == [count] * 4
+        assert root_tests == [count] * 4  # one stacked root-test solve per round
         assert sum(r.continuation_steps for r in results) == 4 * count
         assert not any(r.used_newton for r in results)
         assert max(r.iterations for r in results) == 141

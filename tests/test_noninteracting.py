@@ -16,7 +16,12 @@ from rydeit import (
     steady_state_two_level,
 )
 from rydeit.blochgen import SINGLE_INDEX, generate_single_atom_equations
-from rydeit.noninteracting import PerturbativeCoefficients, perturbative_column
+from rydeit.noninteracting import (
+    _UNPHYSICAL,
+    PerturbativeCoefficients,
+    perturbative_column,
+    unphysical,
+)
 from rydeit.params import delta3_column
 from rydeit.oracle import _contour_coefficients, _jump_operators
 from test_blochgen import _PRESET_GRID, _random_params
@@ -98,6 +103,77 @@ class TestThreeLevel:
         p = AtomParams(omega_p=0.7)
         st3 = steady_state_three_level(p)
         assert st3.sigma11.real + st3.sigma22.real + st3.sigma33.real == pytest.approx(1.0)
+
+
+def _first_violation(values, tol):
+    """check_physical's conditions as the scalar loop they were before the
+    stacked ``unphysical``: the message of the first that fails, or None."""
+    for a, b in ((1, 2), (1, 3), (2, 3)):
+        if abs(values[SINGLE_INDEX[(a, b)]] - np.conj(values[SINGLE_INDEX[(b, a)]])) > 1e-8:
+            return f"hermiticity violated for sigma{a}{b}"
+    p22, p33 = values[SINGLE_INDEX[(2, 2)]].real, values[SINGLE_INDEX[(3, 3)]].real
+    for pop in (p22, p33):
+        if pop < -tol:
+            return "negative population"
+    if p22 + p33 > 1.0 + tol:
+        return "populations exceed unity"
+    return None
+
+
+def _condition_rows(tol):
+    """Seeded rows of 8 averages whose coherences are near hermitian to
+    1e-8 and whose populations straddle -tol and 1 + tol, rows exactly on
+    each bound and one float beyond it, and rows with NaNs (which no
+    condition flags)."""
+    rng = np.random.default_rng(7)
+    i12, i21, i13, i31 = (SINGLE_INDEX[lab] for lab in ((1, 2), (2, 1), (1, 3), (3, 1)))
+    i22, i33 = SINGLE_INDEX[(2, 2)], SINGLE_INDEX[(3, 3)]
+    rows = []
+    for _ in range(200):
+        v = (rng.standard_normal(8) + 1j * rng.standard_normal(8)) * 10.0 ** rng.uniform(
+            -9.5, -7.5, 8)
+        v[[i22, i33]] = rng.uniform(-3.0 * tol, 0.6, 2)
+        rows.append(v)
+
+    def row(*entries):
+        v = np.zeros(8, dtype=complex)
+        for index, value in entries:
+            v[index] = value
+        return v
+
+    above = np.nextafter(1e-8, 1.0)
+    below = np.nextafter(-tol, -1.0)
+    for i, j in ((i12, i21), (i13, i31)):
+        rows += [row((i, 1e-8)), row((i, above)), row((j, -1e-8j)), row((j, -1j * above))]
+    rows += [row((i22, -tol)), row((i22, below)), row((i33, -tol)), row((i33, below)),
+             row((i22, 1.0 + tol)), row((i22, np.nextafter(1.0 + tol, 2.0))),
+             row((i13, above), (i22, below)),
+             row((i12, np.nan)), row((i22, np.nan)), np.full(8, np.nan + 0j)]
+    return np.array(rows)
+
+
+class TestPhysicalConditions:
+    @pytest.mark.parametrize("tol", [1e-10, 1e-6])
+    def test_stacked_conditions_match_check_physical_row_by_row(self, tol):
+        """``unphysical`` over a stack flags, in each row, the condition
+        check_physical raises for that row alone, and the scalar loop it
+        replaced agrees, on the bounds and with NaNs too."""
+        rows = _condition_rows(tol)
+        stacked = unphysical(rows, tol)
+        assert stacked.shape == (len(rows), len(_UNPHYSICAL))
+        seen = set()
+        for values, failed in zip(rows, stacked):
+            want = _first_violation(values, tol)
+            got = _UNPHYSICAL[np.argmax(failed)] if failed.any() else None
+            assert got == want
+            try:
+                SingleAtomState(values).check_physical(tol)
+                alone = None
+            except ValueError as exc:
+                alone = str(exc)
+            assert alone == want
+            seen.add(want)
+        assert seen == set(_UNPHYSICAL) | {None}
 
 
 class TestPerturbativeCoefficients:

@@ -60,7 +60,32 @@ class TestNbFromSigma:
             nb_from_sigma(0.0, -0.01, -0.02, 0.0)
 
 
+    def test_deficit_lost_to_cancellation_raises(self):
+        # a sigma12 deficit below 1e-12 of sigma12_3lev is roundoff: the
+        # finite-probe n_b at |Omega_p|^2 = 1e-14 is off by up to 21%
+        s3, s2 = (-0.019 - 0.003j), (-0.04 - 0.002j)
+        for rel, ok in ((1e-11, True), (1e-13, False)):
+            sigma12 = s3 * (1.0 + rel)
+            if ok:
+                nb_from_sigma(sigma12, s3, s2, 2e-15)
+            else:
+                with pytest.raises(DegenerateNormalizationError, match="n_b is lost"):
+                    nb_from_sigma(sigma12, s3, s2, 2e-15)
+
+    def test_zero_deficit_is_exact(self):
+        # without interactions sigma12 is the three-level coherence itself
+        assert nb_from_sigma(-0.019 - 0.003j, -0.019 - 0.003j, -0.04 - 0.002j, 1e-20) == 0
+
+
 class TestNbTildeVariants:
+    @pytest.mark.parametrize("fn", [nb_tilde, nb_tilde_unblocked])
+    def test_deficit_lost_to_cancellation_raises(self, fn):
+        s3lev = 2.2e-15
+        assert fn(s3lev * (1.0 - 1e-6), s3lev) > 0
+        with pytest.raises(DegenerateNormalizationError, match="nb_tilde is lost"):
+            fn(s3lev * (1.0 - 1e-8), s3lev)
+        assert fn(s3lev, s3lev) == 0.0
+
     def test_variants_coincide_at_weak_probe(self):
         s3lev = 1e-5
         s = s3lev * (1.0 - 1e-3)

@@ -135,6 +135,30 @@ class TestCsvDeterminism:
         assert lines[1].split(",") == ScanResultRow.columns()
         assert len(lines) == 2 + 3
 
+    def test_scan_generates_no_equations(self, monkeypatch):
+        """A 26-point intensity scan (one zero-probe and 25 finite-probe
+        points) gathers every parameter block from the generator's
+        constants: with both generators raising it writes the same bytes."""
+        cfg = ScanConfig(state=50, omega_p2_start=0.0, omega_p2_stop=0.5, omega_p2_count=26)
+
+        def emit():
+            buf = io.StringIO()
+            write_csv(run_scan(cfg), cfg.metadata_dict(), buf)
+            return buf.getvalue()
+
+        want = emit()
+
+        def generate(params):
+            raise AssertionError("equation generation in production")
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("rydeit"):
+                for name in ("generate_single_atom_equations", "generate_pair_equations"):
+                    if hasattr(module, name):
+                        monkeypatch.setattr(module, name, generate)
+        assert emit() == want
+        assert len(want.splitlines()) == 2 + 26
+
     def test_weak_probe_row(self):
         cfg = ScanConfig(state=50, omega_p2_start=0.0, omega_p2_stop=0.0,
                          omega_p2_count=1)
@@ -364,6 +388,29 @@ class TestCli:
         row = out.read_text().splitlines()[2]
         assert row.endswith(
             ",DegenerateNormalizationError: n_b is undefined without Rydberg excitation")
+
+    @pytest.mark.parametrize("omega_p2, what", [("1e-14", "n_b"), ("1e-20", "nb_tilde")])
+    def test_cancelled_blockade_count_gives_flagged_row(self, tmp_path, omega_p2, what):
+        # at vanishing finite probe sigma12 and sigma33 differ from their
+        # non-interacting values only by roundoff (at 1e-14, nb_tilde would
+        # read -3644 against 34.15 at 1e-6; at 1e-20, n_b would read -0)
+        out = tmp_path / "out.csv"
+        res = CliRunner().invoke(
+            main, ["point", "--state", "50", "--omega-p2", omega_p2, "--out", str(out)])
+        assert res.exit_code == 1
+        row = out.read_text().splitlines()[2]
+        assert f",DegenerateNormalizationError: {what} is lost to cancellation" in row
+
+    def test_weak_finite_probe_row_is_not_flagged(self, tmp_path):
+        out = tmp_path / "out.csv"
+        res = CliRunner().invoke(
+            main, ["point", "--state", "50", "--omega-p2", "1e-6", "--out", str(out)])
+        assert res.exit_code == 0
+        header, row = out.read_text().splitlines()[1:]
+        values = dict(zip(header.split(","), row.split(",")))
+        assert values["flag"] == ""
+        assert float(values["nb_re"]) == pytest.approx(23.53, abs=0.01)
+        assert float(values["nb_tilde"]) == pytest.approx(34.15, abs=0.01)
 
     def test_bad_state_exits_2(self):
         res = CliRunner().invoke(main, ["point", "--state", "99"])
