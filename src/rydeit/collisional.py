@@ -4,9 +4,10 @@ The 36 two-body correlator equations split into 10 P rows (carrying the
 diagonal interaction term k * P_m) and 26 Q rows. Eliminating Q by a Schur
 complement gives k P = M P + Rtilde(V), where the reduced source Rtilde is
 a quadratic polynomial in the four feedback integrals V13, V31, V23, V32
-(the single-atom averages are themselves affine in V). Projecting on the
-eigenrows of M^T turns the radial integral of each eigencomponent into the
-closed form F(lambda), leaving a 4-dimensional complex fixed-point problem
+(the single-atom averages are themselves affine in V: ``noninteracting``'s
+one solve, ``solve_sigma``). Projecting on the eigenrows of M^T turns the
+radial integral of each eigencomponent into the closed form F(lambda),
+leaving a 4-dimensional complex fixed-point problem
 
     V = select( U^-1 [F(lambda_m) * (U Rtilde(V))_m] )
 
@@ -16,18 +17,13 @@ partition (``assemble_PQ``), the Schur complement (``schur_reduce``), the
 eigenrows of M^T (``spectral_decompose``), then the ``FeedbackMap``.
 
 A scan's finite-probe points are solved in lockstep
-(``solve_collisional_column``). Each point keeps its own continuation:
-intensity fraction, step, secant history and counts. A round advances
-every unfinished point by one stage. The stage operators of all those
-points are built as one stack over their ``params.delta3_column``, a0
-and c0 gathered from K36 and K8 as on the weak-probe path, and their
-damped iterations share one stacked evaluation of G per iteration. Newton
-runs on a point's row of that G, and one stacked root test covers the
-round. Each stacked operation treats a point's slice as it treats that
-point alone: the same BLAS kernel on the same memory order, the same
-scalar arithmetic. So a point's trajectory, and every digit it outputs,
-does not depend on the other points of its stack.
-``solve_collisional_integrals`` is the column solve of one point.
+(``solve_collisional_column``): each keeps its own continuation, and a
+round builds the stages of all unfinished points as one stack over their
+``params.delta3_column`` and evaluates their G as one stack. Each stacked
+operation treats a point's slice as it treats that point alone (the same
+BLAS kernel on the same memory order, the same scalar arithmetic), so
+every digit a point outputs does not depend on the other points of its
+stack. ``solve_collisional_integrals`` is the column solve of one point.
 """
 from __future__ import annotations
 
@@ -38,17 +34,11 @@ import numpy as np
 from .blochgen import (
     _AM,
     _AP,
-    _CM,
-    _CP,
     _K36,
     _KDIAG,
-    _S0,
-    _SM,
-    _SP,
     _SRC0,
     _SRCM,
     _SRCP,
-    _V_COUPLING,
     P_LABELS,
     PAIR_INDEX,
     PAIR_LABELS,
@@ -61,9 +51,10 @@ from .blochgen import (
     ladder_source,
 )
 from .noninteracting import (
-    _C0,
     SingleAtomState,
-    _singular_single_atom,
+    _matvec,
+    single_atom_operands,
+    solve_sigma,
     solve_single_system,
     unphysical,
 )
@@ -119,12 +110,6 @@ class ConvergenceError(RuntimeError):
 _SOLVE_ERRORS = (ConvergenceError, SingularParameterError, BranchAmbiguityError)
 
 
-def _matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """mat @ vec over leading stack axes; one BLAS gemv per matrix, as for
-    an unstacked 2-d @ 1-d product."""
-    return (mat @ vec[..., None])[..., 0]
-
-
 def _bad_row(bad) -> int | None:
     """The first row flagged in ``bad`` (a bool, or one per stacked row)."""
     hits = np.flatnonzero(bad)
@@ -137,8 +122,7 @@ class PQSystem:
 
     P rows are rescaled so they read k P_m = a P + b Q + R_m; Q rows read
     0 = c Q + d P + Rn. The sources (R, Rn) are quadratic in V through the
-    single-atom C, S and the pair Ssrc, fixed by the probe amplitude
-    (``FeedbackMap.rtilde``).
+    pair Ssrc and the single-atom sigma(V) (``FeedbackMap.rtilde``).
 
     A stack of systems, one per point of a lockstep solve, has a leading
     axis on every array; ``params`` is then their ``delta3_column``.
@@ -149,8 +133,6 @@ class PQSystem:
     b: np.ndarray               # 10 x 26
     c: np.ndarray               # 26 x 26
     d: np.ndarray               # 26 x 10
-    single_matrix: np.ndarray   # 8 x 8 C(wp, wpc)
-    single_source: np.ndarray   # 8 S(wp, wpc)
     pair_source: np.ndarray     # 36 x 8 Ssrc(wp, wpc)
 
 
@@ -172,9 +154,9 @@ def regularize(params: AtomParams) -> AtomParams:
 
 def assemble_PQ(params, wp, wpc) -> PQSystem:
     """The P/Q block form of the pair system of ``params`` at (wp, wpc),
-    and the source operands there; wp = wpc = a continues it to complex a.
-    Only a0 and c0 depend on ``params``; they are gathered from K36 and K8
-    (``blochgen``), and every probe part is a read-only constant.
+    and the pair source there; wp = wpc = a continues it to complex a.
+    Only a0 depends on ``params``; it is gathered from K36 (``blochgen``),
+    and every probe part is a read-only constant.
 
     For a stack, ``params`` is a ``delta3_column``, and wp and wpc are
     arrays with one amplitude per row."""
@@ -191,11 +173,8 @@ def assemble_PQ(params, wp, wpc) -> PQSystem:
         return out
 
     a, b, c, d = map(block, _PROBE_PQ_BLOCKS, _A0_PQ_BLOCKS(params))
-    (c0,) = _C0(params)
     return PQSystem(
         params=params, a=_P_ROWSCALE[:, None] * a, b=_P_ROWSCALE[:, None] * b, c=c, d=d,
-        single_matrix=c0 + w * _CP + wc * _CM,
-        single_source=_S0 + w[..., 0] * _SP + wc[..., 0] * _SM,
         pair_source=_SRC0 + w * _SRCP + wc * _SRCM,
     )
 
@@ -247,13 +226,13 @@ def spectral_decompose(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True)
 class FeedbackMap:
     """G(v4) = lu @ (f * (u @ rtilde(v4))), the spectral prediction for
-    the feedback V. It keeps the source operands of the P/Q system (params,
-    C, S, Ssrc), not its blocks. Over a stack, one call evaluates every
-    point's G at its row of v4; a leading batch of v4 broadcasts."""
+    the feedback V. It keeps the source operands (params, the single-atom
+    (C, S) of ``single_atom_operands``, the pair Ssrc), not the P/Q blocks.
+    Over a stack, one call evaluates every point's G at its row of v4; a
+    leading batch of v4 broadcasts."""
 
     params: object
-    single_matrix: np.ndarray
-    single_source: np.ndarray
+    single: tuple
     pair_source: np.ndarray
     alpha: np.ndarray
     u: np.ndarray
@@ -261,14 +240,10 @@ class FeedbackMap:
     lu: np.ndarray
 
     def sigma(self, v4, rows=...) -> np.ndarray:
-        """The 8 averages solving 0 = C sigma + S + B V at this V, at the
-        points ``rows`` of a stack (default: all). A singular C raises; a
-        stack is then solved point by point (``solve_collisional_column``)."""
-        rhs = -(self.single_source[rows] + _matvec(_V_COUPLING, v4))
-        try:
-            return np.linalg.solve(self.single_matrix[rows], rhs[..., None])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise _singular_single_atom(self.params, exc) from exc
+        """``solve_sigma`` at this V, at the points ``rows`` of a stack
+        (default: all). A singular C raises; a stack is then solved point
+        by point (``solve_collisional_column``)."""
+        return solve_sigma(self.params, tuple(op[rows] for op in self.single), v4)
 
     def rtilde(self, v4) -> np.ndarray:
         """Rtilde(V) = R + alpha Rn, the reduced source; the sources R, Rn
@@ -287,8 +262,7 @@ class FeedbackMap:
         memory order, which BLAS picks its kernel, and so its rounding, by."""
         return FeedbackMap(
             params=delta3_column(self.params, self.params.delta3[idx]),
-            single_matrix=self.single_matrix[idx],
-            single_source=self.single_source[idx], pair_source=self.pair_source[idx],
+            single=tuple(op[idx] for op in self.single), pair_source=self.pair_source[idx],
             alpha=self.alpha[idx], u=self.u[idx], f=self.f[idx], lu=self.lu[idx])
 
 
@@ -304,9 +278,8 @@ def feedback_map(params, wp, wpc, interaction: InteractionParams) -> FeedbackMap
     f = F_lambda(w, interaction)
     lu = np.ascontiguousarray(np.linalg.inv(u)[..., _FEEDBACK_COLS, :])
     return FeedbackMap(
-        params=pq.params, single_matrix=pq.single_matrix,
-        single_source=pq.single_source, pair_source=pq.pair_source,
-        alpha=alpha, u=u, f=f, lu=lu)
+        params=params, single=single_atom_operands(params, wp, wpc),
+        pair_source=pq.pair_source, alpha=alpha, u=u, f=f, lu=lu)
 
 
 def F_lambda_quadrature(lam: complex, interaction: InteractionParams,
@@ -336,6 +309,9 @@ class CollisionalIntegrals:
     def v4(self) -> np.ndarray:
         return np.array([self.v13, self.v31, self.v23, self.v32])
 
+
+# V = 0 with no iteration: the root without interactions or probe
+_NO_FEEDBACK = CollisionalIntegrals(0j, 0j, 0j, 0j, 0, 0.0, 0, False)
 
 _DAMPING = 0.5
 _MAX_ITER_PER_STAGE = 100
@@ -385,6 +361,7 @@ def _newton(g, v0, max_iter, tol):
     Steps are backtracked until the residual norm decreases, which keeps
     the iteration on the root branch it was warm-started on instead of
     jumping to a distant (unphysical) solution of the polynomial system.
+    A non-finite iterate or residual stops it unconverged.
     """
 
     def to_real(v):
@@ -402,6 +379,8 @@ def _newton(g, v0, max_iter, tol):
     x = to_real(np.asarray(v0, dtype=complex))
     r = res(x)
     for it in range(1, max_iter + 1):
+        if not (np.isfinite(x).all() and np.isfinite(r).all()):
+            return to_complex(x), it, np.inf, False
         scale = max(np.max(np.abs(x)), 1.0)
         rnorm = np.linalg.norm(r)
         if np.max(np.abs(r)) < tol * scale:
@@ -583,7 +562,7 @@ def solve_collisional_column(points, interaction: InteractionParams,
     live = {}
     for i, params in enumerate(points):
         if interaction.c6 == 0.0 or params.omega_p == 0:
-            out[i] = CollisionalIntegrals(0j, 0j, 0j, 0j, 0, 0.0, 0, False)
+            out[i] = _NO_FEEDBACK
             continue
         live[i] = _Continuation(regularize(params))
     while live:

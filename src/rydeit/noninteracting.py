@@ -36,6 +36,8 @@ from .params import (
 __all__ = [
     "SingleAtomState",
     "PerturbativeCoefficients",
+    "single_atom_operands",
+    "solve_sigma",
     "solve_single_system",
     "steady_state_two_level",
     "steady_state_three_level",
@@ -70,7 +72,7 @@ class SingleAtomState:
     values: np.ndarray  # ordered as SINGLE_LABELS
 
     def __getitem__(self, label) -> complex:
-        return complex(self.values[SINGLE_INDEX[label]])
+        return complex(self.values.item(SINGLE_INDEX[label]))
 
     @property
     def sigma12(self):
@@ -101,20 +103,41 @@ class SingleAtomState:
         return self
 
 
-def solve_single_system(params: AtomParams, v4=None) -> SingleAtomState:
-    """Solve 0 = C(wp) sigma + S(wp) + B V for the 8 averages, from c0
-    gathered from K8 and blochgen's read-only constants."""
-    (c0,) = _C0(delta3_column(params))
-    wp, wpc = params.omega_p, np.conj(params.omega_p)
-    rhs = _S0 + wp * _SP + wpc * _SM
+def _matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """mat @ vec over leading stack axes; one BLAS gemv per matrix, as for
+    an unstacked 2-d @ 1-d product."""
+    return (mat @ vec[..., None])[..., 0]
+
+
+def single_atom_operands(params, wp, wpc) -> tuple[np.ndarray, np.ndarray]:
+    """(C, S) = (c0 + wp cp + wpc cm, s0 + wp sp + wpc sm), the operands of
+    the single-atom system of ``params`` at (wp, wpc), c0 gathered from K8.
+    For a ``delta3_column``, wp and wpc hold one amplitude per row and
+    each operand has a leading row axis."""
+    w = np.asarray(wp)[..., None, None]
+    wc = np.asarray(wpc)[..., None, None]
+    return _C0(params)[0] + w * _CP + wc * _CM, _S0 + w[..., 0] * _SP + wc[..., 0] * _SM
+
+
+def solve_sigma(params, operands, v4) -> np.ndarray:
+    """The 8 averages solving 0 = C sigma + S + B V at every row of
+    ``operands`` = (C, S) of ``params``, V the matching row of ``v4``
+    (None: no feedback), as one stacked solve. A singular C raises
+    ``SingularParameterError``."""
+    mat, rhs = operands
     if v4 is not None:
-        rhs = rhs + _V_COUPLING @ np.asarray(v4, dtype=complex)
-    mat = c0[0] + wp * _CP + wpc * _CM
+        rhs = rhs + _matvec(_V_COUPLING, np.asarray(v4, dtype=complex))
     try:
-        sol = np.linalg.solve(mat, -rhs)
+        return np.linalg.solve(mat, -rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise _singular_single_atom(params, exc) from exc
-    return SingleAtomState(values=sol)
+
+
+def solve_single_system(params: AtomParams, v4=None) -> SingleAtomState:
+    """``solve_sigma`` at the one parameter set ``params``."""
+    wp = params.omega_p
+    return SingleAtomState(
+        values=solve_sigma(params, single_atom_operands(params, wp, np.conj(wp)), v4))
 
 
 def _singular_single_atom(params: AtomParams, exc) -> SingularParameterError:

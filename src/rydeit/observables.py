@@ -4,10 +4,9 @@ Normalized susceptibilities, the complex blockade count n_b extracted from
 the coherence, the real scaling parameter nb_tilde extracted from the
 Rydberg population, and the linear coefficients (xi1, xi2) relating the two.
 
-All functions here are pure reductions of already-solved averages, except
-that observable_set also solves the non-interacting references; the
-weak-probe limit helpers take the parameters and their perturbative
-cascade instead.
+All functions here are reductions of already-solved averages (the
+observable set adds the closed two-level reference); the weak-probe limit
+helpers take the parameters and their perturbative cascade instead.
 """
 from __future__ import annotations
 
@@ -18,7 +17,6 @@ import numpy as np
 from .noninteracting import (
     PerturbativeCoefficients,
     perturbative_coefficients,
-    steady_state_three_level,
     steady_state_two_level,
 )
 from .params import AtomParams, relaxation_constants
@@ -233,33 +231,23 @@ class ObservableSet:
     p_r: float
 
 
-def observable_set(params: AtomParams, state) -> ObservableSet:
+def observable_set(params: AtomParams, state, state_3lev) -> ObservableSet:
     """Assemble the observable set from a solved interacting state.
 
-    ``state`` is the interacting single-atom solution (SingleAtomState); the
-    non-interacting three-level and two-level references are solved here at
-    the same parameters.
+    ``state`` is the interacting single-atom solution and ``state_3lev``
+    the non-interacting three-level one at the same parameters
+    (``SingleAtomState``s); the two-level reference is solved here. A zero
+    probe raises ``ValueError`` (``susceptibility``).
     """
     wp = params.omega_p
-    if wp == 0:
-        raise ValueError(
-            "observable_set needs a finite probe; use the weak-probe "
-            "limit helpers at zero probe"
-        )
-    state_3lev = steady_state_three_level(params)
-    state_2lev = steady_state_two_level(params)
     chi = susceptibility(state.sigma12, wp)
     chi3 = susceptibility(state_3lev.sigma12, wp)
-    chi2 = susceptibility(state_2lev.sigma12, wp)
+    s12_2lev = steady_state_two_level(params).sigma12
+    chi2 = susceptibility(s12_2lev, wp)
     s33 = float(state.sigma33.real)
-    s33_3 = float(state_3lev.sigma33.real)
     return ObservableSet(
-        chi=chi,
-        chi_3lev=chi3,
-        chi_2lev=chi2,
-        S=s_real(chi, chi3, chi2),
-        S_norm=s_norm(state.sigma12, state_3lev.sigma12, state_2lev.sigma12),
-        nb=nb_from_sigma(state.sigma12, state_3lev.sigma12, state_2lev.sigma12, s33),
-        nb_tilde=nb_tilde_unblocked(s33, s33_3),
-        p_r=s33,
+        chi=chi, chi_3lev=chi3, chi_2lev=chi2, S=s_real(chi, chi3, chi2),
+        S_norm=s_norm(state.sigma12, state_3lev.sigma12, s12_2lev),
+        nb=nb_from_sigma(state.sigma12, state_3lev.sigma12, s12_2lev, s33),
+        nb_tilde=nb_tilde_unblocked(s33, float(state_3lev.sigma33.real)), p_r=s33,
     )

@@ -2,10 +2,11 @@
 
 A scan is a grid over probe intensity (and optionally two-photon detuning)
 at fixed atomic parameters. Grid points are independent: the zero-probe
-points are evaluated as one stacked weak-probe column and the finite-probe
-points are solved in lockstep, each bit for bit as it is alone. Rows come
-sorted by (delta3, |omega_p|^2), so the emitted CSV is byte-identical
-across runs.
+points are evaluated as one stacked weak-probe column, and the finite-probe
+points are solved in lockstep, then their single-atom states as one
+column, each bit for bit as it is alone. One row builder fills every row.
+Rows come sorted by (delta3, |omega_p|^2), so the emitted CSV is
+byte-identical across runs.
 
 The figure presets reproduce the three standard result sweeps:
 fig2 (normalized dispersive response vs intensity, four states),
@@ -14,6 +15,7 @@ fig4 (blockade scaling parameters vs intensity at three detunings).
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -26,17 +28,21 @@ from typing import Iterable
 import numpy as np
 
 from .collisional import (
+    _NO_FEEDBACK,
+    _SOLVE_ERRORS,
     CollisionalIntegrals,
-    ConvergenceError,
     solve_collisional_column,
 )
 from .noninteracting import (
+    SingleAtomState,
     perturbative_coefficients,
     perturbative_column,
-    solve_single_system,
+    single_atom_operands,
+    solve_sigma,
 )
 from .observables import (
     DegenerateNormalizationError,
+    ObservableSet,
     nb_tilde_weak_probe,
     nb_weak_probe,
     observable_set,
@@ -45,16 +51,11 @@ from .params import (
     C6_PRESETS,
     AtomParams,
     InteractionParams,
-    SingularParameterError,
     StatePreset,
     delta3_column,
     relaxation_constants,
 )
-from .perturbative import (
-    BranchAmbiguityError,
-    chi3_interacting,
-    collisional_integral_V13_column,
-)
+from .perturbative import chi3_interacting, collisional_integral_V13_column
 
 __all__ = [
     "ConfigError",
@@ -71,12 +72,7 @@ _NAN = float("nan")
 
 # Failures of a well-posed grid point, reported as flagged rows; anything
 # else is a programming error and propagates.
-_POINT_ERRORS = (
-    ConvergenceError,
-    SingularParameterError,
-    BranchAmbiguityError,
-    DegenerateNormalizationError,
-)
+_POINT_ERRORS = (*_SOLVE_ERRORS, DegenerateNormalizationError)
 
 
 class ConfigError(ValueError):
@@ -266,27 +262,49 @@ class ScanResultRow:
         return [f.name for f in fields(cls)]
 
 
+def _stacked(evaluate, items: list) -> list:
+    """``evaluate(items)``: one value per item, from one stacked evaluation.
+    If that raises a point error, a column of one takes the error as its
+    value, and a longer one is evaluated item by item, so each failing item
+    gets the error it gets alone."""
+    try:
+        return evaluate(items)
+    except _POINT_ERRORS as exc:
+        if len(items) == 1:
+            return [exc]
+        return [_stacked(evaluate, [item])[0] for item in items]
+
+
 def _weak_probe_values(params: AtomParams, interaction: InteractionParams,
                        delta3s: list[float]) -> list:
-    """(chi, n_b, nb_tilde) at each zero-probe point (delta3, 0) of the
+    """The ``ObservableSet`` at each zero-probe point (delta3, 0) of the
     column of ``params`` over ``delta3s``, from one stacked evaluation: the
     single-atom cascade, the kernels and their pole sums, and the blockade
-    counts.
-
-    A point error of the stacked evaluation takes the place of the values
-    of a column of one; a longer column is then evaluated point by point,
-    so each failing point gets the error it gets alone."""
+    counts at their weak-probe limits. The interacting and three-level
+    responses coincide there (S = S_norm = 1)."""
     column = delta3_column(params, delta3s)
-    try:
-        pc = perturbative_column(column)
-        v13_3 = collisional_integral_V13_column(column, pc, interaction)
-    except _POINT_ERRORS as exc:
-        if len(delta3s) == 1:
-            return [exc]
-        return [_weak_probe_values(params, interaction, [d3])[0] for d3 in delta3s]
+    pc = perturbative_column(column)
+    v13_3 = collisional_integral_V13_column(column, pc, interaction)
     nb = nb_weak_probe(column, pc, v13_3)
     nbt = nb_tilde_weak_probe(column, pc, v13_3)
-    return list(zip(pc.s12_1.tolist(), nb.tolist(), nbt.tolist()))
+    chi2 = -1j / relaxation_constants(params).Gamma12
+    return [ObservableSet(chi=chi, chi_3lev=chi, chi_2lev=chi2, S=1.0, S_norm=1.0,
+                          nb=n_b, nb_tilde=n_bt, p_r=0.0)
+            for chi, n_b, n_bt in zip(pc.s12_1.tolist(), nb.tolist(), nbt.tolist())]
+
+
+def _finite_probe_values(points: list) -> list:
+    """(integrals, state, state_3lev) at each finite-probe point (params,
+    integrals) of one config: the interacting and the three-level
+    single-atom states, from two stacked solves over the points'
+    ``delta3_column``."""
+    column = delta3_column(points[0][0], [p.delta3 for p, _ in points])
+    wp = np.array([p.omega_p for p, _ in points])
+    operands = single_atom_operands(column, wp, np.conj(wp))
+    sigma = solve_sigma(column, operands, [v.v4 for _, v in points])
+    sigma_3lev = solve_sigma(column, operands, None)
+    return [(v, SingleAtomState(s), SingleAtomState(s3))
+            for (_, v), s, s3 in zip(points, sigma, sigma_3lev)]
 
 
 def _solve_points(config: ScanConfig, points: list[tuple[float, float]]) -> list:
@@ -296,46 +314,35 @@ def _solve_points(config: ScanConfig, points: list[tuple[float, float]]) -> list
     The zero-probe points are one weak-probe column (``_weak_probe_values``)
     and share its single parameter set, of which their rows read only the
     delta3-independent fields. The finite-probe points are solved in
-    lockstep (``solve_collisional_column``); their values are their
-    collisional integrals."""
+    lockstep (``solve_collisional_column``), then their single-atom states
+    as one column (``_finite_probe_values``). Each column is one stacked
+    evaluation (``_stacked``)."""
     zero = [d3 for d3, wp2 in points if wp2 == 0.0]
     finite = [config.point_params(d3, wp2) for d3, wp2 in points if wp2 != 0.0]
     if zero:
-        column = config.point_params(zero[0], 0.0)
-        zero = [(*column, values) for values in _weak_probe_values(*column, zero)]
+        params, interaction = config.point_params(zero[0], 0.0)
+        evaluate = functools.partial(_weak_probe_values, params, interaction)
+        zero = [(params, interaction, values) for values in _stacked(evaluate, zero)]
     if finite:
         interaction = finite[0][1]
-        solved = solve_collisional_column([p for p, _ in finite], interaction,
-                                          tol=config.tol)
-        finite = [(p, interaction, s) for (p, _), s in zip(finite, solved)]
+        atoms = [p for p, _ in finite]
+        solved = solve_collisional_column(atoms, interaction, tol=config.tol)
+        ok = [(p, v) for p, v in zip(atoms, solved) if isinstance(v, CollisionalIntegrals)]
+        states = iter(_stacked(_finite_probe_values, ok) if ok else [])
+        finite = [(p, interaction, v if isinstance(v, Exception) else next(states))
+                  for p, v in zip(atoms, solved)]
     zero, finite = iter(zero), iter(finite)
     return [next(zero) if wp2 == 0.0 else next(finite) for _, wp2 in points]
 
 
-def _weak_probe_row(inputs: dict, params: AtomParams, values) -> ScanResultRow:
-    """Zero-probe row: interacting and non-interacting responses coincide;
-    the blockade scalings are reported at their weak-probe limits."""
-    chi, nb, nbt = values
-    chi2 = -1j / relaxation_constants(params).Gamma12
-    return ScanResultRow(
-        **inputs,
-        chi_re=chi.real, chi_im=chi.imag,
-        chi_3lev_re=chi.real, chi_3lev_im=chi.imag,
-        chi_2lev_re=chi2.real, chi_2lev_im=chi2.imag,
-        S=1.0, S_norm_re=1.0, S_norm_im=0.0,
-        v13_re=0.0, v13_im=0.0, v31_re=0.0, v31_im=0.0,
-        v23_re=0.0, v23_im=0.0, v32_re=0.0, v32_im=0.0,
-        sigma22=0.0, sigma33=0.0,
-        nb_re=nb.real, nb_im=nb.imag, nb_tilde=nbt,
-        iterations=0, residual=0.0,
-    )
+# the single-atom state at zero probe: every atom in the ground state
+_GROUND = SingleAtomState(values=np.zeros(8, dtype=complex))
 
 
-def _interacting_row(inputs: dict, params: AtomParams,
-                     integrals: CollisionalIntegrals) -> ScanResultRow:
-    """Finite-probe row from the point's solved collisional integrals."""
-    state = solve_single_system(params, v4=integrals.v4)
-    obs = observable_set(params, state)
+def _row(inputs: dict, obs: ObservableSet, integrals: CollisionalIntegrals,
+         state: SingleAtomState) -> ScanResultRow:
+    """The row of a solved point from its observables, collisional
+    integrals and single-atom state."""
     return ScanResultRow(
         **inputs,
         chi_re=obs.chi.real, chi_im=obs.chi.imag,
@@ -346,7 +353,7 @@ def _interacting_row(inputs: dict, params: AtomParams,
         v31_re=integrals.v31.real, v31_im=integrals.v31.imag,
         v23_re=integrals.v23.real, v23_im=integrals.v23.imag,
         v32_re=integrals.v32.real, v32_im=integrals.v32.imag,
-        sigma22=state.sigma22.real, sigma33=state.sigma33.real,
+        sigma22=state.sigma22.real, sigma33=obs.p_r,
         nb_re=obs.nb.real, nb_im=obs.nb.imag, nb_tilde=obs.nb_tilde,
         iterations=integrals.iterations, residual=integrals.residual,
     )
@@ -357,7 +364,8 @@ def compute_row(config: ScanConfig, delta3: float, omega_p2: float,
     """Solve one grid point of ``config``; failures are returned as flagged rows.
 
     ``solved`` is the point's entry of ``_solve_points`` when ``run_scan``
-    has solved the whole grid; otherwise the point is solved alone.
+    has solved the whole grid; otherwise the point is solved alone. A
+    zero-probe row has V = sigma = 0.
     """
     if solved is None:
         (solved,) = _solve_points(config, [(delta3, omega_p2)])
@@ -379,8 +387,9 @@ def compute_row(config: ScanConfig, delta3: float, omega_p2: float,
         if isinstance(values, Exception):
             raise values
         if omega_p2 == 0.0:
-            return _weak_probe_row(inputs, params, values)
-        return _interacting_row(inputs, params, values)
+            return _row(inputs, values, _NO_FEEDBACK, _GROUND)
+        integrals, state, state_3lev = values
+        return _row(inputs, observable_set(params, state, state_3lev), integrals, state)
     except _POINT_ERRORS as exc:
         msg = f"{type(exc).__name__}: {exc}".replace("\n", " ")[:200]
         return ScanResultRow(**inputs, flag=msg)

@@ -108,7 +108,7 @@ def check_noninteracting_s_identity():
     for wp2 in (0.1, 0.5):
         p = _params(wp=np.sqrt(wp2))
         st, _ = solve_interacting(p, InteractionParams(c6=0.0))
-        worst = max(worst, abs(observable_set(p, st).S - 1.0))
+        worst = max(worst, abs(observable_set(p, st, steady_state_three_level(p)).S - 1.0))
     return worst < 1e-9, f"max |S - 1| = {worst:.2e} at C6 = 0"
 
 

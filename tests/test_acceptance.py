@@ -63,7 +63,7 @@ def _preset_params(n, delta3=1.0 / 3.0, omega_p=0.0, delta2=-25.0):
 
 def _observables(params, interaction):
     state, v = solve_interacting(params, interaction)
-    return observable_set(params, state), v
+    return observable_set(params, state, steady_state_three_level(params)), v
 
 
 def test_criterion_01_noninteracting_identity():

@@ -216,6 +216,17 @@ class TestNonlinearSolve:
         assert conv
         assert np.max(np.abs(v - root)) <= 1e-10 * np.max(np.abs(root))
 
+    @pytest.mark.parametrize("start", [np.inf, np.nan])
+    def test_newton_rejects_a_non_finite_start(self, preset50, start):
+        """A non-finite start is not a root: Newton stops unconverged on the
+        first iteration, before its norm overflows (every warning is an
+        error here) or its scale max(max|V|, 1) turns inf."""
+        p = AtomParams(omega_p=np.sqrt(0.3), omega_c=preset50.omega_c)
+        g = _g(regularize(p), InteractionParams(c6=preset50.c6))
+        v, its, resid, conv = _newton(g, [start, start, 0, 0], 50, 1e-10)
+        assert (its, resid, conv) == (1, np.inf, False)
+        assert np.array_equal(v, [start, start, 0, 0], equal_nan=True)
+
 
 def _column(state, delta3, omega_p2s, gamma33=0.0):
     preset = StatePreset(state)

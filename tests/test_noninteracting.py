@@ -20,6 +20,9 @@ from rydeit.noninteracting import (
     _UNPHYSICAL,
     PerturbativeCoefficients,
     perturbative_column,
+    single_atom_operands,
+    solve_sigma,
+    solve_single_system,
     unphysical,
 )
 from rydeit.params import delta3_column
@@ -98,6 +101,25 @@ class TestThreeLevel:
         _jump_operators(p)  # realizable by construction: must not raise
         steady_state_three_level(p).check_physical(tol=1e-9)
         steady_state_two_level(p).check_physical(tol=1e-9)
+
+    @pytest.mark.parametrize("state", [46, 50, 56, 61])
+    def test_column_solve_matches_points_alone(self, state):
+        """``solve_sigma`` over a ``delta3_column``, with one probe amplitude
+        and one V per row, gives each row the bytes ``solve_single_system``
+        gives its point alone, with V and without it (the three-level
+        state)."""
+        preset = StatePreset(state)
+        points = [AtomParams(omega_p=np.sqrt(wp2), omega_c=preset.omega_c, delta3=d3)
+                  for wp2, d3 in zip((0.02, 0.1, 0.3, 0.5), (-1.5, 1.0 / 3.0, 0.5, 2.0))]
+        rng = np.random.default_rng(state)
+        v4 = 1e-3 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        column = delta3_column(points[0], [p.delta3 for p in points])
+        wp = np.array([p.omega_p for p in points])
+        operands = single_atom_operands(column, wp, np.conj(wp))
+        for v, alone in ((v4, [solve_single_system(p, v) for p, v in zip(points, v4)]),
+                         (None, [steady_state_three_level(p) for p in points])):
+            got = solve_sigma(column, operands, v)
+            assert [row.tobytes() for row in got] == [s.values.tobytes() for s in alone]
 
     def test_trace_closure(self):
         p = AtomParams(omega_p=0.7)

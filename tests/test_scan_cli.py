@@ -138,7 +138,9 @@ class TestCsvDeterminism:
     def test_scan_generates_no_equations(self, monkeypatch):
         """A 26-point intensity scan (one zero-probe and 25 finite-probe
         points) gathers every parameter block from the generator's
-        constants: with both generators raising it writes the same bytes."""
+        constants and solves its rows' single-atom states as one column:
+        with both generators and both one-point single-atom solves raising,
+        it writes the same bytes."""
         cfg = ScanConfig(state=50, omega_p2_start=0.0, omega_p2_stop=0.5, omega_p2_count=26)
 
         def emit():
@@ -148,14 +150,17 @@ class TestCsvDeterminism:
 
         want = emit()
 
-        def generate(params):
-            raise AssertionError("equation generation in production")
+        def refuse(name):
+            def fail(*args, **kwargs):
+                raise AssertionError(f"{name} in production")
+            return fail
 
         for module in list(sys.modules.values()):
             if getattr(module, "__name__", "").startswith("rydeit"):
-                for name in ("generate_single_atom_equations", "generate_pair_equations"):
+                for name in ("generate_single_atom_equations", "generate_pair_equations",
+                             "solve_single_system", "steady_state_three_level"):
                     if hasattr(module, name):
-                        monkeypatch.setattr(module, name, generate)
+                        monkeypatch.setattr(module, name, refuse(name))
         assert emit() == want
         assert len(want.splitlines()) == 2 + 26
 
@@ -204,6 +209,38 @@ class TestPointFailures:
             "ConvergenceError: collisional solve stalled at intensity fraction 0.9999")
         for row in rows:
             assert row == compute_row(cfg, d3, row.omega_p2)
+
+    def test_failing_single_atom_solve_flags_only_its_row(self, monkeypatch):
+        """A typed error in the stacked single-atom solve of a finite-probe
+        column sends the column point by point: only the point that raises
+        it alone is flagged, with the flag it gets alone."""
+        solve = scan_module.solve_sigma
+
+        def failing(params, operands, v4):
+            if 0.5 in params.delta3:
+                raise SingularParameterError("injected at delta3=0.5")
+            return solve(params, operands, v4)
+
+        monkeypatch.setattr(scan_module, "solve_sigma", failing)
+        cfg = ScanConfig(state=50, omega_p2_start=0.1, omega_p2_stop=0.1, omega_p2_count=1,
+                         delta3_start=-1.0, delta3_stop=1.0, delta3_count=5)
+        rows = run_scan(cfg)
+        assert [r.delta3 for r in rows if r.flag] == [0.5]
+        (row,) = [r for r in rows if r.flag]
+        assert row.flag == compute_row(cfg, 0.5, 0.1).flag
+        assert row.flag == "SingularParameterError: injected at delta3=0.5"
+        for r in rows:
+            if not r.flag:
+                assert r == compute_row(cfg, r.delta3, 0.1)
+
+    def test_programming_error_in_single_atom_solve_propagates(self, monkeypatch):
+        def broken(params, operands, v4):
+            raise TypeError("bug")
+
+        monkeypatch.setattr(scan_module, "solve_sigma", broken)
+        with pytest.raises(TypeError, match="bug"):
+            run_scan(ScanConfig(state=50, omega_p2_start=0.1, omega_p2_stop=0.2,
+                                omega_p2_count=2))
 
     def test_singular_weak_probe_row_is_typed(self):
         # omega_c = 0 leaves the weak-probe population block singular
@@ -297,6 +334,41 @@ class TestWeakProbeColumn:
         assert len(rows) == count and not any(r.flag for r in rows)
         assert len(calls) == 5
         assert all(shape[0] == count for shape in calls)
+
+
+class TestFiniteProbeColumn:
+    """run_scan solves a config's finite-probe single-atom states as one
+    column."""
+
+    @pytest.mark.parametrize("count", [5, 25])
+    def test_single_atom_solves_do_not_grow_with_the_column(self, monkeypatch, count):
+        """Work-count guard: outside the collisional solve, a config's
+        finite-probe rows make two stacked 8x8 solves, the interacting
+        states and their three-level references, however many rows they
+        have (two per row would be 50 for 25 rows)."""
+        calls, inside = [], []
+        solve_column = scan_module.solve_collisional_column
+
+        def solve_in_column(*args, **kwargs):
+            inside.append(True)
+            try:
+                return solve_column(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        solve = np.linalg.solve
+
+        def counted(a, *args, **kwargs):
+            if not inside and np.shape(a)[-2:] == (8, 8):
+                calls.append(np.shape(a))
+            return solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(scan_module, "solve_collisional_column", solve_in_column)
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        rows = run_scan(ScanConfig(state=50, omega_p2_start=0.02, omega_p2_stop=0.5,
+                                   omega_p2_count=count))
+        assert len(rows) == count and not any(r.flag for r in rows)
+        assert calls == [(count, 8, 8)] * 2
 
 
 class TestParseGrid:
