@@ -214,21 +214,21 @@ def _minus_gamma(p: AtomParams) -> np.ndarray:
     return g
 
 
-def _block_gather(k: np.ndarray, diag_of, blocks):
-    """A function of a ``delta3_column`` that returns the (rows, cols)
-    blocks of omega_c k + diag(diag_of(g)), g = ``_minus_gamma``, one
-    (n, len(rows), len(cols)) array per index-array pair in ``blocks``. The
+def _block_gather(k: np.ndarray, diag_of, row_sets):
+    """A function of a ``delta3_column`` that returns the diagonal blocks
+    (rows, rows) of omega_c k + diag(diag_of(g)), g = ``_minus_gamma``, one
+    (n, len(rows), len(rows)) array per index array in ``row_sets``. The
     positions are worked out here, once; each call does the same
     elementwise sums as building the full matrix, so it gives the same
     bytes. Only the diagonal entries differ between rows of a column."""
-    flat = np.concatenate([np.ravel_multi_index(np.ix_(rows, cols), k.shape).ravel()
-                           for rows, cols in blocks])
+    flat = np.concatenate([np.ravel_multi_index(np.ix_(rows, rows), k.shape).ravel()
+                           for rows in row_sets])
     rows, cols = np.unravel_index(flat, k.shape)
     k_blocks = k.take(flat)
     on_diag = np.flatnonzero(rows == cols)
     diag_at = rows[on_diag]
-    ends = np.cumsum([0] + [len(r) * len(c) for r, c in blocks]).tolist()
-    parts = [(slice(a, b), (len(r), len(c))) for a, b, (r, c) in zip(ends, ends[1:], blocks)]
+    ends = np.cumsum([0] + [len(r) ** 2 for r in row_sets]).tolist()
+    parts = [(slice(a, b), (len(r), len(r))) for a, b, r in zip(ends, ends[1:], row_sets)]
     for arr in (k_blocks, on_diag, diag_at):
         arr.flags.writeable = False
 
@@ -307,7 +307,7 @@ def c0_blocks(*row_sets):
     """``_block_gather`` of c0 = omega_c K8 + diag(g): its diagonal blocks
     at each row of a ``delta3_column``, built from blocks of K8 without
     forming c0."""
-    return _block_gather(_K8, lambda g: g, [(rows, rows) for rows in row_sets])
+    return _block_gather(_K8, lambda g: g, row_sets)
 
 
 def generate_single_atom_equations(params: AtomParams) -> SingleAtomSystem:
@@ -422,7 +422,7 @@ def _pair_diag(g: np.ndarray) -> np.ndarray:
 def a0_blocks(*row_sets):
     """``_block_gather`` of a0 = omega_c K36 + diag(g[l1] + g[l2]), as
     ``c0_blocks`` does for c0: no 36x36 a0 is formed."""
-    return _block_gather(_K36, _pair_diag, [(rows, rows) for rows in row_sets])
+    return _block_gather(_K36, _pair_diag, row_sets)
 
 
 def ladder_source(v4, sigma8) -> np.ndarray:

@@ -44,8 +44,7 @@ from .blochgen import (
     PAIR_LABELS,
     Q_LABELS,
     V_LABELS,
-    _block_gather,
-    _pair_diag,
+    a0_blocks,
     canonical_pair,
     generate_pair_equations,
     ladder_source,
@@ -89,11 +88,12 @@ _Q_IDX = np.array([PAIR_INDEX[lab] for lab in Q_LABELS])
 # -kdiag_m isolates k ss_m on the left
 _P_ROWSCALE = -1.0 / _KDIAG[_P_IDX]
 
-# a, b, c, d blocks of the P/Q partition: ap's and am's as constants, a0's
-# gathered from K36 in one call
+# a, b, c, d blocks of the P/Q partition: ap's and am's as constants; a0's
+# a and c gathered from K36, b and d (no diagonal entry) omega_c K36's
 _PQ_BLOCKS = ((_P_IDX, _P_IDX), (_P_IDX, _Q_IDX), (_Q_IDX, _Q_IDX), (_Q_IDX, _P_IDX))
 _PROBE_PQ_BLOCKS = tuple((_AP[np.ix_(*rc)], _AM[np.ix_(*rc)]) for rc in _PQ_BLOCKS)
-_A0_PQ_BLOCKS = _block_gather(_K36, _pair_diag, _PQ_BLOCKS)
+_A0_PQ_DIAG = a0_blocks(_P_IDX, _Q_IDX)
+_K36_PQ_OFF = (_K36[np.ix_(_P_IDX, _Q_IDX)], _K36[np.ix_(_Q_IDX, _P_IDX)])
 
 # positions of the feedback correlators ss_{a3,33} = V_a3 in the P block
 _FEEDBACK_COLS = tuple(
@@ -155,8 +155,9 @@ def regularize(params: AtomParams) -> AtomParams:
 def assemble_PQ(params, wp, wpc) -> PQSystem:
     """The P/Q block form of the pair system of ``params`` at (wp, wpc),
     and the pair source there; wp = wpc = a continues it to complex a.
-    Only a0 depends on ``params``; it is gathered from K36 (``blochgen``),
-    and every probe part is a read-only constant.
+    Only a0 depends on ``params``: its diagonal P and Q blocks are gathered
+    from K36 (``blochgen``), its off-diagonal ones are omega_c times
+    K36's, shared by a stack, and every probe part is a read-only constant.
 
     For a stack, ``params`` is a ``delta3_column``, and wp and wpc are
     arrays with one amplitude per row."""
@@ -172,7 +173,10 @@ def assemble_PQ(params, wp, wpc) -> PQSystem:
         out += wc * am
         return out
 
-    a, b, c, d = map(block, _PROBE_PQ_BLOCKS, _A0_PQ_BLOCKS(params))
+    a0, c0 = _A0_PQ_DIAG(params)
+    # + 0.0 as in the gather, which adds the zero off-diagonal of diag(g)
+    b0, d0 = (params.omega_c * k + 0.0 for k in _K36_PQ_OFF)
+    a, b, c, d = map(block, _PROBE_PQ_BLOCKS, (a0, b0, c0, d0))
     return PQSystem(
         params=params, a=_P_ROWSCALE[:, None] * a, b=_P_ROWSCALE[:, None] * b, c=c, d=d,
         pair_source=_SRC0 + w * _SRCP + wc * _SRCM,

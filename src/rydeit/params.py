@@ -33,6 +33,7 @@ __all__ = [
     "vdw_potential",
     "omega_c_for_state",
     "default_gamma23",
+    "blockade_radius",
 ]
 
 # Effective C6 values (gamma*um^6) for the nD_5/2 states, keyed by

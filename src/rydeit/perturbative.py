@@ -14,9 +14,9 @@ one stacked solve per probe order on the k = 0 blocks of the pair system,
 built from blocks of the generator's K36 (``blochgen.a0_blocks``), and
 turns the solutions into the kernels' rational coefficients (a cubic
 numerator over two quadratic determinants) with elementwise array
-arithmetic. ``_pole_sum`` integrates them: rows whose four poles are
-simple and distinct are summed in arrays, and a row with coincident poles
-takes the Laurent sum of ``_Ss1333Kernel.radial_integral``.
+arithmetic. ``_pole_sum`` integrates every row with one array formula,
+the divided difference of num F over the kernel's four poles, whether
+they are simple, coincident or nearly so.
 ``collisional_integral_V13_order3`` and ``chi3_interacting`` are the
 column of one row. Every parameter-free part (source terms, the order-2
 to order-3 coupling, the unit columns of the right-hand sides) is an
@@ -35,7 +35,6 @@ Omega_p^a (Omega_p*)^b is divided out.
 from __future__ import annotations
 
 import cmath
-import itertools
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -117,33 +116,6 @@ def F_lambda(lam, interaction: InteractionParams):
                                                                     "C6/lambda")
 
 
-# binom(-1/2, n): F^(n)(lambda) / n! = binom(-1/2, n) F(lambda) / lambda^n,
-# since F is proportional to lambda^(-1/2)
-_HALF_BINOM = (1.0, -0.5, 0.375, -0.3125)
-
-
-def _quadratic_roots(a1: complex, a2: complex) -> list:
-    """[(root, multiplicity)] of 1 + a1 k + a2 k^2, free of cancellation:
-    q = -(a1 +/- s)/2 with the sign that maximizes |q|, roots q/a2 and 1/q."""
-    if a2 == 0:
-        return [] if a1 == 0 else [(-1.0 / a1, 1)]
-    s = cmath.sqrt(a1 * a1 - 4.0 * a2)
-    if s == 0:  # the derivative a1 + 2 a2 k vanishes at the root
-        return [(-a1 / (2.0 * a2), 2)]
-    q = -0.5 * (a1 + s if abs(a1 + s) >= abs(a1 - s) else a1 - s)
-    return [(q / a2, 1), (1.0 / q, 1)]
-
-
-def _taylor_shift(coeffs: list, x: complex, n: int) -> list:
-    """The first n coefficients of p(x + t) in ascending powers of t
-    (repeated Horner); ``coeffs`` are those of p(k), ascending."""
-    c = list(coeffs)
-    for i in range(n):
-        for j in range(len(c) - 2, i - 1, -1):
-            c[j] += x * c[j + 1]
-    return c[:n]
-
-
 def _components(x) -> np.ndarray:
     """The components on the last axis of ``x`` as contiguous leading rows."""
     return np.array(np.moveaxis(np.asarray(x, dtype=complex), -1, 0))
@@ -158,9 +130,8 @@ class _Ss1333Kernel:
     powers of k; ``det2`` and ``det3`` hold (a1, a2) of 1 + a1 k + a2 k^2.
     The coefficients sit on the last axis, so a kernel is one row (shapes
     (4,), (2,), (2,)) or a column of them (a leading row axis); ``kernel[i]``
-    is row i. Every kernel, production, reference or synthetic, is built by
-    ``from_woodbury``; the pointwise ``__call__``, ``_poles`` and
-    ``radial_integral`` take one row.
+    is row i. Production and reference kernels are built by
+    ``from_woodbury``; the pointwise ``__call__`` takes one row.
     """
 
     num: np.ndarray
@@ -230,96 +201,68 @@ class _Ss1333Kernel:
         n0, n1, n2, n3 = self.num.tolist()
         return (n0 + k * (n1 + k * (n2 + k * n3))) / (det2 * det3)
 
-    def _poles(self) -> tuple:
-        """(lead, [[rho, m], ...]) with det2 det3 = lead prod (k - rho)^m.
-        A root shared by det2 and det3 is one pole of the summed order."""
-        lead = 1.0
-        poles: list = []
-        for a1, a2 in (self.det2.tolist(), self.det3.tolist()):
-            lead *= a2 if a2 != 0 else (a1 if a1 != 0 else 1.0)
-            for rho, m in _quadratic_roots(a1, a2):
-                shared = [pole for pole in poles if pole[0] == rho]
-                if shared:
-                    shared[0][1] += m
-                else:
-                    poles.append([rho, m])
-        return lead, poles
 
-    def radial_integral(self, interaction: InteractionParams) -> complex:
-        """eta Int d^3R k ss(k(R)) as a sum over the poles of ss.
-
-        ss = num / (det2 det3), a cubic over a quartic, so near a pole rho of
-        order m it is sum_j g_j (k - rho)^(j - m) plus a part regular at
-        rho, and eta Int d^3R k / (k - rho)^n = F^(n-1)(rho) / (n-1)!
-        turns each term into a closed form. A simple pole contributes
-        num(rho) / (det2 det3)'(rho) * F(rho); a double root or a root
-        shared by det2 and det3 adds the confluent F'(rho) term.
-        ``_pole_sum`` evaluates a column and leaves to this Laurent sum
-        only the rows whose poles are not four simple ones.
-        """
-        lead, poles = self._poles()
-        num = self.num.tolist()
-        total = 0j
-        for rho, m in poles:
-            # num and rest = det2 det3 / (k - rho)^m in powers of t = k - rho,
-            # both to order m - 1
-            p = _taylor_shift(num, rho, m)
-            rest = [lead] + [0.0] * (m - 1)
-            for other, m_other in poles:
-                for _ in range(m_other if other != rho else 0):
-                    # times (t + rho - other)
-                    rest = [r * (rho - other) + prev
-                            for r, prev in zip(rest, [0.0] + rest)]
-            # Laurent coefficients g = p / rest
-            g: list = []
-            for j in range(m):
-                g.append((p[j] - sum(rest[i] * g[j - i] for i in range(1, j + 1)))
-                         / rest[0])
-            f = F_lambda(rho, interaction)
-            total += sum(g[j] * _HALF_BINOM[m - 1 - j] * f / rho ** (m - 1 - j)
-                         for j in range(m))
-        return total
-
-
-def _roots(a1: np.ndarray, a2: np.ndarray, s: np.ndarray) -> tuple:
-    """``_quadratic_roots`` of 1 + a1 k + a2 k^2 along a column, where a2 and
-    s = sqrt(a1^2 - 4 a2) are nonzero."""
+def _roots(a1: np.ndarray, a2: np.ndarray) -> tuple:
+    """The roots of 1 + a1 k + a2 k^2 along a column, where a2 != 0, free of
+    cancellation: q = -(a1 +/- s)/2, s = sqrt(a1^2 - 4 a2), with the sign
+    that maximizes |q|, and the roots q/a2 and 1/q."""
+    s = np.sqrt(a1 * a1 - 4.0 * a2)
     plus, minus = a1 + s, a1 - s
     q = -0.5 * np.where(np.abs(plus) >= np.abs(minus), plus, minus)
     return q / a2, 1.0 / q
 
 
 def _pole_sum(kernel: _Ss1333Kernel, interaction: InteractionParams) -> np.ndarray:
-    """``radial_integral`` of every row of a kernel column, in arrays.
+    """eta Int d^3R k ss(k(R)) at every row of a kernel column: one
+    divided difference over the kernel's four poles rho_i.
 
-    Where det2 and det3 are quadratics with four distinct roots, each pole
-    rho is simple and contributes num(rho) / (lead prod (rho - other)) *
-    F(rho), evaluated for all such rows at once. A row with a double root,
-    a root shared by det2 and det3, a determinant of lower degree or a
-    non-finite root takes the Laurent sum of ``radial_integral``.
+    ss = num / (a2 b2 prod_i (k - rho_i)) and eta Int d^3R k / (k - rho) =
+    F(rho), so the integral is (num F)[rho0, ..., rho3] / (a2 b2). By
+    Leibniz's rule that is sum_j num[rho0..rho_j] F[rho_j..rho3], with the
+    poles in ascending |rho| (in another order the terms cancel). num's
+    divided differences are polynomials in the poles. F is proportional to
+    1/t, t = sqrt(sigma rho) with sigma = sign(C6) and Re t > 0 off the
+    branch cut, so F's are closed forms in the t_i free of cancellation:
+
+        F[rho2, rho3] = -sigma F(rho3) / (t2 (t2 + t3)),
+        F[rho1..rho3] = F(rho3) (t1 + t2 + t3)
+                        / (t1 t2 (t1 + t2) (t1 + t3) (t2 + t3)),
+        F[rho0..rho3] = -sigma F(rho3) (e1 e2 - e3)
+                        / (t0 t1 t2 prod_{i<j} (t_i + t_j)),
+
+    e_n the elementary symmetric sums of the four t_i. Simple, coincident
+    and nearly coincident poles take the same formula. A pole on the branch
+    cut raises ``BranchAmbiguityError`` (``F_lambda``); a determinant of
+    lower degree (a2 or b2 zero) raises ``SingularParameterError``, since
+    the radial integral then diverges at the core.
     """
     (a1, a2), (b1, b2) = kernel.det2.T, kernel.det3.T
-    with np.errstate(all="ignore"):  # rows that fail the mask below are unused
-        s2, s3 = np.sqrt(a1 * a1 - 4.0 * a2), np.sqrt(b1 * b1 - 4.0 * b2)
-        rho = np.stack([*_roots(a1, a2, s2), *_roots(b1, b2, s3)], axis=-1)
-    simple = (a2 != 0) & (b2 != 0) & (s2 != 0) & (s3 != 0) & np.isfinite(rho).all(-1)
-    for i, j in itertools.combinations(range(4), 2):
-        simple &= rho[:, i] != rho[:, j]
-    total = np.empty(len(rho), dtype=complex)
-    rows = np.flatnonzero(simple)
-    rho, lead = rho[rows], a2[rows] * b2[rows]
-    n0, n1, n2, n3 = (c[:, None] for c in kernel.num[rows].T)
-    residue = n0 + rho * (n1 + rho * (n2 + rho * n3))
-    for j in range(4):
-        rest = lead
-        for i in range(4):
-            if i != j:
-                rest = rest * (rho[:, j] - rho[:, i])
-        residue[:, j] /= rest
-    total[rows] = (residue * F_lambda(rho, interaction)).sum(axis=1)
-    for i in np.flatnonzero(~simple):
-        total[i] = kernel[i].radial_integral(interaction)
-    return total
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = np.stack([*_roots(a1, a2), *_roots(b1, b2)], axis=-1)
+    if not np.isfinite(rho).all():
+        raise SingularParameterError("the kernel's denominator has lower degree "
+                                     "(a2 b2 = 0): its radial integral diverges")
+    # ascending |rho|, by a sorting network (a first np.argsort costs more)
+    for i, j in ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)):
+        a, b = rho[:, i], rho[:, j]
+        swap = np.abs(a) > np.abs(b)
+        rho[:, i], rho[:, j] = np.where(swap, b, a), np.where(swap, a, b)
+    f3 = F_lambda(rho, interaction)[:, 3]  # at every pole, for the branch test
+    sigma = 1.0 if interaction.c6 > 0 else -1.0
+    t0, t1, t2, t3 = np.sqrt(sigma * rho).T
+    r0, r1, r2, _ = rho.T
+    n0, n1, n2, n3 = kernel.num.T
+    # e1 e2 - e3 = t0 u (t0 + u) + s123, u = t1 + t2 + t3
+    u, s23 = t1 + t2 + t3, t2 + t3
+    s123 = (t1 + t2) * (t1 + t3) * s23
+    total = (
+        (n0 + r0 * (n1 + r0 * (n2 + r0 * n3))) * -sigma * (t0 * u * (t0 + u) + s123)
+        / (t0 * t1 * t2 * (t0 + t1) * (t0 + t2) * (t0 + t3) * s123)
+        + (n1 + n2 * (r0 + r1) + n3 * (r0 * r0 + r0 * r1 + r1 * r1)) * u / (t1 * t2 * s123)
+        + (n2 + n3 * (r0 + r1 + r2)) * -sigma / (t2 * s23)
+        + n3
+    )
+    return f3 * total / (a2 * b2)
 
 
 def _checked_det(det: complex, order: int, k: float) -> complex:

@@ -3,6 +3,7 @@ import dataclasses
 import sys
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -44,7 +45,7 @@ from rydeit.perturbative import (
     _cascade_sources,
     _one_kernel,
     _pole_sum,
-    _quadratic_roots,
+    _roots,
     _ss1333_kernel,
     _Ss1333Kernel,
 )
@@ -414,8 +415,8 @@ class TestReferencesOffProductionPath:
                     monkeypatch.setattr(module, name, forbidden)
 
     @pytest.mark.parametrize("n,want", [
-        (50, 0.6262402430222824 - 0.023980372353187555j),
-        (61, 2.169429765835607 - 0.1250533971596909j),
+        (50, 0.6262402430222823 - 0.023980372353187694j),
+        (61, 2.1694297658356074 - 0.12505339715969072j),
     ])
     def test_collisional_integral(self, n, want):
         preset = StatePreset(n)
@@ -430,8 +431,8 @@ class TestReferencesOffProductionPath:
         row = compute_row(cfg, -0.35, 0.0)
         assert row.flag == ""
         assert (row.chi_re, row.chi_im) == (-0.07248976938805651, -0.028859309536835232)
-        assert (row.nb_re, row.nb_im) == (36.01205532820019, -115.02855587536703)
-        assert row.nb_tilde == -126.34686554958665
+        assert (row.nb_re, row.nb_im) == (36.012055328200226, -115.02855587536713)
+        assert row.nb_tilde == -126.34686554958672
 
 
 def _synthetic_kernel(d2, w2, d3, w3):
@@ -441,6 +442,44 @@ def _synthetic_kernel(d2, w2, d3, w3):
     )
 
 
+def _column(*kernels):
+    """The kernel column whose rows are ``kernels``."""
+    return _Ss1333Kernel(*(np.stack([getattr(k, f.name) for k in kernels])
+                           for f in dataclasses.fields(_Ss1333Kernel)))
+
+
+def _kernel_with_poles(roots2, roots3, num=(1.0, 2.0 + 0.5j, 0.3, 0.1j)):
+    """A column of one kernel num(k) / (det2 det3), each determinant
+    (1 - k/r_a)(1 - k/r_b) with the given roots."""
+    dets = [(-(1.0 / ra + 1.0 / rb), 1.0 / (ra * rb)) for ra, rb in (roots2, roots3)]
+    return _Ss1333Kernel(*(np.array([c], dtype=complex) for c in (num, *dets)))
+
+
+def _mp_pole_sum(kernel, interaction, dps):
+    """The residue sum of one kernel row, at ``dps`` digits: num(rho) /
+    (a2 b2 prod (rho - other)) F(rho) summed over the four poles of the
+    row's coefficients, which must be distinct at that precision."""
+    with mpmath.workdps(dps):
+        num = [mpmath.mpc(c) for c in kernel.num.tolist()]
+        poles, lead = [], 1
+        for a1, a2 in (kernel.det2.tolist(), kernel.det3.tolist()):
+            a1, a2 = mpmath.mpc(a1), mpmath.mpc(a2)
+            s = mpmath.sqrt(a1 * a1 - 4 * a2)
+            q = -(a1 + s) / 2 if abs(a1 + s) >= abs(a1 - s) else -(a1 - s) / 2
+            poles += [q / a2, 1 / q]
+            lead *= a2
+        scale = 2 * mpmath.pi**2 * mpmath.mpf(interaction.eta) / 3
+        total = 0
+        for i, rho in enumerate(poles):
+            rest = lead
+            for j, other in enumerate(poles):
+                if j != i:
+                    rest *= rho - other
+            value = num[0] + rho * (num[1] + rho * (num[2] + rho * num[3]))
+            total += value / rest * scale * mpmath.sqrt(mpmath.mpf(interaction.c6) / rho)
+        return complex(total)
+
+
 # (d, w) of a determinant (1 + d0 w00 k)(1 + d1 w11 k) - d0 d1 w01 w10 k^2:
 # roots 2 and 4, 2 and 8, a double root at 2 (all exact in binary), 3 and 5
 _ROOTS_2_4 = ((1.0, 1.0), (-0.5, 0.3, 0.0, -0.25))
@@ -448,9 +487,19 @@ _ROOTS_2_8 = ((1.0, 1.0), (-0.5, 0.2, 0.0, -0.125))
 _DOUBLE_2 = ((1.0, 1.0), (-0.5, 0.5, 0.0, -0.5))
 _ROOTS_3_5 = ((1.0, 1.0), (-0.2, 0.4, 0.0, -1.0 / 3.0))
 
+# a root shared by det2 and det3, a double root, and both at once, each
+# split by eps
+_Z = 2.0 + 1.0j
+_NEAR_COINCIDENT = {
+    "shared": lambda eps: ((_Z, 4.0), (_Z + eps, 8.0)),
+    "double": lambda eps: ((_Z, _Z + eps), (3.0, 5.0)),
+    "triple": lambda eps: ((_Z, _Z + eps), (_Z - 1j * eps, 8.0)),
+}
+
 
 class TestPoleSum:
-    """V13^(3) as a sum over the kernel poles against radial quadrature."""
+    """V13^(3) as a sum over the kernel poles against radial quadrature
+    and an mpmath residue sum."""
 
     def test_matches_quadrature_on_preset_grid(self):
         worst = 0.0
@@ -479,66 +528,115 @@ class TestPoleSum:
         got = collisional_integral_V13_order3(p, pc, inter)
         assert abs(got - want) <= 1e-11 * abs(want)
 
-    @pytest.mark.parametrize("det2,det3,orders", [
-        pytest.param(_DOUBLE_2, _ROOTS_3_5, [1, 1, 2], id="double-root-det2"),
-        pytest.param(_ROOTS_3_5, _DOUBLE_2, [1, 1, 2], id="double-root-det3"),
-        pytest.param(_ROOTS_2_4, _ROOTS_2_8, [1, 1, 2], id="shared-root"),
-        pytest.param(_DOUBLE_2, _ROOTS_2_8, [1, 3], id="double-and-shared"),
+    def test_matches_mpmath_on_preset_grid(self):
+        """4 presets x 81 delta3 x gamma33 in {0, 0.01} against a 40-digit
+        residue sum of the same coefficients. The median bound is the
+        median of the simple-pole residue sum in double precision on this
+        grid."""
+        errors = []
+        for n in (46, 50, 56, 61):
+            preset = StatePreset(n)
+            inter = InteractionParams(c6=preset.c6)
+            for gamma33 in (0.0, 0.01):
+                column = delta3_column(AtomParams(omega_c=preset.omega_c, gamma33=gamma33),
+                                       np.linspace(-2.0, 2.0, 81))
+                kernel = _ss1333_kernel(column, perturbative_column(column))
+                for i, got in enumerate(_pole_sum(kernel, inter)):
+                    want = _mp_pole_sum(kernel[i], inter, dps=40)
+                    errors.append(abs(got - want) / abs(want))
+        assert len(errors) == 648
+        assert np.median(errors) <= 6.364e-16
+        assert max(errors) <= 1e-14
+
+    @pytest.mark.parametrize("det2,det3,order", [
+        pytest.param(_DOUBLE_2, _ROOTS_3_5, 2, id="double-root-det2"),
+        pytest.param(_ROOTS_3_5, _DOUBLE_2, 2, id="double-root-det3"),
+        pytest.param(_ROOTS_2_4, _ROOTS_2_8, 2, id="shared-root"),
+        pytest.param(_DOUBLE_2, _ROOTS_2_8, 3, id="double-and-shared"),
     ])
-    def test_confluent_poles_match_quadrature(self, det2, det3, orders):
-        kernel = _synthetic_kernel(*det2, *det3)
-        assert sorted(m for _, m in kernel._poles()[1]) == orders
+    def test_confluent_poles_match_quadrature(self, det2, det3, order):
+        """The pole at k = 2 of the given order: ``_roots`` returns it that
+        many times, exactly equal."""
+        kernel = _column(_synthetic_kernel(*det2, *det3))
+        roots = np.concatenate([*_roots(*kernel.det2.T), *_roots(*kernel.det3.T)])
+        assert roots[np.abs(roots - 2.0) < 0.5].tolist() == [2.0] * order
         inter = InteractionParams(c6=5000.0)
-        want = vdw_k_integral(kernel, inter.c6, inter.eta, 2.0, rel_tol=1e-11).value
-        got = kernel.radial_integral(inter)
+        want = vdw_k_integral(kernel[0], inter.c6, inter.eta, 2.0, rel_tol=1e-11).value
+        got = _pole_sum(kernel, inter)[0]
         assert abs(got - want) <= 1e-9 * abs(want)
 
-    def test_column_matches_radial_integral(self):
-        """The stacked pole sum of a column that mixes generic and confluent
-        kernels gives each kernel's ``radial_integral``: the confluent rows
-        through that Laurent sum itself, the generic ones in arrays."""
-        generic = [_synthetic_kernel(*_ROOTS_2_4, *_ROOTS_3_5),
-                   _synthetic_kernel(*_ROOTS_3_5, *_ROOTS_2_8)]
-        confluent = [_synthetic_kernel(*_DOUBLE_2, *_ROOTS_3_5),
-                     _synthetic_kernel(*_ROOTS_3_5, *_DOUBLE_2),
-                     _synthetic_kernel(*_ROOTS_2_4, *_ROOTS_2_8),
-                     _synthetic_kernel(*_DOUBLE_2, *_ROOTS_2_8)]
+    def test_column_matches_quadrature(self):
+        """The stacked pole sum of a column that mixes generic, confluent
+        and production kernels gives each row's adaptive quadrature."""
+        synthetic = [_synthetic_kernel(*det2, *det3) for det2, det3 in (
+            (_ROOTS_2_4, _ROOTS_3_5), (_DOUBLE_2, _ROOTS_3_5), (_ROOTS_3_5, _DOUBLE_2),
+            (_ROOTS_3_5, _ROOTS_2_8), (_ROOTS_2_4, _ROOTS_2_8), (_DOUBLE_2, _ROOTS_2_8))]
         p = AtomParams(omega_c=StatePreset(50).omega_c)
         column = delta3_column(p, [-1.0, 0.5])
         production = _ss1333_kernel(column, perturbative_column(column))
-        kernels = [generic[0], *confluent[:2], production[0], generic[1],
-                   *confluent[2:], production[1]]
-        is_confluent = [any(k is c for c in confluent) for k in kernels]
-        stacked = _Ss1333Kernel(*(np.stack([getattr(k, f.name) for k in kernels])
-                                  for f in dataclasses.fields(_Ss1333Kernel)))
+        stacked = _column(*synthetic[:3], production[0], *synthetic[3:], production[1])
         for inter in (InteractionParams(c6=5000.0), InteractionParams(c6=36000.0, eta=0.1)):
             got = _pole_sum(stacked, inter)
-            for i, kernel in enumerate(kernels):
-                want = kernel.radial_integral(inter)
-                if is_confluent[i]:
-                    assert got[i] == want
-                else:
-                    assert abs(got[i] - want) <= 1e-13 * abs(want), i
+            for i in range(len(got)):
+                want = vdw_k_integral(stacked[i], inter.c6, inter.eta, 2.0,
+                                      rel_tol=1e-11).value
+                assert abs(got[i] - want) <= 1e-9 * abs(want), i
+
+    def test_shared_complex_root_matches_quadrature(self):
+        """det2 and det3 share the complex root 2 + i."""
+        kernel = _kernel_with_poles((_Z, 4.0), (_Z, 8.0))
+        want = vdw_k_integral(kernel[0], 5000.0, 0.04, 2.0, rel_tol=1e-11).value
+        assert abs(want - (-40.42778270662421 + 34.22436381317009j)) <= 1e-9 * abs(want)
+        got = _pole_sum(kernel, InteractionParams(c6=5000.0, eta=0.04))[0]
+        assert abs(got - want) <= 1e-9 * abs(want)
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-6, 1e-10, 1e-14])
+    @pytest.mark.parametrize("case", sorted(_NEAR_COINCIDENT))
+    def test_near_coincident_poles_match_mpmath(self, case, eps):
+        kernel = _kernel_with_poles(*_NEAR_COINCIDENT[case](eps))
+        inter = InteractionParams(c6=5000.0, eta=0.04)
+        want = _mp_pole_sum(kernel[0], inter, dps=60)
+        got = _pole_sum(kernel, inter)[0]
+        assert abs(got - want) <= 1e-14 * abs(want)
+
+    def test_wide_pole_spread_matches_mpmath(self):
+        """Poles of moduli about 1, 3, 5 and 1.4e8: the terms of the sum
+        cancel unless the poles are taken in ascending |rho|."""
+        kernel = _column(_synthetic_kernel(
+            (1.0, 1.0), (-0.5, 0.25, 1.0, -0.5 + 1e-8 * (1.0 + 1.0j)), *_ROOTS_3_5))
+        moduli = np.sort(np.abs([*_roots(*kernel.det2.T), *_roots(*kernel.det3.T)]).ravel())
+        assert moduli == pytest.approx([1.0, 3.0, 5.0, 1.4142e8], rel=1e-4)
+        inter = InteractionParams(c6=5000.0, eta=0.04)
+        want = _mp_pole_sum(kernel[0], inter, dps=60)
+        got = _pole_sum(kernel, inter)[0]
+        assert abs(got - want) <= 1e-14 * abs(want)
+
+    def test_denominator_of_lower_degree_raises(self):
+        """W2 singular makes det2 linear (a2 = 0): ss stays finite at the
+        core, where k ~ R^-6, so the radial integral diverges."""
+        kernel = _column(_synthetic_kernel((1.0, 1.0), (-0.5, 0.25, 1.0, -0.5), *_ROOTS_3_5))
+        assert kernel.det2[0, 1] == 0
+        with pytest.raises(SingularParameterError, match="lower degree"):
+            _pole_sum(kernel, InteractionParams(c6=5000.0))
 
     def test_pole_on_the_radial_path_raises_in_a_column(self):
         on_path = _synthetic_kernel((1.0, 1.0), (0.5, 0.3, 0.0, 0.25), *_ROOTS_2_8)
         generic = _synthetic_kernel(*_ROOTS_2_4, *_ROOTS_3_5)
-        stacked = _Ss1333Kernel(*(np.stack([getattr(k, f.name) for k in (generic, on_path)])
-                                  for f in dataclasses.fields(_Ss1333Kernel)))
         with pytest.raises(BranchAmbiguityError, match="C6/lambda"):
-            _pole_sum(stacked, InteractionParams(c6=5000.0))
+            _pole_sum(_column(generic, on_path), InteractionParams(c6=5000.0))
 
     def test_pole_on_the_radial_path_raises(self):
         # det2 = 1 + 0.75k + 0.125k^2: poles at k = -2, -4, where k(R) runs
-        kernel = _synthetic_kernel((1.0, 1.0), (0.5, 0.3, 0.0, 0.25), *_ROOTS_2_8)
+        kernel = _column(_synthetic_kernel((1.0, 1.0), (0.5, 0.3, 0.0, 0.25), *_ROOTS_2_8))
         with pytest.raises(BranchAmbiguityError):
-            kernel.radial_integral(InteractionParams(c6=5000.0))
+            _pole_sum(kernel, InteractionParams(c6=5000.0))
 
-    def test_quadratic_roots_are_free_of_cancellation(self):
+    def test_roots_are_free_of_cancellation(self):
         # 1 + 1e8 k + k^2: the small root -1e-8 would cancel in the textbook form
-        (small, _), (large, _) = sorted(_quadratic_roots(1e8, 1.0), key=lambda r: abs(r[0]))
-        assert small == pytest.approx(-1e-8, rel=1e-15)
-        assert large == pytest.approx(-1e8, rel=1e-15)
+        small, large = sorted(_roots(np.array([1e8 + 0j]), np.array([1.0 + 0j])),
+                              key=lambda r: abs(r[0]))
+        assert small[0] == pytest.approx(-1e-8, rel=1e-15)
+        assert large[0] == pytest.approx(-1e8, rel=1e-15)
 
 
 class TestNoQuadratureOnProductionPath:

@@ -563,7 +563,7 @@ def test_weak_probe_benchmark_job_passes_the_reference_check():
     assert attempted == 81
     assert failures == []
     assert _sha256(buf.getvalue()) == (
-        "78977bb802885bce341f654d349667e02f4e824476dc2b8bfc2fb644cf3c74d6")
+        "19d651ebd4e9a99ffcd672e02bdebfed6bcaa140398b1eac03a3bfee64244b8f")
 
 
 def test_sweep_benchmark_columns_pass_the_reference_check():
