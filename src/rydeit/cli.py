@@ -5,6 +5,7 @@ validation check failed, 2 on configuration errors.
 """
 from __future__ import annotations
 
+import io
 import json
 import sys
 
@@ -136,11 +137,17 @@ def scan(config_path, omega_p2, **overrides):
 @click.option("--tol", type=float, default=1e-10)
 def figure(name, out, tol):
     """Emit the CSV data behind one of the standard figures."""
+    buf = io.StringIO()  # written only once the presets accept tol
+    try:
+        flagged = run_figure(name, buf, tol=tol)
+    except ConfigError as exc:
+        click.echo(f"config error: {exc}", err=True)
+        sys.exit(2)
     if out:
         with open(out, "w") as f:
-            flagged = run_figure(name, f, tol=tol)
+            f.write(buf.getvalue())
     else:
-        flagged = run_figure(name, sys.stdout, tol=tol)
+        sys.stdout.write(buf.getvalue())
     sys.exit(1 if flagged else 0)
 
 

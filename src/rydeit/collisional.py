@@ -28,6 +28,7 @@ stack. ``solve_collisional_integrals`` is the column solve of one point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -57,7 +58,7 @@ from .noninteracting import (
     solve_single_system,
     unphysical,
 )
-from .params import AtomParams, InteractionParams, SingularParameterError, delta3_column
+from .params import AtomParams, InteractionParams, SingularParameterError, delta3_column, stacked
 from .perturbative import BranchAmbiguityError, F_lambda
 from .quadrature import vdw_k_integral
 
@@ -243,11 +244,10 @@ class FeedbackMap:
     f: np.ndarray
     lu: np.ndarray
 
-    def sigma(self, v4, rows=...) -> np.ndarray:
-        """``solve_sigma`` at this V, at the points ``rows`` of a stack
-        (default: all). A singular C raises; a stack is then solved point
-        by point (``solve_collisional_column``)."""
-        return solve_sigma(self.params, tuple(op[rows] for op in self.single), v4)
+    def sigma(self, v4) -> np.ndarray:
+        """``solve_sigma`` at this V, one row per point of a stack. A
+        singular C raises ``SingularParameterError``."""
+        return solve_sigma(self.params, self.single, v4)
 
     def rtilde(self, v4) -> np.ndarray:
         """Rtilde(V) = R + alpha Rn, the reduced source; the sources R, Rn
@@ -263,9 +263,11 @@ class FeedbackMap:
     def rows(self, idx) -> FeedbackMap:
         """The stacked map at ``idx`` (a slice, an index array, or one index)
         of its leading axis. Indexing the leading axis keeps each matrix's
-        memory order, which BLAS picks its kernel, and so its rounding, by."""
+        memory order, which BLAS picks its kernel, and so its rounding, by;
+        its params slice the parent's column, unvalidated."""
         return FeedbackMap(
-            params=delta3_column(self.params, self.params.delta3[idx]),
+            params=SimpleNamespace(
+                **{**vars(self.params), "delta3": np.atleast_1d(self.params.delta3[idx])}),
             single=tuple(op[idx] for op in self.single), pair_source=self.pair_source[idx],
             alpha=self.alpha[idx], u=self.u[idx], f=self.f[idx], lu=self.lu[idx])
 
@@ -321,6 +323,7 @@ _DAMPING = 0.5
 _MAX_ITER_PER_STAGE = 100
 _MIN_STEP = 1.0 / (8.0 * 50 * 50)  # of the target intensity
 _MAX_STAGES = 16 * 50
+_NEWTON_MAX_ITER = 50
 
 
 def _damped_iterate(g: FeedbackMap, v0, tol):
@@ -358,7 +361,7 @@ def _damped_iterate(g: FeedbackMap, v0, tol):
     return v, iters, resid, resid < tol
 
 
-def _newton(g, v0, max_iter, tol):
+def _newton(g, v0, tol):
     """Guarded Newton on the 8 real unknowns of V - G(V) = 0 of an
     unstacked G, FD Jacobian from one G call at the 8 perturbed vectors.
 
@@ -382,7 +385,7 @@ def _newton(g, v0, max_iter, tol):
 
     x = to_real(np.asarray(v0, dtype=complex))
     r = res(x)
-    for it in range(1, max_iter + 1):
+    for it in range(1, _NEWTON_MAX_ITER + 1):
         if not (np.isfinite(x).all() and np.isfinite(r).all()):
             return to_complex(x), it, np.inf, False
         scale = max(np.max(np.abs(x)), 1.0)
@@ -408,7 +411,7 @@ def _newton(g, v0, max_iter, tol):
             return to_complex(x), it, float(np.max(np.abs(r)) / scale), False
         x, r = xn, rn
     scale = max(np.max(np.abs(x)), 1.0)
-    return to_complex(x), max_iter, float(np.max(np.abs(r)) / scale), False
+    return to_complex(x), _NEWTON_MAX_ITER, float(np.max(np.abs(r)) / scale), False
 
 
 def _physical_roots(v, conv, g: FeedbackMap) -> np.ndarray:
@@ -416,20 +419,14 @@ def _physical_roots(v, conv, g: FeedbackMap) -> np.ndarray:
     physical branch at its stage of the stacked ``g``. That branch is
     conjugation-symmetric: V31 = conj(V13), V32 = conj(V23); spurious
     polynomial roots are not, and they typically reconstruct unphysical
-    populations. Only finite, symmetric rows enter the one σ solve; if it
-    fails, a stack raises (``_round`` goes point by point) and one point
-    is no root."""
+    populations. The σ solve takes V = 0 off the finite, symmetric rows; it
+    cannot raise, as the stage's first damped iteration solved σ with the
+    same C (whose singularity does not depend on V) at every row."""
     scale = np.maximum(np.abs(v).max(axis=-1), 1e-300)
     dev = np.maximum(np.abs(v[:, 1] - np.conj(v[:, 0])), np.abs(v[:, 3] - np.conj(v[:, 2])))
     ok = conv & np.isfinite(v).all(axis=-1) & ~(dev > np.maximum(1e-3 * scale, 1e-13))
-    at = np.flatnonzero(ok)
-    try:
-        ok[at] = ~unphysical(g.sigma(v[at], at), tol=1e-6).any(axis=-1)
-    except SingularParameterError:
-        if len(v) > 1:
-            raise
-        ok[:] = False
-    return ok
+    sigma = g.sigma(np.where(ok[:, None], v, 0))
+    return ok & ~unphysical(sigma, tol=1e-6).any(axis=-1)
 
 
 @dataclass
@@ -497,42 +494,40 @@ class _Continuation:
         )
 
 
-def _stage(conts: list, plans: list, interaction: InteractionParams, tol) -> tuple:
-    """Build the next stage of every continuation in ``conts`` at its
-    planned intensity as one stack, over the ``delta3_column`` of their
-    detunings, and run their damped iterations: the stacked G and the
-    damped arrays (v, iters, resid, converged)."""
+def _trial(conts: list, interaction: InteractionParams, tol) -> list:
+    """``advance``'s arguments for the next stage of each of ``conts``, from
+    one stacked trial that changes none of them: the stages at the planned
+    intensities over one ``delta3_column``, the damped iterations, Newton on
+    the rows where that failed, and the root test."""
+    plans = [cont.plan() for cont in conts]
     # amplitudes scale as sqrt(x), x the intensity fraction
     amps = [cont.params.omega_p * np.sqrt(x) for cont, (x, _) in zip(conts, plans)]
     g = feedback_map(delta3_column(conts[0].params, [cont.params.delta3 for cont in conts]),
                      np.array(amps, dtype=complex),
                      np.array([np.conj(a) for a in amps], dtype=complex), interaction)
-    return g, _damped_iterate(g, [v_pred for _, v_pred in plans], tol)
+    v, iters, resid, conv = _damped_iterate(g, [v_pred for _, v_pred in plans], tol)
+    its = [[int(it)] for it in iters]
+    for r in np.flatnonzero(~conv):
+        v[r], it, resid[r], conv[r] = _newton(g.rows(r), plans[r][1], tol)
+        its[r].append(it)
+    accepted = _physical_roots(v, conv, g)
+    return [(x, v[r], its[r], resid[r], accepted[r]) for r, (x, _) in enumerate(plans)]
 
 
 def _round(live: dict, interaction: InteractionParams, tol) -> dict:
     """Take every continuation of ``live`` (index: continuation) one stage
     further; returns the points that finished, each with its result or
-    typed error. A typed error before the step control changes no
-    continuation and sends the round point by point."""
-    order = list(live)
-    conts = [live[i] for i in order]
-    plans = [cont.plan() for cont in conts]
-    try:
-        g, (v, iters, resid, conv) = _stage(conts, plans, interaction, tol)
-        its = [[int(it)] for it in iters]
-        for r in np.flatnonzero(~conv):
-            v[r], it, resid[r], conv[r] = _newton(g.rows(r), plans[r][1], max_iter=50, tol=tol)
-            its[r].append(it)
-        accepted = _physical_roots(v, conv, g)
-    except _SOLVE_ERRORS as exc:
-        if len(order) == 1:
-            return {order[0]: exc}
-        return {j: out for i in order for j, out in _round({i: live[i]}, interaction, tol).items()}
+    typed error. A typed error in the stacked trial is each point's own
+    (``params.stacked``) and changes no continuation."""
+    trials = stacked(lambda conts: _trial(conts, interaction, tol), list(live.values()),
+                     _SOLVE_ERRORS)
     finished = {}
-    for r, (i, cont) in enumerate(zip(order, conts)):
+    for (i, cont), trial in zip(live.items(), trials):
+        if isinstance(trial, Exception):
+            finished[i] = trial
+            continue
         try:
-            cont.advance(plans[r][0], v[r], its[r], resid[r], accepted[r])
+            cont.advance(*trial)
             if not cont.running:
                 finished[i] = cont.result()
         except ConvergenceError as exc:
@@ -553,11 +548,11 @@ def solve_collisional_column(points, interaction: InteractionParams,
     A round takes every unfinished point one stage further. It builds their
     stage operators as one stack and runs their damped iterations with one
     stacked G per iteration (``_damped_iterate``), runs Newton on the rows
-    where that failed and one stacked root test. A typed error in a stacked
-    step sends the round to point-by-point evaluation, so only the failing
-    point fails, with its own error. Every stage is built over one
-    ``delta3_column``, so the points may differ only in omega_p and delta3;
-    other differences raise ``ValueError``.
+    where that failed and one stacked root test. A typed error in that
+    stacked trial sends the round point by point (``params.stacked``), so
+    only the failing point fails, with its own error. Every stage is built
+    over one ``delta3_column``, so the points may differ only in omega_p
+    and delta3; other differences raise ``ValueError``.
     """
     shared = [{**vars(params), "omega_p": 0, "delta3": 0} for params in points]
     if any(fields != shared[0] for fields in shared):

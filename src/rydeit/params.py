@@ -28,6 +28,7 @@ __all__ = [
     "C6_PRESETS",
     "relaxation_constants",
     "delta3_column",
+    "stacked",
     "effective_T",
     "effective_T_dispersive",
     "vdw_potential",
@@ -189,6 +190,19 @@ def delta3_column(params: AtomParams, delta3=None) -> SimpleNamespace:
     if d3.ndim != 1 or not np.isfinite(d3).all():
         raise ValueError("delta3 must be a 1-d sequence of finite numbers")
     return SimpleNamespace(**{**vars(params), "delta3": d3})
+
+
+def stacked(evaluate, items: list, errors: tuple) -> list:
+    """``evaluate(items)``: one value per item, from one stacked evaluation.
+    If that raises one of ``errors``, a list of one takes the error as its
+    value, and a longer one is evaluated item by item, so each failing item
+    gets the error it gets alone (a scan's columns, each lockstep round)."""
+    try:
+        return evaluate(items)
+    except errors as exc:
+        if len(items) == 1:
+            return [exc]
+        return [stacked(evaluate, [item], errors)[0] for item in items]
 
 
 def relaxation_constants(params: AtomParams) -> RelaxationConstants:

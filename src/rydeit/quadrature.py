@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 _U_CUT = 400.0  # |k(U)| / k_scale = 6e-6: quadratic tail truncation ~ 1e-11
+_U_CORE = 1e-4  # the core plateau is checked from here to 1e-3 of it
 
 
 class QuadratureError(RuntimeError):
@@ -68,7 +69,10 @@ def vdw_k_integral(fn, c6: float, eta: float, k_scale: float,
     """eta * Int d^3R k(R) fn(k(R)) by adaptive Gauss-Kronrod quadrature.
 
     ``k_scale`` sets the interaction strength at the blockade radius
-    (typically |T| or |lambda|); it only conditions the substitution.
+    (typically |T| or |lambda|); it only conditions the substitution. An
+    integrand k fn(k) that grows by more than 100 from u = 1e-4 to 1e-7
+    does not plateau at the core: the integral diverges, and
+    ``QuadratureError`` is raised.
     """
     from scipy import integrate
 
@@ -88,6 +92,13 @@ def vdw_k_integral(fn, c6: float, eta: float, k_scale: float,
             cache[u] = k * fn(k)
         return cache[u]
 
+    # f bounded at the core makes k f(k) plateau as u -> 0; if it still
+    # grows, the integral diverges there, whatever quad reports
+    core, inner = abs(integrand(_U_CORE)), abs(integrand(_U_CORE * 1e-3))
+    if not inner <= 100.0 * core:
+        raise QuadratureError(f"integrand does not plateau at the blockade core: |k f(k)| = "
+                              f"{core:.3g} at u = {_U_CORE:g}, {inner:.3g} at u = "
+                              f"{_U_CORE * 1e-3:g}; the integral diverges")
     nodes = 0
     parts = []
     errs = []

@@ -54,6 +54,7 @@ from .params import (
     StatePreset,
     delta3_column,
     relaxation_constants,
+    stacked,
 )
 from .perturbative import chi3_interacting, collisional_integral_V13_column
 
@@ -262,19 +263,6 @@ class ScanResultRow:
         return [f.name for f in fields(cls)]
 
 
-def _stacked(evaluate, items: list) -> list:
-    """``evaluate(items)``: one value per item, from one stacked evaluation.
-    If that raises a point error, a column of one takes the error as its
-    value, and a longer one is evaluated item by item, so each failing item
-    gets the error it gets alone."""
-    try:
-        return evaluate(items)
-    except _POINT_ERRORS as exc:
-        if len(items) == 1:
-            return [exc]
-        return [_stacked(evaluate, [item])[0] for item in items]
-
-
 def _weak_probe_values(params: AtomParams, interaction: InteractionParams,
                        delta3s: list[float]) -> list:
     """The ``ObservableSet`` at each zero-probe point (delta3, 0) of the
@@ -316,19 +304,20 @@ def _solve_points(config: ScanConfig, points: list[tuple[float, float]]) -> list
     delta3-independent fields. The finite-probe points are solved in
     lockstep (``solve_collisional_column``), then their single-atom states
     as one column (``_finite_probe_values``). Each column is one stacked
-    evaluation (``_stacked``)."""
+    evaluation, else point by point on a point error (``params.stacked``)."""
     zero = [d3 for d3, wp2 in points if wp2 == 0.0]
     finite = [config.point_params(d3, wp2) for d3, wp2 in points if wp2 != 0.0]
     if zero:
         params, interaction = config.point_params(zero[0], 0.0)
         evaluate = functools.partial(_weak_probe_values, params, interaction)
-        zero = [(params, interaction, values) for values in _stacked(evaluate, zero)]
+        zero = [(params, interaction, values)
+                for values in stacked(evaluate, zero, _POINT_ERRORS)]
     if finite:
         interaction = finite[0][1]
         atoms = [p for p, _ in finite]
         solved = solve_collisional_column(atoms, interaction, tol=config.tol)
         ok = [(p, v) for p, v in zip(atoms, solved) if isinstance(v, CollisionalIntegrals)]
-        states = iter(_stacked(_finite_probe_values, ok) if ok else [])
+        states = iter(stacked(_finite_probe_values, ok, _POINT_ERRORS) if ok else [])
         finite = [(p, interaction, v if isinstance(v, Exception) else next(states))
                   for p, v in zip(atoms, solved)]
     zero, finite = iter(zero), iter(finite)

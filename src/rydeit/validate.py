@@ -224,7 +224,7 @@ def _solver_contour(p, interaction):
         for _ in range(sub):
             a_now *= step
             g = feedback_map(p_reg, a_now, a_now, interaction)
-            v = _newton(g, v, 50, tol)[0]
+            v = _newton(g, v, tol)[0]
         return [v[0], SingleAtomState(values=g.sigma(v)).sigma12]
 
     c, wrong = _contour_coefficients(f, (3, 1), r, nodes)

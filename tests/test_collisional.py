@@ -210,9 +210,9 @@ class TestNonlinearSolve:
         p = AtomParams(omega_p=0.05, omega_c=preset50.omega_c)
         g = _g(regularize(p), inter)
         v0 = solve_collisional_integrals(p, inter).v4
-        root, _, _, conv = _newton(g, v0, 50, 1e-14 * np.max(np.abs(v0)))
+        root, _, _, conv = _newton(g, v0, 1e-14 * np.max(np.abs(v0)))
         assert conv
-        v, _, _, conv = _newton(g, root * (1.0 + 1e-3), 50, 1e-10)
+        v, _, _, conv = _newton(g, root * (1.0 + 1e-3), 1e-10)
         assert conv
         assert np.max(np.abs(v - root)) <= 1e-10 * np.max(np.abs(root))
 
@@ -223,7 +223,7 @@ class TestNonlinearSolve:
         error here) or its scale max(max|V|, 1) turns inf."""
         p = AtomParams(omega_p=np.sqrt(0.3), omega_c=preset50.omega_c)
         g = _g(regularize(p), InteractionParams(c6=preset50.c6))
-        v, its, resid, conv = _newton(g, [start, start, 0, 0], 50, 1e-10)
+        v, its, resid, conv = _newton(g, [start, start, 0, 0], 1e-10)
         assert (its, resid, conv) == (1, np.inf, False)
         assert np.array_equal(v, [start, start, 0, 0], equal_nan=True)
 
@@ -327,6 +327,23 @@ class TestLockstepColumn:
         got = [_outcome(r) for r in solve_collisional_column(points, inter)]
         assert got == [want[0], ("SingularParameterError", "injected"), want[2]]
 
+    @pytest.mark.parametrize("idx", [slice(1, 4), np.array([4, 0, 2]), 3],
+                             ids=["slice", "index-array", "int"])
+    def test_view_params_slice_the_column(self, idx):
+        """A view's params are the parent column's at ``idx``: the fields
+        and the delta3 values, dtype and shape that ``delta3_column`` of
+        those detunings gives."""
+        points, inter = _column(50, 1.0 / 3.0, [0.1, 0.2, 0.3, 0.4, 0.5], gamma33=0.01)
+        d3s = [-0.5, 0.1, 1.0 / 3.0, 0.7, 1.3]
+        column = delta3_column(points[0], d3s)
+        amps = np.array([p.omega_p for p in points], dtype=complex)
+        view = feedback_map(column, amps, amps.conj(), inter).rows(idx).params
+        want = delta3_column(points[0], np.array(d3s)[idx])
+        assert vars(view).keys() == vars(want).keys()
+        assert all(getattr(view, k) == getattr(want, k) for k in vars(want) if k != "delta3")
+        assert view.delta3.dtype == want.delta3.dtype and view.delta3.shape == want.delta3.shape
+        assert np.array_equal(view.delta3, want.delta3)
+
     def test_stacked_root_test_matches_rows_alone(self):
         """The root test of a stack gives each row what it gives that row
         alone: a non-finite V is no root and never enters the σ solve (whose
@@ -346,25 +363,36 @@ class TestLockstepColumn:
                      for r in range(5)]
         assert got.tolist() == alone == [True, False, False, False, True]
 
-    def test_root_test_error_is_evaluated_point_by_point(self, monkeypatch):
-        """A typed error in the stacked root test's solve sends the round
-        point by point. Alone, the point whose solve fails finds no root, so
-        its step halves until it stalls; the other points are as alone."""
-        sigma = collisional.FeedbackMap.sigma
+    def test_singular_c_fails_in_its_stage_never_in_the_root_test(self, monkeypatch):
+        """A singular single-atom C raises in the stage's first damped
+        iteration, which solves sigma at every row with the C the root test
+        uses, so the root test's solve cannot raise: the point fails in its
+        stage with the error it gets alone, the root test never sees its
+        row, and the other points are as alone."""
+        solve, bad = noninteracting.solve_sigma, 0.5
         points, inter = _column(50, 1.0 / 3.0, [0.1, 0.2, 0.3])
-        points[1] = replace(points[1], delta3=0.5)  # the detuning the failure keys on
+        points[1] = replace(points[1], delta3=bad)  # the detuning the singular C keys on
 
-        def failing(g, v, rows=...):
-            if rows is not ... and points[1].delta3 in g.params.delta3[rows]:
-                raise SingularParameterError("injected")
-            return sigma(g, v, rows)
+        def singular_c(params, operands, v4):
+            mat, rhs = operands
+            return solve(params, (np.where((params.delta3 == bad)[:, None, None], 0.0, mat), rhs),
+                         v4)
 
+        roots, seen = collisional._physical_roots, []
+
+        def root_test(v, conv, g):
+            seen.extend(g.params.delta3.tolist())
+            return roots(v, conv, g)
+
+        monkeypatch.setattr(collisional, "solve_sigma", singular_c)
+        monkeypatch.setattr(collisional, "_physical_roots", root_test)
         want = [_outcome(_alone(p, inter)) for p in points]
-        monkeypatch.setattr(collisional.FeedbackMap, "sigma", failing)
-        stalled = _outcome(_alone(points[1], inter))
-        assert stalled[0] == "ConvergenceError" and "stalled" in stalled[1]
+        assert want[1][0] == "SingularParameterError"
+        assert "singular single-atom system" in want[1][1] and "delta3=0.5" in want[1][1]
+        seen.clear()
         got = [_outcome(r) for r in solve_collisional_column(points, inter)]
-        assert got == [want[0], stalled, want[2]]
+        assert got == want
+        assert seen and bad not in seen
 
     @pytest.mark.parametrize("gamma33", [0.0, 0.01])
     def test_points_at_distinct_detunings_match_points_alone(self, gamma33):
@@ -430,14 +458,9 @@ class TestLockstepColumn:
         call = collisional.FeedbackMap.__call__
         monkeypatch.setattr(collisional.FeedbackMap, "__call__",
                             lambda g, v: calls.append(len(v)) or call(g, v))
-        sigma, root_tests = collisional.FeedbackMap.sigma, []
-
-        def counted_sigma(g, v, rows=...):
-            if rows is not ...:  # the root test's solve, at its rows
-                root_tests.append(len(v))
-            return sigma(g, v, rows)
-
-        monkeypatch.setattr(collisional.FeedbackMap, "sigma", counted_sigma)
+        unphysical, root_tests = collisional.unphysical, []
+        monkeypatch.setattr(collisional, "unphysical",  # the root test's, on its sigma
+                            lambda s, tol: root_tests.append(len(s)) or unphysical(s, tol))
         results = solve_collisional_column(
             *_column(50, 1.0 / 3.0, np.linspace(0.0, 0.5, count + 1)[1:]))
         assert len(generations) == 0

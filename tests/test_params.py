@@ -17,9 +17,11 @@ from rydeit import (
     relaxation_constants,
 )
 from rydeit.params import (
+    SingularParameterError,
     default_gamma23,
     effective_T_dispersive,
     omega_c_for_state,
+    stacked,
     vdw_potential,
 )
 
@@ -210,3 +212,37 @@ class TestPotentialAndBlockade:
         assert math.isclose(
             abs(vdw_potential(rb, c6)), abs(effective_T(p)), rel_tol=1e-9
         )
+
+
+class TestStacked:
+    """stacked(evaluate, items, errors): one stacked evaluation, else each
+    item alone, so a failing item gets the error it gets alone."""
+
+    @staticmethod
+    def _evaluate(items):
+        """Squares each item; a stack holding 3 raises, naming its size."""
+        if 3 in items:
+            raise SingularParameterError(f"3 in a stack of {len(items)}")
+        return [x * x for x in items]
+
+    def test_a_list_of_one_takes_the_error(self):
+        (got,) = stacked(self._evaluate, [3], (SingularParameterError,))
+        assert isinstance(got, SingularParameterError)
+        assert str(got) == "3 in a stack of 1"
+
+    def test_the_failing_item_gets_its_alone_error(self):
+        calls = []
+
+        def evaluate(items):
+            calls.append(list(items))
+            return self._evaluate(items)
+
+        got = stacked(evaluate, [2, 3, 4], (ValueError,))
+        assert got[0] == 4 and got[2] == 16
+        assert isinstance(got[1], SingularParameterError)
+        assert str(got[1]) == "3 in a stack of 1"
+        assert calls == [[2, 3, 4], [2], [3], [4]]
+
+    def test_an_error_not_listed_propagates(self):
+        with pytest.raises(SingularParameterError, match="stack of 3"):
+            stacked(self._evaluate, [2, 3, 4], (TypeError, ArithmeticError))

@@ -49,7 +49,7 @@ from rydeit.perturbative import (
     _ss1333_kernel,
     _Ss1333Kernel,
 )
-from rydeit.quadrature import vdw_k_integral, vdw_k_integral_reference
+from rydeit.quadrature import QuadratureError, vdw_k_integral, vdw_k_integral_reference
 from rydeit.scan import ScanConfig, compute_row, run_scan
 from test_blochgen import _PRESET_GRID, _random_params
 
@@ -618,6 +618,14 @@ class TestPoleSum:
         assert kernel.det2[0, 1] == 0
         with pytest.raises(SingularParameterError, match="lower degree"):
             _pole_sum(kernel, InteractionParams(c6=5000.0))
+
+    def test_quadrature_of_the_lower_degree_kernel_raises(self):
+        """The adaptive quadrature does not report that divergent integral as
+        converged: k ss grows from 1.24e9 to 1.24e15 between u = 1e-4 and
+        u = 1e-7."""
+        kernel = _column(_synthetic_kernel((1.0, 1.0), (-0.5, 0.25, 1.0, -0.5), *_ROOTS_3_5))
+        with pytest.raises(QuadratureError, match="does not plateau"):
+            vdw_k_integral(kernel[0], 5000.0, 0.04, 2.0)
 
     def test_pole_on_the_radial_path_raises_in_a_column(self):
         on_path = _synthetic_kernel((1.0, 1.0), (0.5, 0.3, 0.0, 0.25), *_ROOTS_2_8)

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from rydeit.quadrature import vdw_k_integral
+from rydeit.quadrature import QuadratureError, vdw_k_integral
 
 ETA = 0.04
 C6 = 5000.0
@@ -43,3 +43,8 @@ class TestAdaptiveQuadrature:
         b = vdw_k_integral(lambda k: 1.0 / (k - lam), C6, ETA, 30.0).value
         assert a == pytest.approx(b, rel=1e-7)
 
+
+    def test_integrand_without_core_plateau_raises(self):
+        """fn = 1 leaves k fn(k) ~ u^-2 at the core: the integral diverges."""
+        with pytest.raises(QuadratureError, match="does not plateau"):
+            vdw_k_integral(lambda k: 1.0 + 0j, C6, ETA, 1.0)

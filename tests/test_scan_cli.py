@@ -492,6 +492,16 @@ class TestCli:
         res = CliRunner().invoke(main, ["figure", "fig9"])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("tol, error", [("-1", "tol must be positive"),
+                                            ("nan", "tol must be finite")])
+    def test_figure_with_invalid_tol_exits_2(self, tmp_path, tol, error):
+        out = tmp_path / "fig.csv"
+        res = CliRunner().invoke(main, ["figure", "fig2", "--tol", tol, "--out", str(out)])
+        assert res.exit_code == 2
+        assert f"config error: {error}" in res.output
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert not out.exists()
+
     @pytest.mark.parametrize("args", [["figure", "fig4"],
                                       ["point", "--state", "50"]],
                              ids=["figure", "point"])
