@@ -38,10 +38,18 @@ where K8 and K36 are the generic commutator loop (``_single_matrices``,
 all other parts are derived from that loop once, at import, and are
 read-only; the loop stays as the test reference, to which the closed form
 is byte-identical.
+
+``_block_gather`` is the one place that forms c0 and a0. Production
+gathers only the blocks it reads (``c0_blocks``/``a0_blocks``); the
+references and the equation dump take the full matrices from the same
+gather (``c0_matrix``/``a0_matrix``) and add the shared parts themselves,
+C = c0 + wp _CP + wpc _CM and A = a0 + wp _AP + wpc _AM, with the sources
+_S0 + wp _SP + wpc _SM and _SRC0 + wp _SRCP + wpc _SRCM, the feedback
+coupling ``_V_COUPLING``, the interaction diagonal ``_KDIAG`` and the
+ladder terms ``_LADDER``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -55,13 +63,10 @@ __all__ = [
     "PAIR_INDEX",
     "V_LABELS",
     "V_INDEX",
-    "SingleAtomSystem",
-    "PairSystem",
     "GeneratorError",
-    "generate_single_atom_equations",
-    "generate_pair_equations",
+    "c0_matrix",
+    "a0_matrix",
     "ladder_source",
-    "classify_PQ",
     "P_LABELS",
     "Q_LABELS",
     "grade_order",
@@ -217,7 +222,8 @@ def _minus_gamma(p: AtomParams) -> np.ndarray:
 def _block_gather(k: np.ndarray, diag_of, row_sets):
     """A function of a ``delta3_column`` that returns the diagonal blocks
     (rows, rows) of omega_c k + diag(diag_of(g)), g = ``_minus_gamma``, one
-    (n, len(rows), len(rows)) array per index array in ``row_sets``. The
+    (n, len(rows), len(rows)) array per index array in ``row_sets`` (an
+    ``AtomParams`` gives them without the row axis). The
     positions are worked out here, once; each call does the same
     elementwise sums as building the full matrix, so it gives the same
     bytes. Only the diagonal entries differ between rows of a column."""
@@ -246,30 +252,6 @@ def _block_gather(k: np.ndarray, diag_of, row_sets):
 # ---------------------------------------------------------------------------
 # single-atom system
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SingleAtomSystem:
-    """Steady-state structure 0 = C sigma + S + B V for the 8 averages.
-
-    C(wp, wpc) = c0 + wp*cp + wpc*cm, likewise S; B couples the four
-    collisional integrals (V13, V31, V23, V32) into the coherence equations.
-    """
-
-    labels: tuple
-    c0: np.ndarray
-    cp: np.ndarray
-    cm: np.ndarray
-    s0: np.ndarray
-    sp: np.ndarray
-    sm: np.ndarray
-    v_coupling: np.ndarray
-
-    def matrix(self, wp: complex, wpc: complex) -> np.ndarray:
-        return self.c0 + wp * self.cp + wpc * self.cm
-
-    def source(self, wp: complex, wpc: complex) -> np.ndarray:
-        return self.s0 + wp * self.sp + wpc * self.sm
-
 
 def _single_matrices(wp, wpc, p: AtomParams):
     c = np.zeros((8, 8), dtype=complex)
@@ -310,49 +292,17 @@ def c0_blocks(*row_sets):
     return _block_gather(_K8, lambda g: g, row_sets)
 
 
-def generate_single_atom_equations(params: AtomParams) -> SingleAtomSystem:
-    """Generate the 8 steady-state Bloch equations (sigma_11 eliminated).
+_C0 = c0_blocks(np.arange(len(SINGLE_LABELS)))
 
-    Only c0 = omega_c K8 + diag(-Gamma) depends on the parameters; all other
-    parts are shared read-only constants (see the module docstring)."""
-    return SingleAtomSystem(
-        labels=SINGLE_LABELS,
-        c0=params.omega_c * _K8 + np.diag(_minus_gamma(params)),
-        cp=_CP, cm=_CM, s0=_S0, sp=_SP, sm=_SM,
-        v_coupling=_V_COUPLING,
-    )
+
+def c0_matrix(params) -> np.ndarray:
+    """The full 8x8 c0 of ``params`` (with a leading row axis along a ``delta3_column``)."""
+    return _C0(params)[0]
 
 
 # ---------------------------------------------------------------------------
 # two-atom correlator system
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PairSystem:
-    """Steady-state structure of the 36 two-body correlator equations:
-
-        0 = [A(wp, wpc) + k * diag(kdiag)] ss + Ssrc(wp, wpc) sigma + ladder(V, sigma)
-
-    ``ladder`` rows are (row, v_index, single_index, coeff): the ladder
-    closure source coeff * V[v_index] * sigma[single_index].
-    """
-
-    pair_labels: tuple
-    a0: np.ndarray
-    ap: np.ndarray
-    am: np.ndarray
-    src0: np.ndarray
-    srcp: np.ndarray
-    srcm: np.ndarray
-    kdiag: np.ndarray
-    ladder: tuple
-
-    def matrix(self, wp: complex, wpc: complex) -> np.ndarray:
-        return self.a0 + wp * self.ap + wpc * self.am
-
-    def single_source_matrix(self, wp: complex, wpc: complex) -> np.ndarray:
-        return self.src0 + wp * self.srcp + wpc * self.srcm
-
 
 def _pair_matrices(wp, wpc, p: AtomParams):
     a = np.zeros((36, 36), dtype=complex)
@@ -425,10 +375,18 @@ def a0_blocks(*row_sets):
     return _block_gather(_K36, _pair_diag, row_sets)
 
 
+_A0 = a0_blocks(np.arange(len(PAIR_LABELS)))
+
+
+def a0_matrix(params) -> np.ndarray:
+    """The full 36x36 a0 of ``params``, as ``c0_matrix`` gives c0."""
+    return _A0(params)[0]
+
+
 def ladder_source(v4, sigma8) -> np.ndarray:
     """The ladder closure sources of the 36 pair rows: for each row, the
-    sum of its terms coeff * V[v_index] * sigma[single_index] (``ladder``
-    of ``PairSystem``). Broadcasts over leading axes of ``v4`` and
+    sum of its terms coeff * V[v_index] * sigma[single_index] (the
+    ``_LADDER`` rows). Broadcasts over leading axes of ``v4`` and
     ``sigma8``, one point per index.
 
     Each value is the one Python's complex arithmetic gives, terms taken
@@ -451,20 +409,6 @@ def ladder_source(v4, sigma8) -> np.ndarray:
     return out
 
 
-def generate_pair_equations(params: AtomParams) -> PairSystem:
-    """Generate the 36 two-body correlator equations (ladder source
-    V_{a3} * sigma_mn). Only a0 = omega_c K36 + diag(-Gamma_l1 - Gamma_l2)
-    depends on the parameters; all other parts, ``kdiag`` and ``ladder``
-    among them, are shared read-only constants."""
-    return PairSystem(
-        pair_labels=PAIR_LABELS,
-        a0=params.omega_c * _K36 + np.diag(_pair_diag(_minus_gamma(params))),
-        ap=_AP, am=_AM,
-        src0=_SRC0, srcp=_SRCP, srcm=_SRCM,
-        kdiag=_KDIAG, ladder=_LADDER,
-    )
-
-
 def _split_pq(pair_labels, kdiag):
     p_labels = tuple(lab for lab, kd in zip(pair_labels, kdiag) if kd != 0)
     q_labels = tuple(lab for lab, kd in zip(pair_labels, kdiag) if kd == 0)
@@ -475,13 +419,8 @@ def _split_pq(pair_labels, kdiag):
     return p_labels, q_labels
 
 
-def classify_PQ(system: PairSystem):
-    """Split the pair basis into P (diagonal k term present) and Q labels."""
-    return _split_pq(system.pair_labels, system.kdiag)
-
-
 # The diagonal interaction term is structural (no parameter enters it), so
-# the P/Q partition is the same for every generated pair system.
+# the P/Q partition is the same at every parameter set.
 P_LABELS, Q_LABELS = _split_pq(PAIR_LABELS, _KDIAG)
 
 
@@ -510,37 +449,37 @@ def dump_equations(params: AtomParams, which: str = "pair") -> str:
     """Render the generated equations as text (Wp = Omega_p, Wp' = conj)."""
     lines = []
     if which in ("single", "both"):
-        ss = generate_single_atom_equations(params)
+        c0 = c0_matrix(params)
         lines.append("# single-atom steady-state equations (d/dt = 0)")
-        for r, lab in enumerate(ss.labels):
+        for r, lab in enumerate(SINGLE_LABELS):
             terms = []
-            for c, col in enumerate(ss.labels):
-                f = _fmt_coeff(ss.c0[r, c], ss.cp[r, c], ss.cm[r, c])
+            for c, col in enumerate(SINGLE_LABELS):
+                f = _fmt_coeff(c0[r, c], _CP[r, c], _CM[r, c])
                 if f:
                     terms.append(f"{f}*{_fmt_label(col)}")
-            f = _fmt_coeff(ss.s0[r], ss.sp[r], ss.sm[r])
+            f = _fmt_coeff(_S0[r], _SP[r], _SM[r])
             if f:
                 terms.append(f)
             for vi, vlab in enumerate(V_LABELS):
-                if ss.v_coupling[r, vi] != 0:
-                    terms.append(f"({ss.v_coupling[r, vi]:.6g})*V[%d%d]" % vlab)
+                if _V_COUPLING[r, vi] != 0:
+                    terms.append(f"({_V_COUPLING[r, vi]:.6g})*V[%d%d]" % vlab)
             lines.append(f"0 = d{_fmt_label(lab)}/dt = " + " + ".join(terms))
     if which in ("pair", "both"):
-        ps = generate_pair_equations(params)
+        a0 = a0_matrix(params)
         lines.append("# two-body correlator steady-state equations (d/dt = 0)")
-        for r, lab in enumerate(ps.pair_labels):
+        for r, lab in enumerate(PAIR_LABELS):
             terms = []
-            if ps.kdiag[r] != 0:
-                terms.append(f"({ps.kdiag[r]:.6g})*k*{_fmt_label(lab)}")
-            for c, col in enumerate(ps.pair_labels):
-                f = _fmt_coeff(ps.a0[r, c], ps.ap[r, c], ps.am[r, c])
+            if _KDIAG[r] != 0:
+                terms.append(f"({_KDIAG[r]:.6g})*k*{_fmt_label(lab)}")
+            for c, col in enumerate(PAIR_LABELS):
+                f = _fmt_coeff(a0[r, c], _AP[r, c], _AM[r, c])
                 if f:
                     terms.append(f"{f}*{_fmt_label(col)}")
             for c, col in enumerate(SINGLE_LABELS):
-                f = _fmt_coeff(ps.src0[r, c], ps.srcp[r, c], ps.srcm[r, c])
+                f = _fmt_coeff(_SRC0[r, c], _SRCP[r, c], _SRCM[r, c])
                 if f:
                     terms.append(f"{f}*{_fmt_label(col)}")
-            for row, vi, si, coeff in ps.ladder:
+            for row, vi, si, coeff in _LADDER:
                 if row == r:
                     terms.append(
                         f"({coeff:.6g})*V[%d%d]*{_fmt_label(SINGLE_LABELS[si])}"

@@ -171,7 +171,11 @@ def validate(suite):
 @click.option("--delta3", type=float, default=1.0 / 3.0)
 def equations(which, omega_c, delta2, delta3):
     """Dump the generated steady-state equations (debugging aid)."""
-    p = AtomParams(omega_p=0.0, omega_c=omega_c, delta2=delta2, delta3=delta3)
+    try:
+        p = AtomParams(omega_p=0.0, omega_c=omega_c, delta2=delta2, delta3=delta3)
+    except ValueError as exc:
+        click.echo(f"config error: {exc}", err=True)
+        sys.exit(2)
     click.echo(dump_equations(p, which=which))
 
 

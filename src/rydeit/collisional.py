@@ -46,8 +46,8 @@ from .blochgen import (
     Q_LABELS,
     V_LABELS,
     a0_blocks,
+    a0_matrix,
     canonical_pair,
-    generate_pair_equations,
     ladder_source,
 )
 from .noninteracting import (
@@ -608,12 +608,11 @@ def solve_pair_at_k(params: AtomParams, k: float, v4=None) -> dict:
     Validation path for the Schur/spectral machinery; returns all 36
     correlators. ``v4`` supplies the ladder feedback integrals (default 0).
     """
-    ps = generate_pair_equations(params)
     v4 = np.zeros(4, dtype=complex) if v4 is None else np.asarray(v4, complex)
     sigma = solve_single_system(params, v4=v4).values
-    wp = params.omega_p
-    mat = ps.matrix(wp, np.conj(wp)) + k * np.diag(ps.kdiag)
-    rhs = ps.single_source_matrix(wp, np.conj(wp)) @ sigma
+    wp, wpc = params.omega_p, np.conj(params.omega_p)
+    mat = a0_matrix(params) + wp * _AP + wpc * _AM + k * np.diag(_KDIAG)
+    rhs = (_SRC0 + wp * _SRCP + wpc * _SRCM) @ sigma
     rhs = rhs + ladder_source(v4, sigma)
     try:
         sol = np.linalg.solve(mat, -rhs)

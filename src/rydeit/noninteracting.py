@@ -25,6 +25,7 @@ from .blochgen import (
     _V_COUPLING,
     SINGLE_INDEX,
     c0_blocks,
+    c0_matrix,
 )
 from .params import (
     AtomParams,
@@ -50,7 +51,6 @@ _POP_TOL = 1e-10
 _HERMITIAN_PAIRS = ((1, 2), (1, 3), (2, 3))
 _UNPHYSICAL = (*(f"hermiticity violated for sigma{a}{b}" for a, b in _HERMITIAN_PAIRS),
                "negative population", "populations exceed unity")
-_C0 = c0_blocks(np.arange(len(_CP)))
 
 
 def unphysical(values, tol: float = _POP_TOL) -> np.ndarray:
@@ -116,7 +116,7 @@ def single_atom_operands(params, wp, wpc) -> tuple[np.ndarray, np.ndarray]:
     each operand has a leading row axis."""
     w = np.asarray(wp)[..., None, None]
     wc = np.asarray(wpc)[..., None, None]
-    return _C0(params)[0] + w * _CP + wc * _CM, _S0 + w[..., 0] * _SP + wc[..., 0] * _SM
+    return c0_matrix(params) + w * _CP + wc * _CM, _S0 + w[..., 0] * _SP + wc[..., 0] * _SM
 
 
 def solve_sigma(params, operands, v4) -> np.ndarray:

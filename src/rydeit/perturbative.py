@@ -22,11 +22,12 @@ column of one row. Every parameter-free part (source terms, the order-2
 to order-3 coupling, the unit columns of the right-hand sides) is an
 import-time constant. The references are tested against that path and
 never run on it: the full order-2/3 pair solves
-``pair_correlators_order2/3``, on the k = 0 blocks of the generated a0
-and the same sources, check the coefficients pointwise (the kernel's
-``__call__`` is a Horner evaluation of them), and the adaptive radial
-quadrature ``collisional_integral_V13_order3_quadrature`` checks the pole
-sum. The label-by-label constructions the constants reproduce byte for
+``pair_correlators_order2/3``, on the same gathered k = 0 blocks (at one
+parameter set) plus k diag(kdiag), with the same sources, check the
+coefficients pointwise (the kernel's ``__call__`` is a Horner evaluation
+of them), and the adaptive radial quadrature
+``collisional_integral_V13_order3_quadrature`` checks the pole sum. The
+label-by-label constructions the constants reproduce byte for
 byte are kept in the tests.
 
 All correlator coefficients are reduced: the leading probe monomial
@@ -51,7 +52,6 @@ from .blochgen import (
     SINGLE_INDEX,
     a0_blocks,
     canonical_pair,
-    generate_pair_equations,
     grade_order,
 )
 from .noninteracting import PerturbativeCoefficients, perturbative_coefficients
@@ -297,9 +297,8 @@ def _cascade_constants():
     listed in the order they accumulate. ``from_o2`` couples the order-2 solution into the
     order-3 rows: ``ap`` on its net-0 columns, ``am`` on its net +2 ones.
     ``rows2``/``rows3`` are the pair rows of the two k = 0 blocks (which
-    ``blochgen.a0_blocks`` builds), ``flat2``/``flat3`` their flat positions
-    in a0 (which the full-solve references read), and ``rhs2``/``rhs3`` hold
-    the unit columns U2/U3 of the kernel's right-hand sides.
+    ``blochgen.a0_blocks`` builds), and ``rhs2``/``rhs3`` hold the unit
+    columns U2/U3 of the kernel's right-hand sides.
     """
     o2 = np.array([PAIR_INDEX[lab] for lab in ORDER2_LABELS])
     o3 = np.array([PAIR_INDEX[lab] for lab in ORDER3_NETP1_LABELS])
@@ -332,13 +331,8 @@ def _cascade_constants():
     rhs3 = np.zeros((len(o3), 5), dtype=complex)
     rhs3[p3, [3, 4]] = 1.0
 
-    def flat(rows):
-        return np.ravel_multi_index(np.ix_(rows, rows), _KDIAG.shape * 2)
-
     arrays = dict(from_o2=from_o2, neg_from_o2=-from_o2, rows2=o2, rows3=o3,
-                  flat2=flat(o2),
-                  flat3=flat(o3), kdiag2=kdiag2, kdiag3=kdiag3, p2=p2, p3=p3,
-                  rhs2=rhs2, rhs3=rhs3)
+                  kdiag2=kdiag2, kdiag3=kdiag3, p2=p2, p3=p3, rhs2=rhs2, rhs3=rhs3)
     for arr in arrays.values():
         arr.flags.writeable = False
     return SimpleNamespace(src2=tuple(src2), src3=src3,
@@ -397,7 +391,7 @@ def _ss1333_kernel(params, pc: PerturbativeCoefficients) -> _Ss1333Kernel:
 def pair_correlators_order2(params: AtomParams, k: float) -> dict:
     """Reduced second-order two-body correlators at interaction strength k
     (full solve; the reference for the closed-form kernel)."""
-    a2 = generate_pair_equations(params).a0.take(_CASCADE.flat2)
+    a2, _ = _A0_BLOCKS(params)
     src2, _ = _cascade_sources(perturbative_coefficients(params))
     x2 = _solve_pair_block(a2 + k * np.diag(_CASCADE.kdiag2), -src2[:, 0], 2, k)
     return dict(zip(ORDER2_LABELS, x2))
@@ -410,12 +404,12 @@ def pair_correlators_order3(params: AtomParams, k: float) -> dict:
     Returns the eight coefficients ss^(3)_{1b,mn} for 1b in {12, 13} and
     mn in {22, 33, 23, 32}.
     """
-    a0 = generate_pair_equations(params).a0
+    a2, a3 = _A0_BLOCKS(params)
     src2, src3 = _cascade_sources(perturbative_coefficients(params))
-    mat2 = a0.take(_CASCADE.flat2) + k * np.diag(_CASCADE.kdiag2)
+    mat2 = a2 + k * np.diag(_CASCADE.kdiag2)
     x2 = _solve_pair_block(mat2, -src2[:, 0], 2, k)
     src = src3[:, 0] + _CASCADE.from_o2 @ x2
-    mat3 = a0.take(_CASCADE.flat3) + k * np.diag(_CASCADE.kdiag3)
+    mat3 = a3 + k * np.diag(_CASCADE.kdiag3)
     return dict(zip(ORDER3_NETP1_LABELS, _solve_pair_block(mat3, -src, 3, k)))
 
 

@@ -89,8 +89,8 @@ class ScanConfig:
     grid is linear in |omega_p|^2. A delta3 grid is optional (used for
     spectra); when absent the single ``delta3`` value is used. Every float
     field must be a finite real number (not a bool), grid counts must be
-    integers, and the atom and interaction parameters must pass AtomParams
-    and InteractionParams.
+    integers, ``out`` a path string or None, and the atom and interaction
+    parameters must pass AtomParams and InteractionParams.
     """
 
     state: int | None = None
@@ -139,6 +139,8 @@ class ScanConfig:
             raise ConfigError("delta3 grid needs delta3_start and delta3_stop")
         if self.tol <= 0:
             raise ConfigError("tol must be positive")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ConfigError(f"out must be a path string, got {self.out!r}")
         try:
             self.point_params(self.delta3_grid().tolist()[0], self.omega_p2_start)
         except (TypeError, ValueError) as exc:

@@ -1,29 +1,44 @@
 """Equation generator: golden coefficients, grading, conjugation, P/Q split."""
 import dataclasses
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rydeit import AtomParams, StatePreset, relaxation_constants, steady_state_three_level
+from rydeit import blochgen
 from rydeit.blochgen import (
+    _AM,
+    _AP,
+    _CM,
+    _CP,
+    _KDIAG,
+    _LADDER,
+    _S0,
+    _SM,
+    _SP,
+    _SRC0,
+    _SRCM,
+    _SRCP,
+    _V_COUPLING,
+    P_LABELS,
     PAIR_INDEX,
     PAIR_LABELS,
+    Q_LABELS,
     SINGLE_INDEX,
     SINGLE_LABELS,
-    PairSystem,
-    SingleAtomSystem,
     _pair_interaction_structure,
     _pair_matrices,
     _single_matrices,
     a0_blocks,
+    a0_matrix,
     c0_blocks,
+    c0_matrix,
     canonical_pair,
-    classify_PQ,
     dump_equations,
     flip_pair,
-    generate_pair_equations,
-    generate_single_atom_equations,
     grade_order,
     ladder_source,
 )
@@ -33,11 +48,37 @@ from rydeit.params import delta3_column
 WP = 0.37 + 0.11j
 
 
+def _single_parts(c0, cp, cm, s0, sp, sm):
+    """A single-atom system's parts and its affine evaluations
+    C = c0 + wp cp + wpc cm and S = s0 + wp sp + wpc sm."""
+    return SimpleNamespace(c0=c0, cp=cp, cm=cm, s0=s0, sp=sp, sm=sm,
+                           matrix=lambda wp, wpc: c0 + wp * cp + wpc * cm,
+                           source=lambda wp, wpc: s0 + wp * sp + wpc * sm)
+
+
+def _pair_parts(a0, ap, am, src0, srcp, srcm, kdiag, ladder):
+    """A pair system's parts and its affine evaluations, as ``_single_parts``."""
+    return SimpleNamespace(a0=a0, ap=ap, am=am, src0=src0, srcp=srcp, srcm=srcm,
+                           kdiag=kdiag, ladder=ladder,
+                           matrix=lambda wp, wpc: a0 + wp * ap + wpc * am,
+                           single_source_matrix=lambda wp, wpc: src0 + wp * srcp + wpc * srcm)
+
+
+def _closed_single(params):
+    """The single-atom system as the package forms it: the full c0 gather
+    and the shared constants."""
+    return _single_parts(c0_matrix(params), _CP, _CM, _S0, _SP, _SM)
+
+
+def _closed_pair(params):
+    return _pair_parts(a0_matrix(params), _AP, _AM, _SRC0, _SRCP, _SRCM, _KDIAG, _LADDER)
+
+
 def _single_row(params, label, omega_p):
-    sys8 = generate_single_atom_equations(params)
+    sys8 = _closed_single(params)
     r = SINGLE_INDEX[label]
     wpc = np.conj(omega_p)
-    return sys8.matrix(omega_p, wpc)[r], sys8.source(omega_p, wpc)[r], sys8.v_coupling[r]
+    return sys8.matrix(omega_p, wpc)[r], sys8.source(omega_p, wpc)[r], _V_COUPLING[r]
 
 
 class TestSingleAtomGolden:
@@ -72,7 +113,7 @@ class TestSingleAtomGolden:
 
     def test_sigma33_row_has_no_probe_or_feedback(self):
         p = AtomParams(gamma33=0.3)
-        sys8 = generate_single_atom_equations(p)
+        sys8 = _closed_single(p)
         r = SINGLE_INDEX[(3, 3)]
         # 0 = -gamma33 s33 - i Wc (s32 - s23): probe-independent
         m0 = sys8.matrix(0.0, 0.0)
@@ -80,7 +121,7 @@ class TestSingleAtomGolden:
         assert m0[r, SINGLE_INDEX[(3, 3)]] == pytest.approx(-0.3)
         assert m0[r, SINGLE_INDEX[(3, 2)]] == pytest.approx(-1j * 3.0)
         assert m0[r, SINGLE_INDEX[(2, 3)]] == pytest.approx(1j * 3.0)
-        np.testing.assert_array_equal(sys8.v_coupling[r], 0.0)
+        np.testing.assert_array_equal(_V_COUPLING[r], 0.0)
 
     def test_sigma13_decouples_without_control(self):
         p = AtomParams(omega_c=0.0)
@@ -100,11 +141,7 @@ def _generic_single(p):
     c00, s00 = _single_matrices(0.0, 0.0, p)
     c10, s10 = _single_matrices(1.0, 0.0, p)
     c01, s01 = _single_matrices(0.0, 1.0, p)
-    return SingleAtomSystem(
-        labels=SINGLE_LABELS, c0=c00, cp=c10 - c00, cm=c01 - c00,
-        s0=s00, sp=s10 - s00, sm=s01 - s00,
-        v_coupling=None,  # not derived by the loop; not compared
-    )
+    return _single_parts(c00, c10 - c00, c01 - c00, s00, s10 - s00, s01 - s00)
 
 
 def _generic_pair(p):
@@ -112,10 +149,7 @@ def _generic_pair(p):
     a10, s10 = _pair_matrices(1.0, 0.0, p)
     a01, s01 = _pair_matrices(0.0, 1.0, p)
     kdiag, ladder = _pair_interaction_structure()
-    return PairSystem(
-        pair_labels=PAIR_LABELS, a0=a00, ap=a10 - a00, am=a01 - a00,
-        src0=s00, srcp=s10 - s00, srcm=s01 - s00, kdiag=kdiag, ladder=ladder,
-    )
+    return _pair_parts(a00, a10 - a00, a01 - a00, s00, s10 - s00, s01 - s00, kdiag, ladder)
 
 
 def _random_params(n=200, seed=1018):
@@ -145,7 +179,8 @@ _WPS = (0.0, 0.37 + 0.11j, np.sqrt(0.3))
 
 
 class TestClosedForm:
-    """The closed-form generator is byte-identical to the generic loop."""
+    """The block gathers and the shared constants are byte-identical to the
+    generic loop."""
 
     @staticmethod
     def _assert_same_bytes(got, want, fields, evaluations):
@@ -164,25 +199,24 @@ class TestClosedForm:
     def test_single_matches_generic_loop(self, params):
         for p in params:
             self._assert_same_bytes(
-                generate_single_atom_equations(p), _generic_single(p),
+                _closed_single(p), _generic_single(p),
                 ("c0", "cp", "cm", "s0", "sp", "sm"), ("matrix", "source"),
             )
 
     @pytest.mark.parametrize("gamma33", [0.0, 0.01])
     def test_column_blocks_match_generated_matrices(self, gamma33):
         """The block gathers along an 81-detuning column give, row by row,
-        the bytes of the blocks cut from the generated c0 and a0."""
+        the bytes of the blocks cut from the generic loop's c0 and a0."""
         rows = (np.array([0, 2, 7]), np.arange(3, 15))
         d3 = np.linspace(-2.0, 2.0, 81)
         for n in (46, 50, 56, 61):
             p = AtomParams(omega_c=StatePreset(n).omega_c, gamma33=gamma33)
             column = delta3_column(p, d3)
-            for gather, generate, name, sets in (
-                    (c0_blocks, generate_single_atom_equations, "c0", rows[:1]),
-                    (a0_blocks, generate_pair_equations, "a0", rows)):
+            for gather, loop, sets in ((c0_blocks, _single_matrices, rows[:1]),
+                                       (a0_blocks, _pair_matrices, rows)):
                 got = gather(*sets)(column)
                 for i, delta3 in enumerate(d3.tolist()):
-                    full = getattr(generate(dataclasses.replace(p, delta3=delta3)), name)
+                    full = loop(0.0, 0.0, dataclasses.replace(p, delta3=delta3))[0]
                     for r, blocks in zip(sets, got):
                         assert blocks[i].tobytes() == full[np.ix_(r, r)].tobytes()
 
@@ -192,7 +226,7 @@ class TestClosedForm:
     ])
     def test_pair_matches_generic_loop(self, params):
         for p in params:
-            got = generate_pair_equations(p)
+            got = _closed_pair(p)
             want = _generic_pair(p)
             self._assert_same_bytes(
                 got, want,
@@ -208,11 +242,16 @@ class TestClosedForm:
         ("pair", "srcm"), ("pair", "kdiag"),
     ])
     def test_shared_parts_are_read_only(self, which, field):
-        gen = generate_single_atom_equations if which == "single" else generate_pair_equations
-        arr = getattr(gen(AtomParams()), field)
+        """Each parameter-free part is one read-only module constant, and
+        every rydeit module that imports it holds that same array."""
+        name = "_" + field.upper()
+        arr = getattr(blochgen, name)
+        assert len(arr) == len(SINGLE_LABELS if which == "single" else PAIR_LABELS)
         with pytest.raises(ValueError, match="read-only"):
             arr[0] += 1.0
-        assert getattr(gen(AtomParams(delta3=0.7)), field) is arr
+        holders = [m for m in list(sys.modules.values())
+                   if getattr(m, "__name__", "").startswith("rydeit") and hasattr(m, name)]
+        assert all(getattr(m, name) is arr for m in holders)
 
 
 class TestGrading:
@@ -238,8 +277,7 @@ class TestPairStructure:
         assert len(PAIR_LABELS) == 36
 
     def test_pq_partition(self):
-        ps = generate_pair_equations(AtomParams())
-        p_labels, q_labels = classify_PQ(ps)
+        p_labels, q_labels = P_LABELS, Q_LABELS
         assert len(p_labels) == 10
         assert len(q_labels) == 26
         want_p = {
@@ -255,14 +293,12 @@ class TestPairStructure:
         assert canonical_pair((2, 2), (3, 3)) in q_labels
 
     def test_interaction_diagonal_rule(self):
-        ps = generate_pair_equations(AtomParams())
         for r, ((a, b), (m, n)) in enumerate(PAIR_LABELS):
             want = 1j * (int(a == 3 and m == 3) - int(b == 3 and n == 3))
-            assert ps.kdiag[r] == want
+            assert _KDIAG[r] == want
 
     def test_doubly_excited_population_has_no_diagonal_k(self):
-        ps = generate_pair_equations(AtomParams())
-        assert ps.kdiag[PAIR_INDEX[canonical_pair((3, 3), (3, 3))]] == 0.0
+        assert _KDIAG[PAIR_INDEX[canonical_pair((3, 3), (3, 3))]] == 0.0
 
 
 class TestConjugationClosure:
@@ -277,7 +313,7 @@ class TestConjugationClosure:
     def test_pair_matrix_closure(self, wre, wim, delta2, delta3, gamma33):
         p = AtomParams(delta2=delta2, delta3=delta3, gamma33=gamma33)
         wp = wre + 1j * wim
-        amat = generate_pair_equations(p).matrix(wp, np.conj(wp))
+        amat = _closed_pair(p).matrix(wp, np.conj(wp))
         idx = {lab: i for i, lab in enumerate(PAIR_LABELS)}
         flipped = np.empty_like(amat)
         for r, lab in enumerate(PAIR_LABELS):
@@ -287,8 +323,7 @@ class TestConjugationClosure:
 
     def test_single_matrix_closure(self):
         p = AtomParams(delta3=0.7, gamma33=0.2)
-        sys8 = generate_single_atom_equations(p)
-        amat = sys8.matrix(WP, np.conj(WP))
+        amat = _closed_single(p).matrix(WP, np.conj(WP))
         for r, (a, b) in enumerate(SINGLE_LABELS):
             fr = SINGLE_INDEX[(b, a)]
             for c, (m, n) in enumerate(SINGLE_LABELS):
@@ -311,7 +346,7 @@ class TestLadderSource:
         """The ladder sums in Python complex arithmetic, term by term."""
         vl, sl = np.asarray(v4).tolist(), np.asarray(sigma8).tolist()
         out = [0j] * 36
-        for row, vi, si, coeff in generate_pair_equations(AtomParams()).ladder:
+        for row, vi, si, coeff in _LADDER:
             out[row] += coeff * vl[vi] * sl[si]
         return np.array(out)
 

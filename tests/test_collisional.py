@@ -11,8 +11,8 @@ from rydeit import (
     solve_collisional_integrals,
     solve_interacting,
 )
-from rydeit import blochgen, collisional, noninteracting
-from rydeit.blochgen import P_LABELS, V_LABELS, canonical_pair, generate_pair_equations
+from rydeit import collisional, noninteracting
+from rydeit.blochgen import _AM, _AP, _KDIAG, P_LABELS, V_LABELS, _pair_matrices, canonical_pair
 from rydeit.collisional import (
     F_lambda,
     F_lambda_quadrature,
@@ -77,15 +77,16 @@ class TestAssemblePQ:
     ])
     def test_blocks_match_ix_gather_bytewise(self, state, gamma33, a):
         """The blocks gathered from K36 and the probe parts are the same
-        a, b, c, d bytes as ``amat[np.ix_(rows, cols)]`` of the generated
-        matrix (with the P rows rescaled)."""
+        a, b, c, d bytes as ``amat[np.ix_(rows, cols)]`` of the matrix
+        a0 + wp ap + wpc am, a0 from the generic loop (with the P rows
+        rescaled)."""
         preset = StatePreset(state)
         p = AtomParams(omega_p=a, omega_c=preset.omega_c, gamma33=gamma33)
-        ps = generate_pair_equations(p)
+        a0 = _pair_matrices(0.0, 0.0, p)[0]
         for wp, wpc in ((a, np.conj(a)), (a, a)):
             pq = assemble_PQ(p, wp, wpc)
-            amat = ps.matrix(wp, wpc)
-            rowscale = -1.0 / ps.kdiag[_P_IDX]
+            amat = a0 + wp * _AP + wpc * _AM
+            rowscale = -1.0 / _KDIAG[_P_IDX]
             want = {
                 "a": rowscale[:, None] * amat[np.ix_(_P_IDX, _P_IDX)],
                 "b": rowscale[:, None] * amat[np.ix_(_P_IDX, _Q_IDX)],
@@ -129,27 +130,14 @@ class TestFeedbackMap:
             want = lu @ (f * (u @ g.rtilde(v)))
             assert np.array_equal(g(v), want)
 
-    def test_work_counts_are_unchanged(self, preset50, monkeypatch):
-        """Exact iteration and stage counts pin the solver trajectory, and
-        the solve generates no single-atom system: its stages gather c0
-        from K8."""
-        calls = []
-        generate = blochgen.generate_single_atom_equations
-
-        def counted(params):
-            calls.append(params)
-            return generate(params)
-
-        for module in (blochgen, collisional, noninteracting):
-            if hasattr(module, "generate_single_atom_equations"):
-                monkeypatch.setattr(module, "generate_single_atom_equations", counted)
+    def test_work_counts_are_unchanged(self, preset50):
+        """Exact iteration and stage counts pin the solver trajectory."""
         p = AtomParams(omega_p=np.sqrt(0.3), omega_c=preset50.omega_c,
                        delta3=1.0 / 3.0)
         v = solve_collisional_integrals(p, InteractionParams(c6=preset50.c6))
         assert v.iterations == 97
         assert v.continuation_steps == 4
         assert v.used_newton is False
-        assert len(calls) == 0
 
 
 class TestNonlinearSolve:
@@ -439,19 +427,12 @@ class TestLockstepColumn:
     @pytest.mark.parametrize("count, evaluations", [(5, 147), (25, 153)])
     def test_work_counts_do_not_grow_with_the_column(self, monkeypatch, count,
                                                      evaluations):
-        """Work-count guard: a column generates no system (its stages
-        gather a0 and c0 from K36 and K8), builds one stacked stage per
-        round (4 rounds, every point taking 4 stages) and evaluates G about
-        as often as its longest point alone needs (141 iterations), not
-        once per iteration of every point; the stacks evaluate each point
-        once per iteration it makes, no more."""
-        generations, builds, calls = [], [], []
-        for module in (blochgen, collisional, noninteracting):
-            for name in ("generate_pair_equations", "generate_single_atom_equations"):
-                if hasattr(module, name):
-                    generate = getattr(module, name)
-                    monkeypatch.setattr(module, name,
-                                        lambda p, g=generate: generations.append(p) or g(p))
+        """Work-count guard: a column builds one stacked stage per round
+        (4 rounds, every point taking 4 stages) and evaluates G about as
+        often as its longest point alone needs (141 iterations), not once
+        per iteration of every point; the stacks evaluate each point once
+        per iteration it makes, no more."""
+        builds, calls = [], []
         assemble = collisional.assemble_PQ
         monkeypatch.setattr(collisional, "assemble_PQ",
                             lambda p, *args: builds.append(len(p.delta3)) or assemble(p, *args))
@@ -463,7 +444,6 @@ class TestLockstepColumn:
                             lambda s, tol: root_tests.append(len(s)) or unphysical(s, tol))
         results = solve_collisional_column(
             *_column(50, 1.0 / 3.0, np.linspace(0.0, 0.5, count + 1)[1:]))
-        assert len(generations) == 0
         assert builds == [count] * 4
         assert root_tests == [count] * 4  # one stacked root-test solve per round
         assert sum(r.continuation_steps for r in results) == 4 * count

@@ -15,7 +15,7 @@ from rydeit import (
     steady_state_three_level,
     steady_state_two_level,
 )
-from rydeit.blochgen import SINGLE_INDEX, generate_single_atom_equations
+from rydeit.blochgen import _CM, _CP, _SM, _SP, _V_COUPLING, SINGLE_INDEX, _single_matrices
 from rydeit.noninteracting import (
     _UNPHYSICAL,
     PerturbativeCoefficients,
@@ -27,12 +27,12 @@ from rydeit.noninteracting import (
 )
 from rydeit.params import delta3_column
 from rydeit.oracle import _contour_coefficients, _jump_operators
-from test_blochgen import _PRESET_GRID, _random_params
+from test_blochgen import _PRESET_GRID, _closed_single, _random_params
 
 
 def _sigma_at(params, a):
     """Single-atom averages at the complex probe amplitude wp = wpc = a."""
-    sys8 = generate_single_atom_equations(params)
+    sys8 = _closed_single(params)
     return SingleAtomState(np.linalg.solve(sys8.matrix(a, a), -sys8.source(a, a)))
 
 
@@ -233,9 +233,9 @@ class TestPerturbativeCoefficients:
 
 def _perturbative_coefficients_by_label_blocks(params, v13_3=0.0):
     """``perturbative_coefficients`` with every block cut out of the
-    generated system by its labels (the construction the production path's
-    import-time constants and flat positions reproduce)."""
-    sys8 = generate_single_atom_equations(params)
+    generic loop's c0 and the probe parts by their labels (the construction
+    the production path's import-time constants and c0 gather reproduce)."""
+    c0 = _single_matrices(0.0, 0.0, params)[0]
     net_p1, net_m1 = ((1, 2), (1, 3)), ((2, 1), (3, 1))
     net_0 = ((2, 2), (3, 3), (2, 3), (3, 2))
     rp1, rm1, r0 = ([SINGLE_INDEX[lab] for lab in labs]
@@ -250,13 +250,13 @@ def _perturbative_coefficients_by_label_blocks(params, v13_3=0.0):
         except np.linalg.LinAlgError as exc:
             raise SingularParameterError(str(exc)) from exc
 
-    a_p1 = block(sys8.c0, rp1, rp1)
-    x_p1 = solve(a_p1, -sys8.sp[rp1])
-    x_m1 = solve(block(sys8.c0, rm1, rm1), -sys8.sm[rm1])
-    src0 = block(sys8.cp, r0, rm1) @ x_m1 + block(sys8.cm, r0, rp1) @ x_p1
-    x_0 = solve(block(sys8.c0, r0, r0), -src0)
-    src3 = block(sys8.cp, rp1, r0) @ x_0
-    src3 = src3 + sys8.v_coupling[rp1, 0] * v13_3
+    a_p1 = block(c0, rp1, rp1)
+    x_p1 = solve(a_p1, -_SP[rp1])
+    x_m1 = solve(block(c0, rm1, rm1), -_SM[rm1])
+    src0 = block(_CP, r0, rm1) @ x_m1 + block(_CM, r0, rp1) @ x_p1
+    x_0 = solve(block(c0, r0, r0), -src0)
+    src3 = block(_CP, rp1, r0) @ x_0
+    src3 = src3 + _V_COUPLING[rp1, 0] * v13_3
     x_p3 = solve(a_p1, -src3)
     values = [complex(v) for v in (*x_p1, *x_m1, *x_0, *x_p3)]
     return PerturbativeCoefficients(*values)

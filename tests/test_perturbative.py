@@ -17,10 +17,15 @@ from rydeit import (
     perturbative_coefficients,
 )
 from rydeit.blochgen import (
+    _AM,
+    _AP,
+    _KDIAG,
+    _SRCM,
+    _SRCP,
     PAIR_INDEX,
     SINGLE_INDEX,
+    _pair_matrices,
     canonical_pair,
-    generate_pair_equations,
     grade_order,
 )
 from rydeit.perturbative import (
@@ -41,6 +46,7 @@ from rydeit import perturbative as perturbative_module
 from rydeit.noninteracting import perturbative_column
 from rydeit.params import delta3_column
 from rydeit.perturbative import (
+    _A0_BLOCKS,
     _CASCADE,
     _cascade_sources,
     _one_kernel,
@@ -274,8 +280,9 @@ def _kernel_by_full_blocks(a2, kdiag2, src2, a3, kdiag3, src3, from_o2):
 def _cascade_tables_by_label_loops(params, pc):
     """The k = 0 blocks, sources and coupling the full-solve references read
     (``_cascade_reads``) and the kernel, as built label by label from the
-    grading rules (the construction the hoisted constants reproduce)."""
-    ps = generate_pair_equations(params)
+    grading rules, a0 from the generic loop (the construction the hoisted
+    constants and the a0 gather reproduce)."""
+    a0 = _pair_matrices(0.0, 0.0, params)[0]
     x1 = {
         (1, 2): pc.s12_1, (1, 3): pc.s13_1,
         (2, 1): pc.s21_1, (3, 1): pc.s31_1,
@@ -293,45 +300,45 @@ def _cascade_tables_by_label_loops(params, pc):
         for m, (net_m, ord_m) in ((m, grade_order(m)) for m in x1):
             col = SINGLE_INDEX[m]
             if ord_m == 1 and net_m == nu - 1:
-                src2[i] += ps.srcp[r, col] * x1[m]
+                src2[i] += _SRCP[r, col] * x1[m]
             if ord_m == 1 and net_m == nu + 1:
-                src2[i] += ps.srcm[r, col] * x1[m]
+                src2[i] += _SRCM[r, col] * x1[m]
     src3 = np.zeros(len(o3), dtype=complex)
     for i, lab in enumerate(ORDER3_NETP1_LABELS):
         r = PAIR_INDEX[lab]
         for m, val in x2.items():
-            src3[i] += ps.srcp[r, SINGLE_INDEX[m]] * val
+            src3[i] += _SRCP[r, SINGLE_INDEX[m]] * val
     from_o2 = np.zeros((len(o3), len(o2)), dtype=complex)
     for j, lab2 in enumerate(ORDER2_LABELS):
         net2 = grade_order(lab2)[0]
         c = PAIR_INDEX[lab2]
         if net2 == 0:
-            from_o2[:, j] = ps.ap[o3, c]
+            from_o2[:, j] = _AP[o3, c]
         elif net2 == 2:
-            from_o2[:, j] = ps.am[o3, c]
-    o2_a = ps.a0[np.ix_(o2, o2)]
-    o3_a = ps.a0[np.ix_(o3, o3)]
+            from_o2[:, j] = _AM[o3, c]
+    o2_a = a0[np.ix_(o2, o2)]
+    o3_a = a0[np.ix_(o3, o3)]
     tables = dict(
-        o2_a=o2_a, o2_kdiag=ps.kdiag[o2], o2_src=src2,
-        o3_a=o3_a, o3_kdiag=ps.kdiag[o3], o3_src_single=src3,
+        o2_a=o2_a, o2_kdiag=_KDIAG[o2], o2_src=src2,
+        o3_a=o3_a, o3_kdiag=_KDIAG[o3], o3_src_single=src3,
         o3_from_o2=from_o2,
     )
     try:
         kernel = _kernel_by_full_blocks(
-            o2_a, ps.kdiag[o2], src2, o3_a, ps.kdiag[o3], src3, from_o2)
+            o2_a, _KDIAG[o2], src2, o3_a, _KDIAG[o3], src3, from_o2)
     except np.linalg.LinAlgError as exc:
         raise SingularParameterError(str(exc)) from exc
     return SimpleNamespace(**tables, ss1333=kernel)
 
 
 def _cascade_reads(params, pc):
-    """What ``pair_correlators_order2/3`` read from the generated pair
-    system and ``_CASCADE``, under the names of the label-loop reference."""
-    a0 = generate_pair_equations(params).a0
+    """What ``pair_correlators_order2/3`` read from the a0 gather and
+    ``_CASCADE``, under the names of the label-loop reference."""
+    a2, a3 = _A0_BLOCKS(params)
     src2, src3 = _cascade_sources(pc)
     return dict(
-        o2_a=a0.take(_CASCADE.flat2), o2_kdiag=_CASCADE.kdiag2, o2_src=np.array(src2),
-        o3_a=a0.take(_CASCADE.flat3), o3_kdiag=_CASCADE.kdiag3,
+        o2_a=a2, o2_kdiag=_CASCADE.kdiag2, o2_src=np.array(src2),
+        o3_a=a3, o3_kdiag=_CASCADE.kdiag3,
         o3_src_single=np.array(src3), o3_from_o2=_CASCADE.from_o2,
     )
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from rydeit import cli as cli_module
 from rydeit import collisional
 from rydeit import scan as scan_module
 from rydeit import validate as validate_module
@@ -68,6 +69,8 @@ class TestScanConfig:
         ({"state": 50, "omega_p2_stop": "1"}, "omega_p2_stop must be a number"),
         ({"state": 50, "delta3": True}, "delta3 must be a number"),
         ({"state": 50, "gamma33": 0.5j}, "gamma33 must be a number"),
+        ({"state": 50, "out": 7}, "out must be a path string"),
+        ({"state": 50, "out": ["a"]}, "out must be a path string"),
     ])
     def test_validation(self, kw, msg):
         with pytest.raises(ConfigError, match=msg):
@@ -139,8 +142,8 @@ class TestCsvDeterminism:
         """A 26-point intensity scan (one zero-probe and 25 finite-probe
         points) gathers every parameter block from the generator's
         constants and solves its rows' single-atom states as one column:
-        with both generators and both one-point single-atom solves raising,
-        it writes the same bytes."""
+        with both one-point single-atom solves raising, it writes the same
+        bytes."""
         cfg = ScanConfig(state=50, omega_p2_start=0.0, omega_p2_stop=0.5, omega_p2_count=26)
 
         def emit():
@@ -157,8 +160,7 @@ class TestCsvDeterminism:
 
         for module in list(sys.modules.values()):
             if getattr(module, "__name__", "").startswith("rydeit"):
-                for name in ("generate_single_atom_equations", "generate_pair_equations",
-                             "solve_single_system", "steady_state_three_level"):
+                for name in ("solve_single_system", "steady_state_three_level"):
                     if hasattr(module, name):
                         monkeypatch.setattr(module, name, refuse(name))
         assert emit() == want
@@ -450,6 +452,18 @@ class TestCli:
             assert res.exit_code == 2, key
             assert f"config error: {key} must be a number" in res.output
 
+    @pytest.mark.parametrize("out", [7, ["a"]])
+    def test_non_string_out_exits_2_before_solving(self, tmp_path, monkeypatch, out):
+        def refuse(config):
+            raise AssertionError("solved with an invalid out")
+
+        monkeypatch.setattr(cli_module, "run_scan", refuse)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"state": 50, "omega_p2_count": 2, "out": out}))
+        res = CliRunner().invoke(main, ["scan", "--config", str(cfg)])
+        assert res.exit_code == 2
+        assert "config error: out must be a path string" in res.output
+
     def test_subnormal_probe_gives_flagged_row(self, tmp_path):
         # a positive subnormal |omega_p|^2 is a valid config, but sigma33
         # underflows to 0, leaving n_b a 0/0
@@ -517,6 +531,29 @@ class TestCli:
         res = CliRunner().invoke(main, ["equations", "--which", "single"])
         assert res.exit_code == 0
         assert res.output.count("0 = ") == 8
+
+    @pytest.mark.parametrize("args, digest", [
+        ([], "75be3ba7cc9baef8af2e1b7ea9645ae4f59b7bd8df21ec7ece5fd20c7ea9412a"),
+        (["--which", "pair", "--omega-c", "0", "--delta2", "0", "--delta3", "0"],
+         "9b60cc9d1f50c1c05a84b9ca4c5baa854cb88a5c79d5dad58ca678c2fe87b09b"),
+    ], ids=["default", "pair-at-zero"])
+    def test_equations_output_bytes(self, args, digest):
+        """The audit surface prints the same bytes: SHA-256 of stdout,
+        trailing newline included."""
+        res = CliRunner().invoke(main, ["equations", *args])
+        assert res.exit_code == 0
+        assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest
+
+    @pytest.mark.parametrize("args, error", [
+        (["--omega-c", "nan"], "omega_c must be finite"),
+        (["--omega-c", "-1"], "omega_c must be non-negative"),
+        (["--delta2", "inf"], "delta2 must be finite"),
+    ])
+    def test_equations_with_invalid_parameter_exits_2(self, args, error):
+        res = CliRunner().invoke(main, ["equations", *args])
+        assert res.exit_code == 2
+        assert f"config error: {error}" in res.output
+        assert res.exception is None or isinstance(res.exception, SystemExit)
 
     # each check is also one test in test_validate.py; this covers the CLI
     @pytest.mark.parametrize("suite", ["fast"])
