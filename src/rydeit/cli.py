@@ -5,7 +5,7 @@ validation check failed, 2 on configuration errors.
 """
 from __future__ import annotations
 
-import io
+import contextlib
 import json
 import sys
 
@@ -62,13 +62,32 @@ def _load_config(config_path, **overrides) -> ScanConfig:
     return ScanConfig.from_dict(data)
 
 
-def _emit(rows, config: ScanConfig, extra=None) -> int:
-    if config.out:
-        with open(config.out, "w") as f:
-            write_csv(rows, config.metadata_dict(), f, extra=extra)
-    else:
-        write_csv(rows, config.metadata_dict(), sys.stdout, extra=extra)
-    return 1 if any(r.flag for r in rows) else 0
+def _open_out(path):
+    """The output stream, opened before any solve: the file ``path``, or
+    stdout (left open) when it is empty."""
+    if not path:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _scan(config_path, omega_p2, point=False, **overrides):
+    """Load the config, open --out, then scan and emit; exits 2 on a
+    configuration error, 1 if a row is flagged."""
+    try:
+        config = _load_config(config_path, omega_p2=omega_p2, **overrides)
+        if point and (config.omega_p2_count != 1 or config.delta3_count > 1):
+            raise ConfigError("point expects a single grid point; use scan for grids")
+        out = _open_out(config.out)
+    except ConfigError as exc:
+        click.echo(f"config error: {exc}", err=True)
+        sys.exit(2)
+    with out as stream:
+        rows = run_scan(config)
+        write_csv(rows, config.metadata_dict(), stream)
+    sys.exit(1 if any(r.flag for r in rows) else 0)
 
 
 _SHARED = [
@@ -104,16 +123,9 @@ def main():
               help="Probe intensity |omega_p|^2 (single value, default 0.5).")
 def point(config_path, omega_p2, **overrides):
     """Solve a single operating point and emit a one-row CSV."""
-    try:
-        if omega_p2 is None and config_path is None:
-            omega_p2 = "0.5"
-        config = _load_config(config_path, omega_p2=omega_p2, **overrides)
-        if config.omega_p2_count != 1 or config.delta3_count > 1:
-            raise ConfigError("point expects a single grid point; use scan for grids")
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
-    sys.exit(_emit(run_scan(config), config))
+    if omega_p2 is None and config_path is None:
+        omega_p2 = "0.5"
+    _scan(config_path, omega_p2, point=True, **overrides)
 
 
 @main.command()
@@ -122,12 +134,7 @@ def point(config_path, omega_p2, **overrides):
               help="Probe intensity grid start:stop:count.")
 def scan(config_path, omega_p2, **overrides):
     """Solve a grid over probe intensity (and optional detuning grid)."""
-    try:
-        config = _load_config(config_path, omega_p2=omega_p2, **overrides)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
-    sys.exit(_emit(run_scan(config), config))
+    _scan(config_path, omega_p2, **overrides)
 
 
 @main.command()
@@ -137,17 +144,14 @@ def scan(config_path, omega_p2, **overrides):
 @click.option("--tol", type=float, default=1e-10)
 def figure(name, out, tol):
     """Emit the CSV data behind one of the standard figures."""
-    buf = io.StringIO()  # written only once the presets accept tol
     try:
-        flagged = run_figure(name, buf, tol=tol)
+        ScanConfig(state=50, tol=tol)  # the presets' check of tol
+        out = _open_out(out)
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
-    if out:
-        with open(out, "w") as f:
-            f.write(buf.getvalue())
-    else:
-        sys.stdout.write(buf.getvalue())
+    with out as stream:
+        flagged = run_figure(name, stream, tol=tol)
     sys.exit(1 if flagged else 0)
 
 

@@ -117,6 +117,27 @@ def _bad_row(bad) -> int | None:
     return int(hits[0]) if len(hits) else None
 
 
+def _conditioned_inverse(x: np.ndarray, limit: float, error) -> np.ndarray:
+    """X^-1 of every matrix of the stack ``x`` whose 2-norm condition
+    number is finite and at most ``limit``; else ``error(row, cond)`` of
+    the first that is not. The bound ||X||_F ||X^-1||_F >= cond(X) passes a
+    stack without an SVD; ``np.linalg.cond`` decides where it does not, or
+    where X^-1 raises."""
+    try:
+        inv = np.linalg.inv(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = np.linalg.norm(x, axis=(-2, -1)) * np.linalg.norm(inv, axis=(-2, -1))
+        if np.all(bound <= limit):
+            return inv
+    except np.linalg.LinAlgError:
+        inv = None
+    cond = np.linalg.cond(x)
+    row = _bad_row(~np.isfinite(cond) | (cond > limit))
+    if row is not None:
+        raise error(row, np.ravel(cond)[row])
+    return np.linalg.inv(x) if inv is None else inv
+
+
 @dataclass(frozen=True)
 class PQSystem:
     """Row-partitioned pair system at a fixed probe amplitude.
@@ -188,14 +209,11 @@ def schur_reduce(pq: PQSystem) -> tuple[np.ndarray, np.ndarray]:
     """Eliminate the Q block: (M, alpha) with M = a - b c^-1 d the Schur
     complement and alpha = -b c^-1, so k P = M P + R + alpha Rn. Over a
     stack, an ill-conditioned Q block raises for its first point."""
-    cond = np.linalg.cond(pq.c)
-    row = _bad_row(~np.isfinite(cond) | (cond > _COND_C_MAX))
-    if row is not None:
-        p = pq.params
-        raise SingularParameterError(
-            f"Q block ill-conditioned (cond={np.ravel(cond)[row]:.3g}) at "
-            f"omega_c={p.omega_c}, delta2={p.delta2}, delta3={np.ravel(p.delta3).tolist()[row]}"
-        )
+    p = pq.params
+    # c^-1 only gates: alpha keeps the rounding of its own solve
+    _conditioned_inverse(pq.c, _COND_C_MAX, lambda row, cond: SingularParameterError(
+        f"Q block ill-conditioned (cond={cond:.3g}) at omega_c={p.omega_c}, "
+        f"delta2={p.delta2}, delta3={np.ravel(p.delta3).tolist()[row]}"))
     # -b c^-1 as the transpose of a C-ordered solve, as each point alone has it
     alpha = np.swapaxes(
         -np.linalg.solve(np.swapaxes(pq.c, -1, -2), np.swapaxes(pq.b, -1, -2)),
@@ -203,9 +221,9 @@ def schur_reduce(pq: PQSystem) -> tuple[np.ndarray, np.ndarray]:
     return pq.a + alpha @ pq.d, alpha
 
 
-def spectral_decompose(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecompose M^T: (eigenvalues, U), U's rows its eigenvectors.
-    Over a stack, a failed check raises for its first point."""
+def spectral_decompose(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigendecompose M^T: (eigenvalues, U, U^-1), U's rows its
+    eigenvectors. Over a stack, a failed check raises for its first point."""
     m_t = np.swapaxes(m, -1, -2)
     w, vecs = np.linalg.eig(m_t)
     u = np.swapaxes(vecs, -1, -2)
@@ -218,14 +236,10 @@ def spectral_decompose(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise SingularParameterError(
             f"eigendecomposition residual {np.ravel(resid)[row]:.3g} exceeds {_EIG_RESID}"
         )
-    cond_u = np.linalg.cond(u)
-    row = _bad_row(~np.isfinite(cond_u) | (cond_u > _COND_U_MAX))
-    if row is not None:
-        raise SingularParameterError(
-            f"eigenvector matrix near-defective (cond={np.ravel(cond_u)[row]:.3g}); "
-            "perturb detunings or decay rates slightly"
-        )
-    return w, u
+    u_inv = _conditioned_inverse(u, _COND_U_MAX, lambda row, cond: SingularParameterError(
+        f"eigenvector matrix near-defective (cond={cond:.3g}); "
+        "perturb detunings or decay rates slightly"))
+    return w, u, u_inv
 
 
 @dataclass(frozen=True)
@@ -280,9 +294,9 @@ def feedback_map(params, wp, wpc, interaction: InteractionParams) -> FeedbackMap
     amplitude."""
     pq = assemble_PQ(params, wp, wpc)
     m, alpha = schur_reduce(pq)
-    w, u = spectral_decompose(m)
+    w, u, u_inv = spectral_decompose(m)
     f = F_lambda(w, interaction)
-    lu = np.ascontiguousarray(np.linalg.inv(u)[..., _FEEDBACK_COLS, :])
+    lu = np.ascontiguousarray(u_inv[..., _FEEDBACK_COLS, :])
     return FeedbackMap(
         params=params, single=single_atom_operands(params, wp, wpc),
         pair_source=pq.pair_source, alpha=alpha, u=u, f=f, lu=lu)

@@ -155,32 +155,36 @@ def steady_state_three_level(params: AtomParams) -> SingleAtomState:
     return solve_single_system(params, v4=None)
 
 
-def steady_state_two_level(params: AtomParams) -> SingleAtomState:
+def steady_state_two_level(params, wp=None) -> SingleAtomState:
     """Two-level steady state: level 3 removed, control field ignored.
 
     Solves the closed (sigma12, sigma21, sigma22) system directly so it stays
-    an independent cross-check of the generated three-level equations.
+    an independent cross-check of the generated three-level equations. The
+    probe amplitude ``wp`` defaults to ``params.omega_p``; with one amplitude
+    per row of a column, ``values`` has a leading row axis, from one stacked
+    solve whose rows are byte-identical to solving each alone.
     """
-    wp = params.omega_p
+    wp = np.asarray(params.omega_p if wp is None else wp)
+    wpc = np.conj(wp)
     g12 = relaxation_constants(params).Gamma12
     # unknowns x = (s12, s21, s22)
-    mat = np.array(
-        [
-            [-g12, 0.0, 2j * wp],
-            [0.0, -np.conj(g12), -2j * np.conj(wp)],
-            [1j * np.conj(wp), -1j * wp, -params.gamma22],
-        ],
-        dtype=complex,
-    )
-    rhs = np.array([-1j * wp, 1j * np.conj(wp), 0.0], dtype=complex)
+    mat = np.zeros(wp.shape + (3, 3), dtype=complex)
+    mat[..., 0, 0] = -g12
+    mat[..., 0, 2] = 2j * wp
+    mat[..., 1, 1] = -np.conj(g12)
+    mat[..., 1, 2] = -2j * wpc
+    mat[..., 2, 0] = 1j * wpc
+    mat[..., 2, 1] = -1j * wp
+    mat[..., 2, 2] = -params.gamma22
+    rhs = np.zeros(wp.shape + (3,), dtype=complex)
+    rhs[..., 0] = -1j * wp
+    rhs[..., 1] = 1j * wpc
     try:
-        s12, s21, s22 = np.linalg.solve(mat, -rhs)
+        x = np.linalg.solve(mat, -rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise SingularParameterError("singular two-level system") from exc
-    vals = np.zeros(8, dtype=complex)
-    vals[SINGLE_INDEX[(1, 2)]] = s12
-    vals[SINGLE_INDEX[(2, 1)]] = s21
-    vals[SINGLE_INDEX[(2, 2)]] = s22
+    vals = np.zeros(wp.shape + (8,), dtype=complex)
+    vals[..., [SINGLE_INDEX[lab] for lab in ((1, 2), (2, 1), (2, 2))]] = x
     return SingleAtomState(values=vals)
 
 

@@ -4,21 +4,17 @@ Normalized susceptibilities, the complex blockade count n_b extracted from
 the coherence, the real scaling parameter nb_tilde extracted from the
 Rydberg population, and the linear coefficients (xi1, xi2) relating the two.
 
-All functions here are reductions of already-solved averages (the
-observable set adds the closed two-level reference); the weak-probe limit
-helpers take the parameters and their perturbative cascade instead.
+All functions here are reductions of already-solved averages; the
+weak-probe limit helpers take the parameters and their perturbative
+cascade instead.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .noninteracting import (
-    PerturbativeCoefficients,
-    perturbative_coefficients,
-    steady_state_two_level,
-)
+from .noninteracting import PerturbativeCoefficients, perturbative_coefficients
 from .params import AtomParams, relaxation_constants
 
 __all__ = [
@@ -217,9 +213,9 @@ def nb_tilde_raman_contribution(params: AtomParams, v23: complex, sigma33: float
     return float(-deficit / sigma33**2)
 
 
-@dataclass(frozen=True)
-class ObservableSet:
-    """Derived quantities at one solved operating point."""
+class ObservableSet(NamedTuple):
+    """Derived quantities at one solved operating point: an immutable tuple,
+    which the scan unpacks in field order into its CSV row."""
 
     chi: complex
     chi_3lev: complex
@@ -231,23 +227,24 @@ class ObservableSet:
     p_r: float
 
 
-def observable_set(params: AtomParams, state, state_3lev) -> ObservableSet:
+def observable_set(params: AtomParams, state, state_3lev, state_2lev) -> ObservableSet:
     """Assemble the observable set from a solved interacting state.
 
-    ``state`` is the interacting single-atom solution and ``state_3lev``
-    the non-interacting three-level one at the same parameters
-    (``SingleAtomState``s); the two-level reference is solved here. A zero
-    probe raises ``ValueError`` (``susceptibility``).
+    ``state`` is the interacting single-atom solution, ``state_3lev`` the
+    non-interacting three-level one and ``state_2lev`` the closed two-level
+    reference (``steady_state_two_level``), all at the same parameters
+    (``SingleAtomState``s). A zero probe raises ``ValueError``
+    (``susceptibility``).
     """
     wp = params.omega_p
     chi = susceptibility(state.sigma12, wp)
     chi3 = susceptibility(state_3lev.sigma12, wp)
-    s12_2lev = steady_state_two_level(params).sigma12
+    s12_2lev = state_2lev.sigma12
     chi2 = susceptibility(s12_2lev, wp)
     s33 = float(state.sigma33.real)
     return ObservableSet(
-        chi=chi, chi_3lev=chi3, chi_2lev=chi2, S=s_real(chi, chi3, chi2),
-        S_norm=s_norm(state.sigma12, state_3lev.sigma12, s12_2lev),
-        nb=nb_from_sigma(state.sigma12, state_3lev.sigma12, s12_2lev, s33),
-        nb_tilde=nb_tilde_unblocked(s33, float(state_3lev.sigma33.real)), p_r=s33,
+        chi, chi3, chi2, s_real(chi, chi3, chi2),
+        s_norm(state.sigma12, state_3lev.sigma12, s12_2lev),
+        nb_from_sigma(state.sigma12, state_3lev.sigma12, s12_2lev, s33),
+        nb_tilde_unblocked(s33, float(state_3lev.sigma33.real)), s33,
     )

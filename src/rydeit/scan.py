@@ -20,10 +20,9 @@ import itertools
 import json
 import math
 import numbers
-import operator
 import warnings
-from dataclasses import asdict, dataclass, fields
-from typing import Iterable
+from dataclasses import dataclass, fields
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -39,6 +38,7 @@ from .noninteracting import (
     perturbative_column,
     single_atom_operands,
     solve_sigma,
+    steady_state_two_level,
 )
 from .observables import (
     DegenerateNormalizationError,
@@ -169,7 +169,7 @@ class ScanConfig:
             raise ConfigError(str(exc)) from exc
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))  # every field a scalar: no deep copy needed
 
     def metadata_dict(self) -> dict:
         """Config as embedded in CSV metadata.
@@ -177,7 +177,7 @@ class ScanConfig:
         The output path is dropped so the emitted file does not depend on
         where it is written, while still reproducing the run when re-parsed.
         """
-        d = asdict(self)
+        d = self.to_dict()
         d.pop("out")
         return d
 
@@ -219,9 +219,8 @@ class ScanConfig:
         return np.linspace(self.delta3_start, self.delta3_stop, self.delta3_count)
 
 
-@dataclass(frozen=True)
-class ScanResultRow:
-    """One solved grid point; field order is the CSV column order."""
+class ScanResultRow(NamedTuple):
+    """One solved grid point: an immutable tuple in CSV column order."""
 
     state: int
     c6: float
@@ -262,7 +261,12 @@ class ScanResultRow:
 
     @classmethod
     def columns(cls) -> list[str]:
-        return [f.name for f in fields(cls)]
+        return list(cls._fields)
+
+
+# a CSV row's cells: the int and flag fields, every other one a float
+_ROW_FORMAT = ",".join({"state": "%d", "iterations": "%d", "flag": "%s"}.get(name, "%.12g")
+                       for name in ScanResultRow._fields)
 
 
 def _weak_probe_values(params: AtomParams, interaction: InteractionParams,
@@ -278,23 +282,23 @@ def _weak_probe_values(params: AtomParams, interaction: InteractionParams,
     nb = nb_weak_probe(column, pc, v13_3)
     nbt = nb_tilde_weak_probe(column, pc, v13_3)
     chi2 = -1j / relaxation_constants(params).Gamma12
-    return [ObservableSet(chi=chi, chi_3lev=chi, chi_2lev=chi2, S=1.0, S_norm=1.0,
-                          nb=n_b, nb_tilde=n_bt, p_r=0.0)
+    return [ObservableSet(chi, chi, chi2, 1.0, 1.0, n_b, n_bt, 0.0)
             for chi, n_b, n_bt in zip(pc.s12_1.tolist(), nb.tolist(), nbt.tolist())]
 
 
 def _finite_probe_values(points: list) -> list:
-    """(integrals, state, state_3lev) at each finite-probe point (params,
-    integrals) of one config: the interacting and the three-level
-    single-atom states, from two stacked solves over the points'
-    ``delta3_column``."""
+    """(integrals, state, state_3lev, state_2lev) at each finite-probe point
+    (params, integrals) of one config: the interacting, the three-level and
+    the two-level single-atom states, from three stacked solves over the
+    points' ``delta3_column``."""
     column = delta3_column(points[0][0], [p.delta3 for p, _ in points])
     wp = np.array([p.omega_p for p, _ in points])
     operands = single_atom_operands(column, wp, np.conj(wp))
     sigma = solve_sigma(column, operands, [v.v4 for _, v in points])
     sigma_3lev = solve_sigma(column, operands, None)
-    return [(v, SingleAtomState(s), SingleAtomState(s3))
-            for (_, v), s, s3 in zip(points, sigma, sigma_3lev)]
+    sigma_2lev = steady_state_two_level(column, wp).values
+    return [(v, SingleAtomState(s), SingleAtomState(s3), SingleAtomState(s2))
+            for (_, v), s, s3, s2 in zip(points, sigma, sigma_3lev, sigma_2lev)]
 
 
 def _solve_points(config: ScanConfig, points: list[tuple[float, float]]) -> list:
@@ -326,28 +330,17 @@ def _solve_points(config: ScanConfig, points: list[tuple[float, float]]) -> list
     return [next(zero) if wp2 == 0.0 else next(finite) for _, wp2 in points]
 
 
-# the single-atom state at zero probe: every atom in the ground state
-_GROUND = SingleAtomState(values=np.zeros(8, dtype=complex))
-
-
-def _row(inputs: dict, obs: ObservableSet, integrals: CollisionalIntegrals,
-         state: SingleAtomState) -> ScanResultRow:
-    """The row of a solved point from its observables, collisional
-    integrals and single-atom state."""
+def _row(inputs: tuple, obs: ObservableSet, integrals: CollisionalIntegrals,
+         sigma22: float) -> ScanResultRow:
+    """The row of a solved point from its input cells, observables,
+    collisional integrals and single-atom sigma22."""
+    chi, chi3, chi2, s, s_norm, nb, nb_tilde, p_r = obs
+    v13, v31, v23, v32 = integrals.v13, integrals.v31, integrals.v23, integrals.v32
     return ScanResultRow(
-        **inputs,
-        chi_re=obs.chi.real, chi_im=obs.chi.imag,
-        chi_3lev_re=obs.chi_3lev.real, chi_3lev_im=obs.chi_3lev.imag,
-        chi_2lev_re=obs.chi_2lev.real, chi_2lev_im=obs.chi_2lev.imag,
-        S=obs.S, S_norm_re=obs.S_norm.real, S_norm_im=obs.S_norm.imag,
-        v13_re=integrals.v13.real, v13_im=integrals.v13.imag,
-        v31_re=integrals.v31.real, v31_im=integrals.v31.imag,
-        v23_re=integrals.v23.real, v23_im=integrals.v23.imag,
-        v32_re=integrals.v32.real, v32_im=integrals.v32.imag,
-        sigma22=state.sigma22.real, sigma33=obs.p_r,
-        nb_re=obs.nb.real, nb_im=obs.nb.imag, nb_tilde=obs.nb_tilde,
-        iterations=integrals.iterations, residual=integrals.residual,
-    )
+        *inputs, chi.real, chi.imag, chi3.real, chi3.imag, chi2.real, chi2.imag,
+        s, s_norm.real, s_norm.imag, v13.real, v13.imag, v31.real, v31.imag,
+        v23.real, v23.imag, v32.real, v32.imag, sigma22, p_r,
+        nb.real, nb.imag, nb_tilde, integrals.iterations, integrals.residual)
 
 
 def compute_row(config: ScanConfig, delta3: float, omega_p2: float,
@@ -361,29 +354,21 @@ def compute_row(config: ScanConfig, delta3: float, omega_p2: float,
     if solved is None:
         (solved,) = _solve_points(config, [(delta3, omega_p2)])
     params, interaction, values = solved
-    inputs = dict(
-        state=config.state if config.state is not None else 0,
-        c6=interaction.c6,
-        omega_c=params.omega_c,
-        delta2=config.delta2,
-        delta3=delta3,
-        gamma13=config.gamma13,
-        gamma23=params.gamma23,  # resolved defaults
-        gamma22=params.gamma22,
-        gamma33=config.gamma33,
-        eta=config.eta,
-        omega_p2=omega_p2,
-    )
+    inputs = (config.state if config.state is not None else 0, interaction.c6,
+              params.omega_c, config.delta2, delta3, config.gamma13,
+              params.gamma23, params.gamma22,  # resolved defaults
+              config.gamma33, config.eta, omega_p2)
     try:
         if isinstance(values, Exception):
             raise values
         if omega_p2 == 0.0:
-            return _row(inputs, values, _NO_FEEDBACK, _GROUND)
-        integrals, state, state_3lev = values
-        return _row(inputs, observable_set(params, state, state_3lev), integrals, state)
+            return _row(inputs, values, _NO_FEEDBACK, 0.0)  # all in the ground state
+        integrals, *states = values
+        obs = observable_set(params, *states)
+        return _row(inputs, obs, integrals, states[0].sigma22.real)
     except _POINT_ERRORS as exc:
         msg = f"{type(exc).__name__}: {exc}".replace("\n", " ")[:200]
-        return ScanResultRow(**inputs, flag=msg)
+        return ScanResultRow(*inputs, flag=msg)
 
 
 def run_scan(config: ScanConfig) -> list[ScanResultRow]:
@@ -394,16 +379,6 @@ def run_scan(config: ScanConfig) -> list[ScanResultRow]:
                                     config.omega_p2_grid().tolist()))
     return [compute_row(config, d3, wp2, solved)
             for (d3, wp2), solved in zip(grid, _solve_points(config, grid))]
-
-
-def _fmt(x) -> str:
-    if type(x) is float:  # most cells
-        return "%.12g" % x
-    if isinstance(x, str):
-        return x.replace(",", ";")
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return "%.12g" % float(x)
 
 
 def write_csv(rows: Iterable[ScanResultRow], config_dict: dict, stream,
@@ -420,13 +395,10 @@ def write_csv(rows: Iterable[ScanResultRow], config_dict: dict, stream,
             raise ValueError(f"extra column {name} has {len(vals)} values "
                              f"for {len(rows)} rows")
     stream.write("# " + json.dumps(config_dict, sort_keys=True) + "\n")
-    columns = ScanResultRow.columns()
-    stream.write(",".join(columns + list(extra)) + "\n")
-    cells = operator.attrgetter(*columns)
-    for i, row in enumerate(rows):
-        vals = [_fmt(v) for v in cells(row)]
-        vals += [_fmt(extra[name][i]) for name in extra]
-        stream.write(",".join(vals) + "\n")
+    stream.write(",".join(ScanResultRow.columns() + list(extra)) + "\n")
+    line = ",".join([_ROW_FORMAT] + ["%.12g"] * len(extra)) + "\n"
+    for row, more in zip(rows, zip(*extra.values()) if extra else itertools.repeat(())):
+        stream.write(line % (*row[:-1], row.flag.replace(",", ";"), *more))
 
 
 def _s_slope_third_order(params: AtomParams, interaction: InteractionParams) -> float:

@@ -35,6 +35,7 @@ from .noninteracting import (
     SingleAtomState,
     perturbative_coefficients,
     steady_state_three_level,
+    steady_state_two_level,
 )
 from .observables import observable_set
 from .oracle import (
@@ -108,7 +109,8 @@ def check_noninteracting_s_identity():
     for wp2 in (0.1, 0.5):
         p = _params(wp=np.sqrt(wp2))
         st, _ = solve_interacting(p, InteractionParams(c6=0.0))
-        worst = max(worst, abs(observable_set(p, st, steady_state_three_level(p)).S - 1.0))
+        worst = max(worst, abs(observable_set(p, st, steady_state_three_level(p),
+                                           steady_state_two_level(p)).S - 1.0))
     return worst < 1e-9, f"max |S - 1| = {worst:.2e} at C6 = 0"
 
 

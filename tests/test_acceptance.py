@@ -22,6 +22,7 @@ from rydeit import (
     perturbative_coefficients,
     solve_interacting,
     steady_state_three_level,
+    steady_state_two_level,
     xi_coefficients,
 )
 from rydeit.collisional import F_lambda, F_lambda_quadrature
@@ -63,7 +64,8 @@ def _preset_params(n, delta3=1.0 / 3.0, omega_p=0.0, delta2=-25.0):
 
 def _observables(params, interaction):
     state, v = solve_interacting(params, interaction)
-    return observable_set(params, state, steady_state_three_level(params)), v
+    return observable_set(params, state, steady_state_three_level(params),
+                          steady_state_two_level(params)), v
 
 
 def test_criterion_01_noninteracting_identity():

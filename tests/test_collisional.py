@@ -115,7 +115,7 @@ class TestFeedbackMap:
         preset = StatePreset(state)
         inter = InteractionParams(c6=preset.c6)
         p = regularize(AtomParams(omega_p=np.sqrt(0.3), omega_c=preset.omega_c))
-        eigenvalues, u = spectral_decompose(schur_reduce(_pq(p))[0])
+        eigenvalues, u, _ = spectral_decompose(schur_reduce(_pq(p))[0])
         f = np.array([F_lambda(lam, inter) for lam in eigenvalues])
         sel = [P_LABELS.index(canonical_pair(lab, (3, 3))) for lab in V_LABELS]
         lu = np.linalg.inv(u)[sel, :]
@@ -138,6 +138,54 @@ class TestFeedbackMap:
         assert v.iterations == 97
         assert v.continuation_steps == 4
         assert v.used_newton is False
+
+
+class TestConditionGates:
+    """The Q-block and eigenvector-matrix condition gates of a stage build:
+    the bound ||X||_F ||X^-1||_F passes a well-conditioned stack without an
+    SVD, and ``np.linalg.cond`` decides where it does not."""
+
+    @staticmethod
+    def _column():
+        preset = StatePreset(50)
+        col = delta3_column(regularize(AtomParams(omega_c=preset.omega_c)),
+                            np.linspace(-1.0, 1.0, 25))
+        return col, np.sqrt(np.linspace(0.02, 0.5, 25)), InteractionParams(c6=preset.c6)
+
+    @pytest.mark.parametrize("limit, value, message", [
+        ("_COND_C_MAX", 1e7, "Q block ill-conditioned (cond=2.54e+07) at omega_c=3.0, "
+                             "delta2=-25.0, delta3=-1.0"),
+        ("_COND_U_MAX", 1e3, "eigenvector matrix near-defective (cond=5.46e+03); "
+                             "perturb detunings or decay rates slightly"),
+    ])
+    def test_gate_raises_with_the_condition_number(self, monkeypatch, limit, value, message):
+        col, wp, inter = self._column()
+        monkeypatch.setattr(collisional, limit, value)
+        with pytest.raises(SingularParameterError) as exc:
+            feedback_map(col, wp, wp, inter)
+        assert str(exc.value) == message
+
+    def test_stage_builds_take_no_svd(self, monkeypatch):
+        """Work-count guard: every stage build of a 25-point state-50
+        column passes both gates on the bound alone."""
+        calls = []
+
+        def counted(name):
+            fn = getattr(np.linalg, name)
+
+            def count(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return count
+
+        for name in ("cond", "svd"):
+            monkeypatch.setattr(np.linalg, name, counted(name))
+        preset = StatePreset(50)
+        atoms = [AtomParams(omega_p=np.sqrt(x), omega_c=preset.omega_c)
+                 for x in np.linspace(0.02, 0.5, 25)]
+        solved = solve_collisional_column(atoms, InteractionParams(c6=preset.c6), tol=1e-10)
+        assert all(isinstance(v, collisional.CollisionalIntegrals) for v in solved)
+        assert calls == []
 
 
 class TestNonlinearSolve:

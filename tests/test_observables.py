@@ -136,7 +136,8 @@ class TestScalingCoefficients:
         scaling parameter at low probe intensity."""
         p = params50.with_omega_p(np.sqrt(1e-4))
         state, _ = solve_interacting(p, inter50)
-        obs = observable_set(p, state, steady_state_three_level(p))
+        obs = observable_set(p, state, steady_state_three_level(p),
+                             steady_state_two_level(p))
         xi1, xi2 = xi_coefficients(params50)
         predicted = xi1 * obs.nb.real + xi2 * obs.nb.imag
         assert obs.nb_tilde == pytest.approx(predicted, rel=0.02)
@@ -145,7 +146,8 @@ class TestScalingCoefficients:
         # measured accuracy is ~2% here; 15% bounds it with margin
         p = AtomParams(omega_p=np.sqrt(1e-4), omega_c=preset50.omega_c, delta3=2.0)
         state, _ = solve_interacting(p, inter50)
-        obs = observable_set(p, state, steady_state_three_level(p))
+        obs = observable_set(p, state, steady_state_three_level(p),
+                             steady_state_two_level(p))
         xi1, xi2 = xi_coefficients(p.with_omega_p(0.0))
         predicted = xi1 * obs.nb.real + xi2 * obs.nb.imag
         assert obs.nb_tilde == pytest.approx(predicted, rel=0.15)
@@ -162,7 +164,8 @@ class TestScalingCoefficients:
     ):
         p = AtomParams(omega_p=np.sqrt(1e-4), omega_c=preset50.omega_c, delta3=2.0)
         state, _ = solve_interacting(p, inter50)
-        obs = observable_set(p, state, steady_state_three_level(p))
+        obs = observable_set(p, state, steady_state_three_level(p),
+                             steady_state_two_level(p))
         assert obs.nb_tilde == pytest.approx(obs.nb.real, rel=0.15)
 
 
@@ -180,7 +183,8 @@ class TestObservableSet:
     def test_fields_are_consistent(self, params50, inter50):
         p = params50.with_omega_p(np.sqrt(0.3))
         state, _ = solve_interacting(p, inter50)
-        obs = observable_set(p, state, steady_state_three_level(p))
+        obs = observable_set(p, state, steady_state_three_level(p),
+                             steady_state_two_level(p))
         assert obs.chi == pytest.approx(state.sigma12 / p.omega_p)
         # the references are the non-interacting solutions at the same point
         assert obs.chi_3lev == steady_state_three_level(p).sigma12 / p.omega_p
@@ -194,4 +198,4 @@ class TestObservableSet:
     def test_zero_probe_raises(self, params50):
         s = steady_state_three_level(params50)
         with pytest.raises(ValueError, match="weak-probe"):
-            observable_set(params50, s, s)
+            observable_set(params50, s, s, s)

@@ -166,6 +166,37 @@ class TestCsvDeterminism:
         assert emit() == want
         assert len(want.splitlines()) == 2 + 26
 
+    def test_cell_formats(self):
+        """write_csv's bytes on hand-built rows: a flag holding commas, NaN,
+        inf and -0.0 cells, zero and nonzero int cells, and extra columns
+        holding numpy floats and Python ints."""
+        inputs = dict(state=0, c6=5000.0, omega_c=3.0, delta2=-25.0, delta3=1.0 / 3.0,
+                      gamma13=0.1, gamma23=1.1, gamma22=2.0, gamma33=0.0, eta=0.04,
+                      omega_p2=0.5)
+        rows = [
+            ScanResultRow(**inputs, flag="ConvergenceError: stalled at (0.5, 1), twice"),
+            ScanResultRow(**{**inputs, "state": 61, "omega_p2": 1e-300}, chi_re=-0.0,
+                          chi_im=float("nan"), S=1.0 / 7.0, nb_tilde=float("inf"),
+                          iterations=0, residual=0.0),
+            ScanResultRow(**{**inputs, "delta3": -2.0}, iterations=12, residual=3.5e-11),
+        ]
+        buf = io.StringIO()
+        write_csv(rows, {"b": [0.5, None], "a": "x,y"}, buf,
+                  extra={"x": [np.float64(0.1), 7, -0.0],
+                         "y": [1, np.float64(2.5e-17), 1e12]})
+        nan22 = ",".join(["nan"] * 22)
+        assert buf.getvalue().splitlines() == [
+            '# {"a": "x,y", "b": [0.5, null]}',
+            ",".join(ScanResultRow.columns() + ["x", "y"]),
+            "0,5000,3,-25,0.333333333333,0.1,1.1,2,0,0.04,0.5,"
+            + nan22 + ",0,nan,ConvergenceError: stalled at (0.5; 1); twice,0.1,1",
+            "61,5000,3,-25,0.333333333333,0.1,1.1,2,0,0.04,1e-300,-0,nan,nan,nan,nan,nan,"
+            "0.142857142857,nan,nan,nan,nan,nan,nan,nan,nan,nan,nan,nan,nan,nan,nan,inf,"
+            "0,0,,7,2.5e-17",
+            "0,5000,3,-25,-2,0.1,1.1,2,0,0.04,0.5," + nan22 + ",12,3.5e-11,,-0,1e+12",
+        ]
+        assert buf.getvalue().endswith("\n")
+
     def test_weak_probe_row(self):
         cfg = ScanConfig(state=50, omega_p2_start=0.0, omega_p2_stop=0.0,
                          omega_p2_count=1)
@@ -346,8 +377,9 @@ class TestFiniteProbeColumn:
     def test_single_atom_solves_do_not_grow_with_the_column(self, monkeypatch, count):
         """Work-count guard: outside the collisional solve, a config's
         finite-probe rows make two stacked 8x8 solves, the interacting
-        states and their three-level references, however many rows they
-        have (two per row would be 50 for 25 rows)."""
+        states and their three-level references, and one stacked 3x3
+        solve, their two-level references, however many rows they have
+        (three per row would be 75 for 25 rows)."""
         calls, inside = [], []
         solve_column = scan_module.solve_collisional_column
 
@@ -361,7 +393,7 @@ class TestFiniteProbeColumn:
         solve = np.linalg.solve
 
         def counted(a, *args, **kwargs):
-            if not inside and np.shape(a)[-2:] == (8, 8):
+            if not inside and np.shape(a)[-2:] in ((8, 8), (3, 3)):
                 calls.append(np.shape(a))
             return solve(a, *args, **kwargs)
 
@@ -370,7 +402,7 @@ class TestFiniteProbeColumn:
         rows = run_scan(ScanConfig(state=50, omega_p2_start=0.02, omega_p2_stop=0.5,
                                    omega_p2_count=count))
         assert len(rows) == count and not any(r.flag for r in rows)
-        assert calls == [(count, 8, 8)] * 2
+        assert sorted(calls) == [(count, 3, 3)] + [(count, 8, 8)] * 2
 
 
 class TestParseGrid:
@@ -463,6 +495,22 @@ class TestCli:
         res = CliRunner().invoke(main, ["scan", "--config", str(cfg)])
         assert res.exit_code == 2
         assert "config error: out must be a path string" in res.output
+
+    @pytest.mark.parametrize("args", [["point", "--state", "50"],
+                                      ["scan", "--state", "50"],
+                                      ["figure", "fig3"]],
+                             ids=["point", "scan", "figure"])
+    def test_unwritable_out_exits_2_before_solving(self, tmp_path, monkeypatch, args):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved before --out was opened")
+
+        monkeypatch.setattr(cli_module, "run_scan", refuse)
+        monkeypatch.setattr(cli_module, "run_figure", refuse)
+        out = tmp_path / "missing" / "x.csv"
+        res = CliRunner().invoke(main, args + ["--out", str(out)])
+        assert res.exit_code == 2
+        assert f"config error: cannot write {out}: No such file or directory" in res.output
+        assert not out.parent.exists()
 
     def test_subnormal_probe_gives_flagged_row(self, tmp_path):
         # a positive subnormal |omega_p|^2 is a valid config, but sigma33
