@@ -161,7 +161,8 @@ def _relax_adjoint(a_op, p: AtomParams):
     out = np.zeros((3, 3), dtype=complex)
     for (a, b) in _ALL9:
         if a != b:
-            out[a - 1, b - 1] += -p.gamma(a, b) * a_op[a - 1, b - 1]
+            rate = getattr(p, f"gamma{min(a, b)}{max(a, b)}")  # as in _RATE_FIELDS
+            out[a - 1, b - 1] += -rate * a_op[a - 1, b - 1]
     out[1, 1] += -p.gamma22 * a_op[1, 1]
     out[2, 2] += -p.gamma33 * a_op[2, 2]
     # populations decay into the ground state (no gamma33 feed into level 2,
@@ -189,8 +190,8 @@ def _drift_terms(label, wp, wpc, p: AtomParams):
 
 def _bare(omega_c: float) -> SimpleNamespace:
     """Stand-in parameters: omega_c, every rate and detuning 0."""
-    return SimpleNamespace(omega_c=omega_c, delta2=0.0, delta3=0.0, gamma22=0.0,
-                           gamma33=0.0, gamma=lambda a, b: 0.0)
+    return SimpleNamespace(omega_c=omega_c, delta2=0.0, delta3=0.0, gamma12=0.0,
+                           gamma13=0.0, gamma23=0.0, gamma22=0.0, gamma33=0.0)
 
 
 def _constant_parts(matrices, what: str):

@@ -27,8 +27,7 @@ stack. ``solve_collisional_integrals`` is the column solve of one point.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from types import SimpleNamespace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -167,11 +166,15 @@ class PQSystem:
 GAMMA33_REGULARIZATION = 1e-6
 
 
-def regularize(params: AtomParams) -> AtomParams:
-    """Replace an exactly zero gamma33 by the tiny regularizing value."""
+def regularize(params):
+    """``params`` (an ``AtomParams`` or a ``delta3_column``) with an exactly
+    zero gamma33 replaced by the tiny regularizing value, every other field
+    kept (gamma23 included); ``params`` itself when gamma33 != 0. Only
+    ``feedback_map`` calls it, so every stage the solver builds, and every
+    G the references build, is regularized in one place."""
     if params.gamma33 != 0.0:
         return params
-    return replace(params, gamma33=GAMMA33_REGULARIZATION)
+    return type(params)(**{**vars(params), "gamma33": GAMMA33_REGULARIZATION})
 
 
 def assemble_PQ(params, wp, wpc) -> PQSystem:
@@ -278,20 +281,21 @@ class FeedbackMap:
         """The stacked map at ``idx`` (a slice, an index array, or one index)
         of its leading axis. Indexing the leading axis keeps each matrix's
         memory order, which BLAS picks its kernel, and so its rounding, by;
-        its params slice the parent's column, unvalidated."""
+        its params are the ``delta3_column`` of the parent's column at
+        ``idx``."""
         return FeedbackMap(
-            params=SimpleNamespace(
-                **{**vars(self.params), "delta3": np.atleast_1d(self.params.delta3[idx])}),
+            params=delta3_column(self.params, self.params.delta3[idx]),
             single=tuple(op[idx] for op in self.single), pair_source=self.pair_source[idx],
             alpha=self.alpha[idx], u=self.u[idx], f=self.f[idx], lu=self.lu[idx])
 
 
 def feedback_map(params, wp, wpc, interaction: InteractionParams) -> FeedbackMap:
     """The stage's G of ``params`` at (wp, wpc) (stacked as for
-    ``assemble_PQ``): ``assemble_PQ`` -> ``schur_reduce`` ->
-    ``spectral_decompose``, then f = F(lambda), one ``F_lambda`` over the
+    ``assemble_PQ``): ``regularize`` -> ``assemble_PQ`` -> ``schur_reduce``
+    -> ``spectral_decompose``, then f = F(lambda), one ``F_lambda`` over the
     eigenvalues, and lu, the feedback rows of U^-1, once per probe
-    amplitude."""
+    amplitude. The map and its σ solve hold the regularized params."""
+    params = regularize(params)
     pq = assemble_PQ(params, wp, wpc)
     m, alpha = schur_reduce(pq)
     w, u, u_inv = spectral_decompose(m)
@@ -445,11 +449,12 @@ def _physical_roots(v, conv, g: FeedbackMap) -> np.ndarray:
 
 @dataclass
 class _Continuation:
-    """One point's intensity continuation from 0 to its probe: the solved
-    intensity fraction ``x``, the step ``dx``, the last two solved (x, V)
-    for the secant predictor, and the counts so far."""
+    """One point's intensity continuation from 0 to its probe: the point's
+    own params (``feedback_map`` regularizes the stacked stage built from
+    them), the solved intensity fraction ``x``, the step ``dx``, the last
+    two solved (x, V) for the secant predictor, and the counts so far."""
 
-    params: AtomParams  # regularized
+    params: AtomParams
     x: float = 0.0
     dx: float = 0.25
     steps: int = 0
@@ -577,7 +582,7 @@ def solve_collisional_column(points, interaction: InteractionParams,
         if interaction.c6 == 0.0 or params.omega_p == 0:
             out[i] = _NO_FEEDBACK
             continue
-        live[i] = _Continuation(regularize(params))
+        live[i] = _Continuation(params)
     while live:
         for i, result in _round(live, interaction, tol).items():
             out[i] = result

@@ -3,8 +3,10 @@
 * exact two-atom master-equation steady state at a fixed pair interaction
   (dense 81-dimensional Liouvillian, no closure or truncation),
 * weak-probe expansion coefficients read off a contour in the complex
-  probe amplitude (``_contour_coefficients``),
-* re-export of the independent-node-family radial quadrature.
+  probe amplitude (``_contour_coefficients``).
+
+The independent-node-family radial quadrature is
+``quadrature.vdw_k_integral_reference``.
 
 These deliberately share no code with the generated Bloch systems: the
 Hamiltonian and dissipator are written in the Schroedinger picture and the
@@ -19,12 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import AtomParams, SingularParameterError
-from .quadrature import vdw_k_integral_reference as quadrature_reference
 
 __all__ = [
     "TwoAtomState",
     "two_atom_steady_state",
-    "quadrature_reference",
 ]
 
 

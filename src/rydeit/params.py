@@ -30,7 +30,6 @@ __all__ = [
     "delta3_column",
     "stacked",
     "effective_T",
-    "effective_T_dispersive",
     "vdw_potential",
     "omega_c_for_state",
     "default_gamma23",
@@ -118,18 +117,6 @@ class AtomParams:
 
     def with_omega_p(self, omega_p: complex) -> "AtomParams":
         return replace(self, omega_p=omega_p)
-
-    def gamma(self, a: int, b: int) -> float:
-        """Coherence/population decay rate for the (a, b) matrix element."""
-        key = (min(a, b), max(a, b))
-        return {
-            (1, 2): self.gamma12,
-            (1, 3): self.gamma13,
-            (2, 3): self.gamma23,
-            (2, 2): self.gamma22,
-            (3, 3): self.gamma33,
-            (1, 1): 0.0,
-        }[key]
 
 
 _ATOM_FIELDS = tuple(f.name for f in fields(AtomParams))
@@ -223,16 +210,6 @@ def effective_T(params: AtomParams) -> complex:
     if rc.Gamma12 == 0:
         raise SingularParameterError("Gamma12 = 0: effective T undefined")
     return rc.Gamma13 + params.omega_c**2 / rc.Gamma12
-
-
-def effective_T_dispersive(params: AtomParams) -> complex:
-    """Dispersive-regime approximation of T: Re T ~ gamma13 + omega_c^2/delta2^2,
-    -Im T ~ delta3 - omega_c^2/delta2."""
-    if params.delta2 == 0:
-        raise SingularParameterError("delta2 = 0: dispersive approximation undefined")
-    re = params.gamma13 + params.omega_c**2 / params.delta2**2
-    im = -(params.delta3 - params.omega_c**2 / params.delta2)
-    return re + 1j * im
 
 
 def vdw_potential(r: float, c6: float) -> float:

@@ -4,8 +4,11 @@ Solves the interaction-resolved two-body correlators order by order in the
 probe field at fixed pair interaction strength k, evaluates the leading
 collisional integral over the Van der Waals potential in closed form (a sum
 over the four poles of the rational kernel ss^(3)_{13,33}(k); the radial
-quadrature is its tested reference), and provides the closed-form blockade
-observables that follow from it.
+quadrature is its tested reference), and holds the closed form of the
+radial resolvent integral, ``F_lambda``. The closed-form blockade count
+``nb_closed_form`` is that integral at the single-pole closure's pole iT;
+the collisional solver evaluates it at the eigenvalues of its reduced
+pair system.
 
 Production and references. Weak-probe rows evaluate a scan's zero-probe
 points as one column over delta3 (``params.delta3_column``):
@@ -79,8 +82,6 @@ __all__ = [
     "Chi3Result",
     "chi3_interacting",
     "nb_closed_form",
-    "nb_closed_form_dispersive",
-    "ib_quadrature",
 ]
 
 ORDER2_LABELS = tuple(lab for lab in PAIR_LABELS if grade_order(lab)[1] == 2)
@@ -96,24 +97,19 @@ class BranchAmbiguityError(ValueError):
     """The square-root branch is ambiguous (resonant pair excitation)."""
 
 
-def _principal_sqrt(z, what: str):
-    """np.sqrt(z), elementwise; z on the negative real axis, its branch
-    cut, raises."""
-    if np.any((np.imag(z) == 0.0) & (np.real(z) < 0.0)):
-        raise BranchAmbiguityError(f"{what} lies on the negative real axis: branch "
-                                   "ambiguous (resonant pair-excitation regime)")
-    return np.sqrt(z)
-
-
 def F_lambda(lam, interaction: InteractionParams):
     """Radial resolvent integral eta Int d^3R k/(k - lambda), closed form
     (2 pi^2 eta / 3) sqrt(C6/lambda) for k = -C6/R^6, principal branch;
     elementwise over an array of eigenvalues. A Python scalar ``lam`` keeps
-    Python's complex division."""
+    Python's complex division. C6/lambda on the negative real axis, the
+    branch cut, raises ``BranchAmbiguityError``; C6 = 0 gives 0."""
     if interaction.c6 == 0.0:
         return np.zeros_like(lam, dtype=complex)
-    return 2.0 * np.pi**2 * interaction.eta / 3.0 * _principal_sqrt(interaction.c6 / lam,
-                                                                    "C6/lambda")
+    z = interaction.c6 / lam
+    if np.any((np.imag(z) == 0.0) & (np.real(z) < 0.0)):
+        raise BranchAmbiguityError("C6/lambda lies on the negative real axis: branch "
+                                   "ambiguous (resonant pair-excitation regime)")
+    return 2.0 * np.pi**2 * interaction.eta / 3.0 * np.sqrt(z)
 
 
 def _components(x) -> np.ndarray:
@@ -511,25 +507,11 @@ def chi3_interacting(params: AtomParams, interaction: InteractionParams) -> Chi3
 
 
 def nb_closed_form(params: AtomParams, interaction: InteractionParams) -> complex:
-    """Blockade count n_b = 2 pi^2 eta / (3 sqrt(iT / c6)), principal branch."""
-    t = effective_T(params)
-    root = complex(_principal_sqrt(1j * t / interaction.c6, "iT/C6"))
-    return 2.0 * np.pi**2 * interaction.eta / (3.0 * root)
-
-
-def nb_closed_form_dispersive(params: AtomParams, interaction: InteractionParams) -> complex:
-    """Dispersive-regime n_b with T replaced by its real detuning part."""
-    eff_det = params.delta3 - params.omega_c**2 / params.delta2
-    root = complex(_principal_sqrt(eff_det / interaction.c6, "effective detuning / C6"))
-    return 2.0 * np.pi**2 * interaction.eta / (3.0 * root)
-
-
-def ib_quadrature(
-    params: AtomParams, interaction: InteractionParams, rel_tol: float = 1e-8
-) -> RadialQuadratureResult:
-    """Direct quadrature of I_b = eta Int d^3R ik / (T + ik)."""
-    t = effective_T(params)
-    return vdw_k_integral(
-        lambda k: 1j / (t + 1j * k),
-        interaction.c6, interaction.eta, abs(t), rel_tol=rel_tol,
-    )
+    """Blockade count n_b = F(iT): the resolvent integral ``F_lambda`` at
+    the pole lambda = iT of the single-pole closure (T = ``effective_T``),
+    (2 pi^2 eta / 3) sqrt(C6/(iT)) on the principal branch. For C6 > 0 that
+    is (pi/2) N_bl exp(-i arg(iT)/2), N_bl = eta (4 pi/3) R_b^3 the atoms in
+    a blockade sphere of radius R_b = ``blockade_radius`` (|k(R_b)| = |T|).
+    0 at C6 = 0, as ``F_lambda``; C6/(iT) on the negative real axis raises
+    ``BranchAmbiguityError``."""
+    return complex(F_lambda(1j * effective_T(params), interaction))

@@ -26,7 +26,6 @@ from .collisional import (
     F_lambda_quadrature,
     _newton,
     feedback_map,
-    regularize,
     solve_collisional_integrals,
     solve_interacting,
     solve_pair_at_k,
@@ -41,7 +40,6 @@ from .observables import observable_set
 from .oracle import (
     _contour_coefficients,
     _steady_state,
-    quadrature_reference,
     two_atom_steady_state,
 )
 from .params import (
@@ -55,12 +53,11 @@ from .params import (
 )
 from .perturbative import (
     collisional_integral_V13_order3,
-    ib_quadrature,
     nb_closed_form,
     pair_correlators_order2,
     pair_correlators_order3,
 )
-from .quadrature import vdw_k_integral
+from .quadrature import vdw_k_integral, vdw_k_integral_reference
 from .scan import ScanConfig, _s_slope_third_order, run_scan, write_csv
 
 __all__ = ["run_suite", "FAST_CHECKS", "FULL_CHECKS"]
@@ -118,7 +115,7 @@ def check_nb_closed_form_vs_quadrature():
     p = _params()
     inter = InteractionParams(c6=_P50.c6)
     nb = nb_closed_form(p, inter)
-    ib = ib_quadrature(p, inter).value
+    ib = F_lambda_quadrature(1j * effective_T(p), inter, rel_tol=1e-8)
     rel = abs(nb - ib) / abs(nb)
     return bool(rel < 1e-6), f"|n_b - I_b|/|n_b| = {rel:.2e}"
 
@@ -215,7 +212,6 @@ def _solver_contour(p, interaction):
     closure. V leaves the solver's root at a = r and is carried round |a| = r
     by ``_newton`` on G at wp = wpc = a; closure is its return distance."""
     r, nodes, sub = 0.05, 32, 4
-    p_reg = regularize(p)  # the gamma33 the solver uses
     v_start = solve_collisional_integrals(p.with_omega_p(r), interaction).v4
     tol = 1e-12 * np.max(np.abs(v_start))
     a_now, v = complex(r), v_start
@@ -225,7 +221,7 @@ def _solver_contour(p, interaction):
         step = (a / a_now) ** (1.0 / sub)
         for _ in range(sub):
             a_now *= step
-            g = feedback_map(p_reg, a_now, a_now, interaction)
+            g = feedback_map(p, a_now, a_now, interaction)
             v = _newton(g, v, tol)[0]
         return [v[0], SingleAtomState(values=g.sigma(v)).sigma12]
 
@@ -259,7 +255,7 @@ def check_quadrature_reference():
         return 1j / (t + 1j * k)
 
     a = vdw_k_integral(fn, _P50.c6, 0.04, abs(t)).value
-    b = quadrature_reference(fn, _P50.c6, 0.04, abs(t)).value
+    b = vdw_k_integral_reference(fn, _P50.c6, 0.04, abs(t)).value
     rel = abs(a - b) / abs(a)
     return bool(rel < 1e-8), f"adaptive vs tanh-sinh quadrature: {rel:.2e}"
 

@@ -70,6 +70,58 @@ class TestSchurReduction:
         assert regularize(p2) is p2
 
 
+def _operand_bytes(g):
+    """Every operand of a ``FeedbackMap`` as bytes, its params' fields too."""
+    arrays = (*g.single, g.pair_source, g.alpha, g.u, g.f, g.lu)
+    return ({k: np.asarray(v).tobytes() for k, v in vars(g.params).items()},
+            [a.tobytes() for a in arrays])
+
+
+class TestRegularizationHasOneHome:
+    """``feedback_map`` applies the gamma33 regularization; nothing upstream
+    of it does."""
+
+    @staticmethod
+    def _stage(rows):
+        preset = StatePreset(50)
+        p = AtomParams(omega_p=np.sqrt(0.3), omega_c=preset.omega_c)
+        if rows is None:
+            return p, p.omega_p, np.conj(p.omega_p), InteractionParams(c6=preset.c6)
+        amps = np.sqrt(np.linspace(0.1, 0.5, rows)).astype(complex)
+        return (delta3_column(p, np.linspace(-1.0, 1.0, rows)), amps, amps.conj(),
+                InteractionParams(c6=preset.c6))
+
+    @pytest.mark.parametrize("rows", [None, 5], ids=["AtomParams", "column"])
+    def test_stage_of_unregularized_params_is_the_regularized_stage(self, rows):
+        params, wp, wpc, inter = self._stage(rows)
+        assert params.gamma33 == 0.0
+        got = feedback_map(params, wp, wpc, inter)
+        assert got.params.gamma33 == GAMMA33_REGULARIZATION
+        assert _operand_bytes(got) == _operand_bytes(
+            feedback_map(regularize(params), wp, wpc, inter))
+
+    def test_regularized_column_differs_only_in_gamma33(self):
+        column = self._stage(5)[0]
+        reg = regularize(column)
+        assert type(reg) is type(column)
+        assert vars(reg).keys() == vars(column).keys()
+        assert [k for k in vars(column) if not np.array_equal(
+            getattr(reg, k), getattr(column, k))] == ["gamma33"]
+        assert reg.gamma33 == GAMMA33_REGULARIZATION
+
+    def test_column_solve_regularizes_once_per_stage_build(self, monkeypatch):
+        """Work-count guard: a 25-point state-50 column regularizes each of
+        its 4 stacked stage builds once, on the whole stack, not each point."""
+        calls = []
+        reg = collisional.regularize
+        monkeypatch.setattr(collisional, "regularize",
+                            lambda p: calls.append(np.shape(p.delta3)) or reg(p))
+        solved = solve_collisional_column(
+            *_column(50, 1.0 / 3.0, np.linspace(0.0, 0.5, 26)[1:]))
+        assert all(isinstance(v, collisional.CollisionalIntegrals) for v in solved)
+        assert calls == [(25,)] * 4
+
+
 class TestAssemblePQ:
     @pytest.mark.parametrize("state, gamma33, a", [
         (50, 0.0, 0.3), (46, 0.05, 0.0), (61, 0.0, np.sqrt(0.5)),

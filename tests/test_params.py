@@ -19,7 +19,6 @@ from rydeit import (
 from rydeit.params import (
     SingularParameterError,
     default_gamma23,
-    effective_T_dispersive,
     omega_c_for_state,
     stacked,
     vdw_potential,
@@ -75,12 +74,6 @@ class TestAtomParams:
         assert p.omega_p == 0.3 + 0.1j
         assert p.delta2 == -25.0
 
-    def test_gamma_lookup_symmetric(self):
-        p = AtomParams()
-        assert p.gamma(1, 2) == p.gamma(2, 1) == 1.0
-        assert p.gamma(3, 1) == pytest.approx(0.1)
-        assert p.gamma(1, 1) == 0.0
-
 
 class TestRelaxationConstants:
     def test_values_at_defaults(self):
@@ -95,12 +88,6 @@ class TestRelaxationConstants:
         assert t == pytest.approx((0.1 - 1j / 3.0) + 9.0 / (1.0 + 25.0j), rel=1e-12)
         assert t.real == pytest.approx(0.11437699681, rel=1e-9)
         assert t.imag == pytest.approx(-0.69275825346, rel=1e-9)
-
-    def test_dispersive_T_close_to_exact(self):
-        p = AtomParams(omega_c=3.0)
-        t = effective_T(p)
-        td = effective_T_dispersive(p)
-        assert abs(t - td) / abs(t) < 0.01
 
 
 class TestPresets:

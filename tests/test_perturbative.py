@@ -1,4 +1,5 @@
 """Weak-probe pair cascade, collisional integral and closed-form observables."""
+import cmath
 import dataclasses
 import sys
 from types import SimpleNamespace
@@ -36,7 +37,6 @@ from rydeit.perturbative import (
     collisional_integral_V13_order3,
     collisional_integral_V13_order3_quadrature,
     nb_closed_form,
-    nb_closed_form_dispersive,
     pair_correlators_order2,
     pair_correlators_order3,
     ss1333_ladder_approximation,
@@ -689,16 +689,33 @@ class TestClosedFormObservables:
         b = nb_closed_form(params50, InteractionParams(c6=20000.0))
         assert b == pytest.approx(2.0 * a, rel=1e-12)
 
-    def test_dispersive_form_close(self, params50, inter50):
-        nb = nb_closed_form(params50, inter50)
-        nbd = nb_closed_form_dispersive(params50, inter50)
-        assert abs(nb - nbd) / abs(nb) < 0.1
-
     def test_branch_ambiguity_raises(self, inter50):
-        # purely negative effective detuning puts iT/C6 on the cut
+        # purely negative effective detuning puts iT/C6, and so C6/(iT), on the cut
         p = AtomParams(omega_c=0.0, gamma13=0.0, delta3=-1.0)
-        with pytest.raises(BranchAmbiguityError):
-            nb_closed_form_dispersive(p, inter50)
+        with pytest.raises(BranchAmbiguityError, match="C6/lambda lies on"):
+            nb_closed_form(p, inter50)
+
+    def test_nb_without_interactions_is_zero(self, params50):
+        """C6 = 0, which InteractionParams accepts, gives n_b = 0, as the
+        resolvent integral does with interactions off."""
+        assert nb_closed_form(params50, InteractionParams(c6=0.0)) == 0j
+
+    @pytest.mark.parametrize("gamma13", [0.1, 0.01])
+    @pytest.mark.parametrize("state", [46, 50, 56, 61])
+    def test_nb_counts_the_atoms_in_a_blockade_sphere(self, state, gamma13):
+        """n_b = (pi/2) N_bl exp(-i arg(iT)/2), N_bl = eta (4 pi/3) R_b^3 the
+        atoms in a blockade sphere of radius R_b, |k(R_b)| = |T|: the
+        closed form is exactly a blockade-sphere count."""
+        preset = StatePreset(state)
+        inter = InteractionParams(c6=preset.c6)
+        worst = 0.0
+        for delta3 in np.linspace(-2.0, 2.0, 41):
+            p = AtomParams(omega_c=preset.omega_c, delta3=delta3, gamma13=gamma13)
+            n_bl = inter.eta * 4.0 * np.pi / 3.0 * blockade_radius(p, inter.c6) ** 3
+            want = np.pi / 2.0 * n_bl * cmath.exp(-0.5j * cmath.phase(1j * effective_T(p)))
+            nb = nb_closed_form(p, inter)
+            worst = max(worst, abs(nb - want) / abs(want))
+        assert worst < 1e-14
 
     def test_blockade_radius_scale_consistency(self, params50, inter50):
         # n_b equals eta times an O(1) multiple of the blockade volume
