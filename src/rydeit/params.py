@@ -228,6 +228,9 @@ def omega_c_for_state(n: int) -> float:
 
 
 def blockade_radius(params: AtomParams, c6: float) -> float:
-    """Length scale where |k(r)| = |T|: r_b = (c6 / |T|)^(1/6)."""
+    """Length scale where |k(r)| = |T|: r_b = (c6 / |T|)^(1/6). T = 0
+    raises ``SingularParameterError``: no finite r has |k(r)| = 0."""
     t = effective_T(params)
+    if t == 0:
+        raise SingularParameterError("T = 0: the blockade radius is infinite")
     return (abs(c6) / abs(t)) ** (1.0 / 6.0)

@@ -102,9 +102,13 @@ def F_lambda(lam, interaction: InteractionParams):
     (2 pi^2 eta / 3) sqrt(C6/lambda) for k = -C6/R^6, principal branch;
     elementwise over an array of eigenvalues. A Python scalar ``lam`` keeps
     Python's complex division. C6/lambda on the negative real axis, the
-    branch cut, raises ``BranchAmbiguityError``; C6 = 0 gives 0."""
+    branch cut, raises ``BranchAmbiguityError``; C6 = 0 gives 0. Otherwise
+    the integral diverges at lambda = 0, which raises
+    ``SingularParameterError``."""
     if interaction.c6 == 0.0:
         return np.zeros_like(lam, dtype=complex)
+    if np.any(lam == 0):
+        raise SingularParameterError("lambda = 0: the resolvent integral diverges")
     z = interaction.c6 / lam
     if np.any((np.imag(z) == 0.0) & (np.real(z) < 0.0)):
         raise BranchAmbiguityError("C6/lambda lies on the negative real axis: branch "
@@ -512,6 +516,7 @@ def nb_closed_form(params: AtomParams, interaction: InteractionParams) -> comple
     (2 pi^2 eta / 3) sqrt(C6/(iT)) on the principal branch. For C6 > 0 that
     is (pi/2) N_bl exp(-i arg(iT)/2), N_bl = eta (4 pi/3) R_b^3 the atoms in
     a blockade sphere of radius R_b = ``blockade_radius`` (|k(R_b)| = |T|).
-    0 at C6 = 0, as ``F_lambda``; C6/(iT) on the negative real axis raises
+    0 at C6 = 0, as ``F_lambda``; otherwise T = 0 raises
+    ``SingularParameterError`` and C6/(iT) on the negative real axis
     ``BranchAmbiguityError``."""
     return complex(F_lambda(1j * effective_T(params), interaction))

@@ -271,34 +271,37 @@ _ROW_FORMAT = ",".join({"state": "%d", "iterations": "%d", "flag": "%s"}.get(nam
 
 def _weak_probe_values(params: AtomParams, interaction: InteractionParams,
                        delta3s: list[float]) -> list:
-    """The ``ObservableSet`` at each zero-probe point (delta3, 0) of the
-    column of ``params`` over ``delta3s``, from one stacked evaluation: the
-    single-atom cascade, the kernels and their pole sums, and the blockade
-    counts at their weak-probe limits. The interacting and three-level
-    responses coincide there (S = S_norm = 1)."""
+    """(observables, integrals, sigma22) at each zero-probe point (delta3, 0)
+    of the column of ``params`` over ``delta3s``, from one stacked
+    evaluation: the single-atom cascade, the kernels and their pole sums,
+    and the blockade counts at their weak-probe limits. The interacting and
+    three-level responses coincide there (S = S_norm = 1), and V = sigma = 0:
+    all atoms are in the ground state."""
     column = delta3_column(params, delta3s)
     pc = perturbative_column(column)
     v13_3 = collisional_integral_V13_column(column, pc, interaction)
     nb = nb_weak_probe(column, pc, v13_3)
     nbt = nb_tilde_weak_probe(column, pc, v13_3)
     chi2 = -1j / relaxation_constants(params).Gamma12
-    return [ObservableSet(chi, chi, chi2, 1.0, 1.0, n_b, n_bt, 0.0)
+    return [(ObservableSet(chi, chi, chi2, 1.0, 1.0, n_b, n_bt, 0.0), _NO_FEEDBACK, 0.0)
             for chi, n_b, n_bt in zip(pc.s12_1.tolist(), nb.tolist(), nbt.tolist())]
 
 
 def _finite_probe_values(points: list) -> list:
-    """(integrals, state, state_3lev, state_2lev) at each finite-probe point
-    (params, integrals) of one config: the interacting, the three-level and
-    the two-level single-atom states, from three stacked solves over the
-    points' ``delta3_column``."""
+    """(observables, integrals, sigma22) at each finite-probe point (params,
+    integrals) of one config: the interacting, the three-level and the
+    two-level single-atom states from three stacked solves over the
+    points' ``delta3_column``, then each point's ``observable_set``."""
     column = delta3_column(points[0][0], [p.delta3 for p, _ in points])
     wp = np.array([p.omega_p for p, _ in points])
     operands = single_atom_operands(column, wp, np.conj(wp))
     sigma = solve_sigma(column, operands, [v.v4 for _, v in points])
     sigma_3lev = solve_sigma(column, operands, None)
     sigma_2lev = steady_state_two_level(column, wp).values
-    return [(v, SingleAtomState(s), SingleAtomState(s3), SingleAtomState(s2))
-            for (_, v), s, s3, s2 in zip(points, sigma, sigma_3lev, sigma_2lev)]
+    states = [[SingleAtomState(s) for s in sigmas]
+              for sigmas in zip(sigma, sigma_3lev, sigma_2lev)]
+    return [(observable_set(p, *st), v, st[0].sigma22.real)
+            for (p, v), st in zip(points, states)]
 
 
 def _solve_points(config: ScanConfig, points: list[tuple[float, float]]) -> list:
@@ -309,8 +312,9 @@ def _solve_points(config: ScanConfig, points: list[tuple[float, float]]) -> list
     and share its single parameter set, of which their rows read only the
     delta3-independent fields. The finite-probe points are solved in
     lockstep (``solve_collisional_column``), then their single-atom states
-    as one column (``_finite_probe_values``). Each column is one stacked
-    evaluation, else point by point on a point error (``params.stacked``)."""
+    and observables as one column (``_finite_probe_values``). Each column
+    is one stacked evaluation, else point by point on a point error
+    (``params.stacked``), the one place a typed error becomes a value."""
     zero = [d3 for d3, wp2 in points if wp2 == 0.0]
     finite = [config.point_params(d3, wp2) for d3, wp2 in points if wp2 != 0.0]
     if zero:
@@ -323,24 +327,11 @@ def _solve_points(config: ScanConfig, points: list[tuple[float, float]]) -> list
         atoms = [p for p, _ in finite]
         solved = solve_collisional_column(atoms, interaction, tol=config.tol)
         ok = [(p, v) for p, v in zip(atoms, solved) if isinstance(v, CollisionalIntegrals)]
-        states = iter(stacked(_finite_probe_values, ok, _POINT_ERRORS) if ok else [])
-        finite = [(p, interaction, v if isinstance(v, Exception) else next(states))
+        values = iter(stacked(_finite_probe_values, ok, _POINT_ERRORS) if ok else [])
+        finite = [(p, interaction, v if isinstance(v, Exception) else next(values))
                   for p, v in zip(atoms, solved)]
     zero, finite = iter(zero), iter(finite)
     return [next(zero) if wp2 == 0.0 else next(finite) for _, wp2 in points]
-
-
-def _row(inputs: tuple, obs: ObservableSet, integrals: CollisionalIntegrals,
-         sigma22: float) -> ScanResultRow:
-    """The row of a solved point from its input cells, observables,
-    collisional integrals and single-atom sigma22."""
-    chi, chi3, chi2, s, s_norm, nb, nb_tilde, p_r = obs
-    v13, v31, v23, v32 = integrals.v13, integrals.v31, integrals.v23, integrals.v32
-    return ScanResultRow(
-        *inputs, chi.real, chi.imag, chi3.real, chi3.imag, chi2.real, chi2.imag,
-        s, s_norm.real, s_norm.imag, v13.real, v13.imag, v31.real, v31.imag,
-        v23.real, v23.imag, v32.real, v32.imag, sigma22, p_r,
-        nb.real, nb.imag, nb_tilde, integrals.iterations, integrals.residual)
 
 
 def compute_row(config: ScanConfig, delta3: float, omega_p2: float,
@@ -348,8 +339,7 @@ def compute_row(config: ScanConfig, delta3: float, omega_p2: float,
     """Solve one grid point of ``config``; failures are returned as flagged rows.
 
     ``solved`` is the point's entry of ``_solve_points`` when ``run_scan``
-    has solved the whole grid; otherwise the point is solved alone. A
-    zero-probe row has V = sigma = 0.
+    has solved the whole grid; otherwise the point is solved alone.
     """
     if solved is None:
         (solved,) = _solve_points(config, [(delta3, omega_p2)])
@@ -358,17 +348,16 @@ def compute_row(config: ScanConfig, delta3: float, omega_p2: float,
               params.omega_c, config.delta2, delta3, config.gamma13,
               params.gamma23, params.gamma22,  # resolved defaults
               config.gamma33, config.eta, omega_p2)
-    try:
-        if isinstance(values, Exception):
-            raise values
-        if omega_p2 == 0.0:
-            return _row(inputs, values, _NO_FEEDBACK, 0.0)  # all in the ground state
-        integrals, *states = values
-        obs = observable_set(params, *states)
-        return _row(inputs, obs, integrals, states[0].sigma22.real)
-    except _POINT_ERRORS as exc:
-        msg = f"{type(exc).__name__}: {exc}".replace("\n", " ")[:200]
+    if isinstance(values, Exception):
+        msg = f"{type(values).__name__}: {values}".replace("\n", " ")[:200]
         return ScanResultRow(*inputs, flag=msg)
+    (chi, chi3, chi2, s, s_norm, nb, nb_tilde, p_r), integrals, sigma22 = values
+    v13, v31, v23, v32 = integrals.v13, integrals.v31, integrals.v23, integrals.v32
+    return ScanResultRow(
+        *inputs, chi.real, chi.imag, chi3.real, chi3.imag, chi2.real, chi2.imag,
+        s, s_norm.real, s_norm.imag, v13.real, v13.imag, v31.real, v31.imag,
+        v23.real, v23.imag, v32.real, v32.imag, sigma22, p_r,
+        nb.real, nb.imag, nb_tilde, integrals.iterations, integrals.residual)
 
 
 def run_scan(config: ScanConfig) -> list[ScanResultRow]:

@@ -158,6 +158,14 @@ class TestSpectralIntegrals:
         quad = F_lambda_quadrature(lam, inter50)
         assert closed == pytest.approx(quad, rel=1e-6)
 
+    @pytest.mark.parametrize("lam", [0j, np.array([1.0 + 2.0j, 0j])], ids=["scalar", "array"])
+    def test_resolvent_diverges_at_zero(self, lam, inter50):
+        """eta Int d^3R k/(k - lambda) diverges at lambda = 0: a typed error,
+        not a division by zero, for a scalar and for any zero eigenvalue."""
+        with pytest.raises(SingularParameterError, match="lambda = 0"):
+            F_lambda(lam, inter50)
+        assert np.all(F_lambda(lam, InteractionParams(c6=0.0)) == 0)  # C6 = 0 rule first
+
 
 class TestFeedbackMap:
     @pytest.mark.parametrize("state", [46, 50, 61])

@@ -187,6 +187,12 @@ class TestPotentialAndBlockade:
             abs(effective_T(p)), rel=1e-12
         )
 
+    def test_blockade_radius_at_zero_T_raises(self):
+        # |k(r)| = |T| = 0 holds at no finite r
+        p = AtomParams(omega_c=0.0, gamma13=0.0, delta3=0.0)
+        with pytest.raises(SingularParameterError, match="T = 0"):
+            blockade_radius(p, 5000.0)
+
     @given(
         delta3=st.floats(-2.0, 2.0),
         omega_c=st.floats(0.5, 5.0),

@@ -700,6 +700,14 @@ class TestClosedFormObservables:
         resolvent integral does with interactions off."""
         assert nb_closed_form(params50, InteractionParams(c6=0.0)) == 0j
 
+    def test_nb_at_zero_T_is_typed(self):
+        """T = 0, a point AtomParams accepts, puts the pole on lambda = 0,
+        where the resolvent integral diverges."""
+        p = AtomParams(omega_c=0.0, gamma13=0.0, delta3=0.0)
+        assert effective_T(p) == 0
+        with pytest.raises(SingularParameterError, match="lambda = 0"):
+            nb_closed_form(p, InteractionParams(c6=5000.0))
+
     @pytest.mark.parametrize("gamma13", [0.1, 0.01])
     @pytest.mark.parametrize("state", [46, 50, 56, 61])
     def test_nb_counts_the_atoms_in_a_blockade_sphere(self, state, gamma13):
@@ -716,6 +724,45 @@ class TestClosedFormObservables:
             nb = nb_closed_form(p, inter)
             worst = max(worst, abs(nb - want) / abs(want))
         assert worst < 1e-14
+
+    @staticmethod
+    def _weak_probe_nb(**kw):
+        """The exact weak-probe n_b, a scan's zero-probe row, with the
+        point's parameters."""
+        cfg = ScanConfig(omega_p2_start=0.0, omega_p2_stop=0.0, omega_p2_count=1, **kw)
+        (row,) = run_scan(cfg)
+        assert not row.flag
+        return complex(row.nb_re, row.nb_im), cfg.point_params(cfg.delta3, 0.0)
+
+    @pytest.mark.parametrize("state", [46, 50, 56, 61])
+    def test_weak_probe_nb_tends_to_the_blockade_sphere(self, state):
+        """In the dispersive limit delta2 -> -inf the exact weak-probe n_b
+        tends to the closed form as (omega_c/delta2)^2 (its distance falls
+        by 4 per doubling of |delta2|; measured 3.934-3.997), and |n_b| to
+        pi/2 times the atoms in a blockade sphere, N_bl = eta (4 pi/3) R_b^3
+        with |k(R_b)| = |T| (measured 1.570812-1.570833 at delta2 = -1600)."""
+        dist = []
+        for delta2 in (-100.0, -200.0, -400.0, -800.0, -1600.0):
+            nb, (p, inter) = self._weak_probe_nb(state=state, delta2=delta2, delta3=0.4)
+            closed = nb_closed_form(p, inter)
+            dist.append(abs(nb - closed) / abs(closed))
+        ratios = [a / b for a, b in zip(dist, dist[1:])]
+        assert all(3.9 <= r <= 4.05 for r in ratios), ratios
+        assert ratios[-1] >= 3.99
+        assert dist[-1] <= 3e-5  # measured at most 2.34e-5
+        n_bl = inter.eta * 4.0 * np.pi / 3.0 * blockade_radius(p, inter.c6) ** 3
+        assert abs(nb) / n_bl == pytest.approx(np.pi / 2.0, rel=1e-4)
+
+    def test_weak_probe_nb_becomes_real_as_gamma13_vanishes(self):
+        """Deep in the dispersive limit |Im n_b / Re n_b| is proportional to
+        gamma13: it falls by about 10 per decade (measured 2.491e-2,
+        2.494e-3, 2.499e-4, 2.552e-5 from gamma13 = 0.1 to 1e-4)."""
+        ratio = []
+        for gamma13 in (0.1, 1e-2, 1e-3, 1e-4):
+            nb, _ = self._weak_probe_nb(state=50, delta2=-1600.0, delta3=2.0, gamma13=gamma13)
+            ratio.append(abs(nb.imag / nb.real))
+        falls = [a / b for a, b in zip(ratio, ratio[1:])]
+        assert all(9.5 <= f <= 10.5 for f in falls), falls
 
     def test_blockade_radius_scale_consistency(self, params50, inter50):
         # n_b equals eta times an O(1) multiple of the blockade volume

@@ -24,6 +24,7 @@ from rydeit.scan import (
     ScanConfig,
     ScanResultRow,
     compute_row,
+    run_figure,
     run_scan,
     write_csv,
 )
@@ -289,6 +290,22 @@ class TestPointFailures:
                          omega_p2_start=0.1, omega_p2_stop=0.1, omega_p2_count=1)
         (row,) = run_scan(cfg)
         assert row.flag.startswith("DegenerateNormalizationError")
+
+    def test_degenerate_row_flags_only_itself_in_its_column(self):
+        """A DegenerateNormalizationError in one row's observables sends its
+        column point by point: only that row is flagged, with the flag it
+        gets alone, and every other row is the row it is alone."""
+        cfg = ScanConfig(state=50, delta2=0.0, omega_p2_start=0.1, omega_p2_stop=0.1,
+                         omega_p2_count=1, delta3_start=-1.0, delta3_stop=1.0,
+                         delta3_count=5)
+        rows = run_scan(cfg)
+        assert [r.delta3 for r in rows if r.flag] == [0.0]
+        (row,) = [r for r in rows if r.flag]
+        assert row.flag.startswith("DegenerateNormalizationError")
+        assert row.flag == compute_row(cfg, 0.0, 0.1).flag
+        for r in rows:
+            if not r.flag:
+                assert r == compute_row(cfg, r.delta3, 0.1)
 
 
 def _zero_probe_column(count, **kw):
@@ -574,6 +591,18 @@ class TestCli:
 
     def test_figures_registered(self):
         assert set(FIGURES) == {"fig2", "fig3", "fig4"}
+
+    @pytest.mark.parametrize("name, digest", [
+        ("fig2", "f000eeb435a45fbcd75db83cebd70bd92863665ed2b5e54371b601c016f3097a"),
+        ("fig3", "38839e3ba6fa30716396a22c3d02f50f9e51dd8e6ba1edfe47908d8987a4c0bf"),
+        ("fig4", "8a745a0f5ae1362631e9d72d1d41bce9060b2e7288a03a063413bc837fe4fa95"),
+    ], ids=["fig2", "fig3", "fig4"])
+    def test_figure_output_bytes(self, name, digest):
+        """Each figure preset writes the same bytes: SHA-256 of its CSV, no
+        row flagged."""
+        buf = io.StringIO()
+        assert run_figure(name, buf) is False
+        assert _sha256(buf.getvalue()) == digest
 
     def test_equations_dump(self):
         res = CliRunner().invoke(main, ["equations", "--which", "single"])
